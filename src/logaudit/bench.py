@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .config import RunConfig
 from .debate import DebateConfig, FinalConclusion
 from .errors import MissingLabel
 from .forge import LoadedRegistry
 from .gateway import Backend, CostLedger, CostReport, RateTable
 from .logstore import LABEL_MALICIOUS, LogStore
-from .pipeline import VARIANTS, context_from_registry, detect_all
+from .pipeline import VARIANTS, context_from_config, context_from_registry, detect_all
 
 logger = logging.getLogger(__name__)
 
@@ -144,8 +145,6 @@ def run_variant_inline(
     A fresh backend comes from the factory so scripted runs start from an
     unconsumed script; the ledger is returned for cost inspection.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant tag {variant!r}; expected one of {sorted(VARIANTS)}")
     ledger = CostLedger()
     ctx = context_from_registry(
         registry, store, backend_factory(), ledger,
@@ -154,35 +153,16 @@ def run_variant_inline(
     )
     outcomes = detect_all(ctx, parallelism=parallelism)
     predictions = {user: final for user, (final, _t) in outcomes.items()}
-    metrics = evaluate(predictions, user_labels(store), variant)
-    return metrics, ledger, predictions
+    return evaluate(predictions, user_labels(store), variant), ledger, predictions
 
 
-def run_variant(variant: str, config) -> MetricsReport:
-    """Config-driven variant run: load the store, registry, lists, and
-    backend described by a RunConfig, then detect and evaluate."""
-    from .config import build_backend, load_lists, resolve_path
-    from .forge import load_registry
-    from .logstore import load_store
-
-    store = load_store(resolve_path(config, config.store_path))
-    lists = load_lists(config)
-    registry = load_registry(resolve_path(config, config.registry_path),
-                             store=store, lists=lists)
-    metrics, _ledger, _preds = run_variant_inline(
-        variant,
-        store,
-        registry,
-        lambda: build_backend(config),
-        lists=lists,
-        debate=DebateConfig(
-            n_debate=config.n_debate, seed_a=config.seed_executor_a, seed_b=config.seed_executor_b
-        ),
-        excerpt_budget=config.excerpt_budget,
-        rates=config.rates,
-        parallelism=config.parallelism,
-    )
-    return metrics
+def run_variant(variant: str, config: RunConfig) -> MetricsReport:
+    """Config-driven variant run: the store, registry, lists, backend and
+    prompt templates a RunConfig describes, then detect and evaluate."""
+    ctx = context_from_config(config, CostLedger(), variant)
+    outcomes = detect_all(ctx, parallelism=config.parallelism)
+    predictions = {user: final for user, (final, _t) in outcomes.items()}
+    return evaluate(predictions, user_labels(ctx.store), variant)
 
 
 # ---------------------------------------------------------------------------

@@ -19,32 +19,31 @@ from .config import (
     config_hash,
     load_config,
     load_lists,
+    load_snapshot,
     load_templates,
     resolve_path,
 )
-from .debate import DebateConfig, transcript_doc
+from .debate import transcript_doc
 from .decomposer import decompose, refine, validate_coverage
 from .errors import (
     AuditError,
     ConfigInvalid,
     CoverageIncomplete,
     LabelsMissing,
-    RegistryMissing,
 )
-from .forge import REGISTRY_FORMAT, build_tool_for_subtask, load_registry, save_registry
+from .forge import REGISTRY_FORMAT, build_tool_for_subtask, save_registry
 from .gateway import CostLedger, CostRecord, cost_report
 from .logstore import (
     LogStore,
     build_user_sequences,
     load_labels,
-    load_store,
     parse_cert_file,
     parse_zeek_file,
     sample_exemplars,
     save_store,
     undersample_benign,
 )
-from .pipeline import VARIANTS, context_from_registry, detect_all
+from .pipeline import VARIANTS, context_from_config, detect_all
 
 logger = logging.getLogger(__name__)
 
@@ -139,10 +138,7 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_forge(config: RunConfig) -> int:
-    store_path = resolve_path(config, config.store_path)
-    if not store_path.exists():
-        raise ConfigInvalid(f"store snapshot not found: {store_path}; run ingest first")
-    store = load_store(store_path)
+    store = load_snapshot(config)
     lists = load_lists(config)
     backend = build_backend(config)
     templates = load_templates(config)
@@ -198,27 +194,8 @@ def cmd_forge(config: RunConfig) -> int:
 
 
 def cmd_detect(config: RunConfig) -> int:
-    store_path = resolve_path(config, config.store_path)
-    if not store_path.exists():
-        raise ConfigInvalid(f"store snapshot not found: {store_path}; run ingest first")
-    registry_path = resolve_path(config, config.registry_path)
-    if not registry_path.exists():
-        raise RegistryMissing(f"registry not found: {registry_path}; run forge first")
-
-    store = load_store(store_path)
-    lists = load_lists(config)
-    registry = load_registry(registry_path, store=store, lists=lists)
-    backend = build_backend(config)
     ledger = CostLedger()
-    ctx = context_from_registry(
-        registry, store, backend, ledger,
-        rates=config.rates, lists=lists,
-        debate=DebateConfig(n_debate=config.n_debate, seed_a=config.seed_executor_a,
-                            seed_b=config.seed_executor_b),
-        excerpt_budget=config.excerpt_budget,
-        variant=config.ablation,
-        templates=load_templates(config),
-    )
+    ctx = context_from_config(config, ledger, config.ablation)
     outcomes = detect_all(ctx, parallelism=config.parallelism)
 
     outdir = resolve_path(config, config.output_dir)
@@ -248,10 +225,7 @@ def cmd_detect(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    store_path = resolve_path(config, config.store_path)
-    if not store_path.exists():
-        raise ConfigInvalid(f"store snapshot not found: {store_path}; run ingest first")
-    store = load_store(store_path)
+    store = load_snapshot(config)
     if not store.labels:
         raise LabelsMissing(
             "store has no ground-truth labels; set dataset.labels and re-run ingest"

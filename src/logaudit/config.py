@@ -13,7 +13,9 @@ from pathlib import Path
 
 from .errors import ConfigInvalid
 from .forge import ToolTestCase
-from .gateway import Backend, HttpBackend, RateTable, ScriptEntry, ScriptedBackend
+from .gateway import Backend, HttpBackend, PromptTemplate, RateTable, ScriptEntry, ScriptedBackend
+from .logstore import LogStore, load_store
+from .prompts import DEFAULT_TEMPLATES
 from .runtime import LIST_KINDS, ListCatalog, load_list_file
 
 _KNOWN_KEYS = {
@@ -156,8 +158,6 @@ def load_config(path: str | Path) -> RunConfig:
             for case in cases
         ]
 
-    from .prompts import DEFAULT_TEMPLATES
-
     templates = {str(k): str(v) for k, v in (doc.get("templates") or {}).items()}
     unknown_templates = set(templates) - set(DEFAULT_TEMPLATES)
     if unknown_templates:
@@ -218,7 +218,7 @@ def config_hash(config: RunConfig) -> str:
 # Derived objects
 # ---------------------------------------------------------------------------
 
-def _resolve(config: RunConfig, path: str) -> Path:
+def resolve_path(config: RunConfig, path: str) -> Path:
     """Relative paths in the config are relative to the config file."""
     p = Path(path)
     if p.is_absolute():
@@ -226,8 +226,12 @@ def _resolve(config: RunConfig, path: str) -> Path:
     return Path(config.config_path).parent / p
 
 
-def resolve_path(config: RunConfig, path: str) -> Path:
-    return _resolve(config, path)
+def load_snapshot(config: RunConfig) -> LogStore:
+    """The sealed store snapshot that ``ingest`` wrote."""
+    path = resolve_path(config, config.store_path)
+    if not path.exists():
+        raise ConfigInvalid(f"store snapshot not found: {path}; run ingest first")
+    return load_store(path)
 
 
 def load_script_file(path: str | Path) -> list[ScriptEntry]:
@@ -246,7 +250,7 @@ def load_script_file(path: str | Path) -> list[ScriptEntry]:
 
 def build_backend(config: RunConfig) -> Backend:
     if config.backend.type == "scripted":
-        script_path = _resolve(config, config.backend.script or "")
+        script_path = resolve_path(config, config.backend.script or "")
         if not script_path.exists():
             raise ConfigInvalid(f"script file not found: {script_path}")
         return ScriptedBackend(load_script_file(script_path), name=config.backend.name or "scripted")
@@ -261,14 +265,15 @@ def build_backend(config: RunConfig) -> Backend:
 def load_lists(config: RunConfig) -> ListCatalog:
     catalog = {}
     for name, item in config.lists.items():
-        catalog[name] = load_list_file(name, item.kind, _resolve(config, item.path))
+        catalog[name] = load_list_file(name, item.kind, resolve_path(config, item.path))
     return catalog
 
 
-def load_templates(config: RunConfig):
-    """Default prompt templates with any config-file overrides applied."""
-    from .prompts import load_template_overrides
-
-    return load_template_overrides(
-        {name: str(_resolve(config, path)) for name, path in config.templates.items()}
-    )
+def load_templates(config: RunConfig) -> dict[str, PromptTemplate]:
+    """Default prompt templates with the config's override files applied;
+    ``load_config`` has already checked the override names."""
+    templates = dict(DEFAULT_TEMPLATES)
+    for name, path in config.templates.items():
+        text = resolve_path(config, path).read_text(encoding="utf-8")
+        templates[name] = PromptTemplate.from_text(name, text)
+    return templates

@@ -11,28 +11,28 @@ initial sets, which is exactly the no-debate ablation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .decomposer import SubTaskSet
-from .errors import GatewayError, MissingDecision
+from .errors import GatewayError
 from .executor import (
     VERDICT_BENIGN,
     VERDICT_MALICIOUS,
     ExecutorResultSet,
-    SubTaskResult,
     apply_evidence_check,
-    parse_structured_response,
+    ask,
+    parse_decision_reply,
     rebuild_results_from_anomalies,
     render_result_set,
     run_subtask,
     synthesize,
 )
 from .forge import ToolSpec
-from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
+from .gateway import Backend, CostLedger, PromptTemplate, RateTable
 from .logstore import LogStore, UserSequence
-from .prompts import EXECUTOR_MERGE, EXECUTOR_REBUTTAL
-from .runtime import ListCatalog
+from .prompts import EXECUTOR_MERGE, EXECUTOR_REBUTTAL, EXECUTOR_SUBTASK
+from .runtime import ListCatalog, ToolResult
 
 logger = logging.getLogger(__name__)
 
@@ -128,28 +128,15 @@ def rebut(
     }
     new_round = own.round + 1
 
-    parsed = None
-    for attempt in range(2):
-        try:
-            completion, _ = chat(
-                backend, template, variables,
-                stage="rebuttal", ledger=ledger, rates=rates,
-                note=f"{executor_id}:r{new_round}" + (":reprompt" if attempt else ""),
-                seed_hint=seed_hint,
-            )
-            parsed = parse_structured_response(completion.text)
-            break
-        except MissingDecision:
-            continue
+    parsed = ask(
+        backend, template, variables, parse_decision_reply,
+        stage="rebuttal", note=f"{executor_id}:r{new_round}",
+        ledger=ledger, rates=rates, seed_hint=seed_hint,
+    )
     if parsed is None:
         logger.warning("%s rebuttal unparseable twice; prior set carried forward", executor_id)
-        return ExecutorResultSet(
-            executor_id=own.executor_id,
-            results=list(own.results),
-            anomalies=own.anomalies,
-            basis=own.basis,
-            verdict=own.verdict,
-            round=new_round,
+        return replace(
+            own, results=list(own.results), round=new_round,
             correction="rebuttal unparseable; prior set carried forward",
         )
 
@@ -203,19 +190,10 @@ def merge_conclusion(
         "a_block": render_result_set(a, "executor A"),
         "b_block": render_result_set(b, "executor B"),
     }
-    parsed = None
-    for attempt in range(2):
-        try:
-            completion, _ = chat(
-                backend, template, variables,
-                stage="merge", ledger=ledger, rates=rates,
-                note="merge" + (":reprompt" if attempt else ""),
-            )
-            parsed = parse_structured_response(completion.text)
-            break
-        except MissingDecision:
-            continue
-
+    parsed = ask(
+        backend, template, variables, parse_decision_reply,
+        stage="merge", note="merge", ledger=ledger, rates=rates,
+    )
     if parsed is None:
         verdict, correction = apply_evidence_check(VERDICT_BENIGN, union)
         basis = f"A: {a.basis} | B: {b.basis}"
@@ -257,24 +235,21 @@ def initial_result_set(
     ledger: CostLedger,
     rates: RateTable | None,
     seed_hint: int | None,
-    subtask_template: PromptTemplate | None = None,
+    subtask_template: PromptTemplate = EXECUTOR_SUBTASK,
+    tool_result_override: ToolResult | None = None,
 ) -> ExecutorResultSet:
     """Lines 2-3: one executor works through every check independently; the
     initial verdict is the deterministic fold of its own evidence."""
-    results: list[SubTaskResult] = []
-    for subtask in subtasks.subtasks:
-        kwargs = dict(
-            lists=lists, excerpt_budget=excerpt_budget,
-            ledger=ledger, rates=rates, seed_hint=seed_hint,
+    results = [
+        run_subtask(
+            executor_id, subtask, tools.get(subtask.id), user, store, backend,
+            lists=lists, excerpt_budget=excerpt_budget, ledger=ledger, rates=rates,
+            template=subtask_template, seed_hint=seed_hint,
+            tool_result_override=tool_result_override,
         )
-        if subtask_template is not None:
-            kwargs["template"] = subtask_template
-        results.append(
-            run_subtask(
-                executor_id, subtask, tools.get(subtask.id), user, store, backend, **kwargs
-            )
-        )
-    return synthesize(executor_id, results, backend=None, round_index=0)
+        for subtask in subtasks.subtasks
+    ]
+    return synthesize(executor_id, results)
 
 
 def debate_loop(
@@ -298,12 +273,9 @@ def debate_loop(
     transcript.rounds.append(DebateRound(index=0, a=a0, b=b0))
     a_cur, b_cur = a0, b0
     rounds_used = 0
-    consensus = False
     try:
         for i in range(1, config.n_debate + 1):
             if consensus_reached(a_cur, b_cur):
-                consensus = True
-                transcript.rounds[-1].consensus = True
                 break
             a_new = rebut(
                 EXECUTOR_A, a_cur, b_cur, backend,
@@ -318,12 +290,9 @@ def debate_loop(
             a_cur, b_cur = a_new, b_new
             rounds_used = i
             transcript.rounds.append(DebateRound(index=i, a=a_cur, b=b_cur))
-        else:
-            # Cap reached (or zero rounds): record agreement if it holds.
-            if consensus_reached(a_cur, b_cur):
-                consensus = True
-                transcript.rounds[-1].consensus = True
-
+        # Agreement ends the debate early; at the round cap it may still hold.
+        consensus = consensus_reached(a_cur, b_cur)
+        transcript.rounds[-1].consensus = consensus
         final = merge_conclusion(
             a_cur, b_cur, backend,
             user=user, rounds_used=rounds_used, consensus=consensus,
@@ -356,7 +325,7 @@ def run_emad(
     excerpt_budget: int = 50,
     ledger: CostLedger,
     rates: RateTable | None = None,
-    subtask_template: PromptTemplate | None = None,
+    subtask_template: PromptTemplate = EXECUTOR_SUBTASK,
     rebuttal_template: PromptTemplate = EXECUTOR_REBUTTAL,
     merge_template: PromptTemplate = EXECUTOR_MERGE,
 ) -> tuple[FinalConclusion, DebateTranscript]:

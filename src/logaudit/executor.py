@@ -1,5 +1,5 @@
 """Executors: run each audit check with its tool, judge the outcome through
-the backend, and synthesize a structured verdict.
+the backend, and fold the per-check evidence into a verdict.
 
 Verdicts are always forced back into line with the evidence: a result set is
 malicious iff its anomaly set is non-empty. When a backend's stated Decision
@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence, TypeVar
 
 from .decomposer import SubTask
 from .errors import (
@@ -25,11 +25,13 @@ from .errors import (
 )
 from .forge import ToolSpec
 from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
-from .logstore import LogEntry, LogStore, UserSequence
-from .prompts import EXECUTOR_SUBTASK, EXECUTOR_SYNTHESIS
+from .logstore import ActivityType, LogEntry, LogStore, UserSequence
+from .prompts import EXECUTOR_SUBTASK
 from .runtime import ListCatalog, ToolResult, invoke
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 VERDICT_BENIGN = "benign"
 VERDICT_MALICIOUS = "malicious"
@@ -158,20 +160,65 @@ def parse_structured_response(text: str) -> StructuredResponse:
     )
 
 
+def parse_decision_reply(text: str) -> StructuredResponse | None:
+    """:func:`parse_structured_response`, or None when the Decision is missing."""
+    try:
+        return parse_structured_response(text)
+    except MissingDecision:
+        return None
+
+
+def ask(
+    backend: Backend,
+    template: PromptTemplate,
+    variables: dict[str, object],
+    parse: Callable[[str], T | None],
+    *,
+    stage: str,
+    note: str,
+    ledger: CostLedger,
+    rates: RateTable | None = None,
+    seed_hint: int | None = None,
+    retry_variables: dict[str, object] | None = None,
+) -> T | None:
+    """Ask the backend, parse the reply, and re-prompt once if it does not
+    parse. The second call renders ``retry_variables`` (default: the same
+    variables) and its ledger note gains a ``:reprompt`` suffix. Returns the
+    parsed reply, or None when neither reply parses; each caller decides
+    what a double failure means."""
+    attempts = ((variables, note), (retry_variables or variables, f"{note}:reprompt"))
+    for attempt_variables, attempt_note in attempts:
+        completion, _ = chat(
+            backend, template, attempt_variables,
+            stage=stage, ledger=ledger, rates=rates,
+            note=attempt_note, seed_hint=seed_hint,
+        )
+        parsed = parse(completion.text)
+        if parsed is not None:
+            return parsed
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Per-check execution
 # ---------------------------------------------------------------------------
 
-def select_focus_day(user: UserSequence, subtask: SubTask) -> date | None:
-    """The day under audit: the user's busiest day for the check's activity
-    types (earliest on ties), or None when no such activity exists."""
+def busiest_day(user: UserSequence, activity_types: Collection[ActivityType]) -> date | None:
+    """The user's busiest day for the given activity types (earliest on
+    ties), or None when no such activity exists."""
     counts: dict[date, int] = {}
     for entry in user.entries:
-        if entry.activity in subtask.activity_types:
+        if entry.activity in activity_types:
             counts[entry.day] = counts.get(entry.day, 0) + 1
     if not counts:
         return None
     return max(sorted(counts), key=lambda d: counts[d])
+
+
+def select_focus_day(user: UserSequence, subtask: SubTask) -> date | None:
+    """The day under audit: the user's busiest day for the check's activity
+    types, or None when no such activity exists."""
+    return busiest_day(user, subtask.activity_types)
 
 
 def render_excerpt(entries: Sequence[LogEntry], budget: int) -> str:
@@ -298,25 +345,20 @@ def run_subtask(
         "activity_excerpt": render_excerpt(excerpt, excerpt_budget),
     }
 
-    completion, _ = chat(
-        backend, template, variables,
-        stage="subtask", ledger=ledger, rates=rates,
-        note=f"{executor_id}:{subtask.id}", seed_hint=seed_hint,
+    parsed = ask(
+        backend, template, variables, _parse_subtask_reply,
+        stage="subtask", note=f"{executor_id}:{subtask.id}",
+        ledger=ledger, rates=rates, seed_hint=seed_hint,
+        retry_variables={
+            **variables,
+            "subtask_description": subtask.description
+            + " (Reply with the mandated Finding/Suspicious lines.)",
+        },
     )
-    parsed = _parse_subtask_reply(completion.text)
     if parsed is None:
-        completion, _ = chat(
-            backend, template,
-            {**variables, "subtask_description": variables["subtask_description"]
-             + " (Reply with the mandated Finding/Suspicious lines.)"},
-            stage="subtask", ledger=ledger, rates=rates,
-            note=f"{executor_id}:{subtask.id}:reprompt", seed_hint=seed_hint,
+        raise ResponseUnparseable(
+            f"check {subtask.id}: mandatory Finding/Suspicious lines absent after re-prompt"
         )
-        parsed = _parse_subtask_reply(completion.text)
-        if parsed is None:
-            raise ResponseUnparseable(
-                f"check {subtask.id}: mandatory Finding/Suspicious lines absent after re-prompt"
-            )
     finding, suspicious, raw_ids = parsed
 
     own_ids = {e.entry_id for e in user.entries}
@@ -361,67 +403,16 @@ def _deterministic_basis(results: Sequence[SubTaskResult]) -> str:
     return "suspicious findings from: " + ", ".join(suspicious)
 
 
-def synthesize(
-    executor_id: str,
-    results: Sequence[SubTaskResult],
-    backend: Backend | None = None,
-    *,
-    user: str = "",
-    ledger: CostLedger | None = None,
-    rates: RateTable | None = None,
-    template: PromptTemplate = EXECUTOR_SYNTHESIS,
-    round_index: int = 0,
-) -> ExecutorResultSet:
-    """Fold per-check results into a verdict.
-
-    Without a backend the synthesis is the deterministic evidence fold
-    (verdict from the union of flagged anomalies). With a backend, the
-    structured summary is requested and then held to the same evidence
-    check, so a hallucinated Decision can never survive.
-    """
+def synthesize(executor_id: str, results: Sequence[SubTaskResult]) -> ExecutorResultSet:
+    """Fold per-check results into an opening (round 0) verdict: the
+    evidence fold, malicious iff the union of flagged anomalies is non-empty."""
     anomalies = frozenset().union(*(r.flagged for r in results)) if results else frozenset()
-
-    if backend is None:
-        verdict = VERDICT_MALICIOUS if anomalies else VERDICT_BENIGN
-        return ExecutorResultSet(
-            executor_id=executor_id,
-            results=list(results),
-            anomalies=anomalies,
-            basis=_deterministic_basis(results),
-            verdict=verdict,
-            round=round_index,
-        )
-
-    if ledger is None:
-        raise ValueError("backend synthesis requires a ledger")
-    variables = {"user": user, "findings_block": render_findings(results)}
-    completion, _ = chat(
-        backend, template, variables,
-        stage="synthesis", ledger=ledger, rates=rates, note=executor_id,
-    )
-    try:
-        parsed = parse_structured_response(completion.text)
-    except MissingDecision:
-        completion, _ = chat(
-            backend, template,
-            {**variables, "user": f"{user} (your reply must end with a Decision line)"},
-            stage="synthesis", ledger=ledger, rates=rates, note=f"{executor_id}:reprompt",
-        )
-        try:
-            parsed = parse_structured_response(completion.text)
-        except MissingDecision as exc:
-            raise ResponseUnparseable(f"synthesis for {user!r}: {exc}")
-
-    verdict, correction = apply_evidence_check(parsed.decision, anomalies)
-    basis = parsed.basis or _deterministic_basis(results)
     return ExecutorResultSet(
         executor_id=executor_id,
         results=list(results),
         anomalies=anomalies,
-        basis=basis,
-        verdict=verdict,
-        round=round_index,
-        correction=correction,
+        basis=_deterministic_basis(results),
+        verdict=VERDICT_MALICIOUS if anomalies else VERDICT_BENIGN,
     )
 
 

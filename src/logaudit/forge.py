@@ -19,17 +19,21 @@ from typing import Sequence
 from .decomposer import SubTask, SubTaskSet
 from .errors import (
     AuditError,
+    BackendUnreachable,
     InvalidTestCases,
     LifecycleError,
     PlanInvalid,
     PlanParseError,
     RegistryCorrupt,
+    ScriptExhausted,
     TemplateMismatch,
     ToolIrreparable,
+    TransportError,
 )
 from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
 from .logstore import ActivityType, LogEntry, LogStore
 from .plans import (
+    AGG_FUNCS,
     BaselineCompareStage,
     LookupStage,
     QueryPlan,
@@ -131,10 +135,10 @@ def _render_log_examples(entries: Sequence[LogEntry]) -> str:
     return "\n".join(lines)
 
 
-def _spec_from_plan(subtask: SubTask, plan: QueryPlan, raw_text: str) -> ToolSpec:
+def _spec_from_plan(subtask_id: str, plan: QueryPlan, raw_text: str) -> ToolSpec:
     return ToolSpec(
-        name=f"{subtask.id}-tool",
-        subtask_id=subtask.id,
+        name=f"{subtask_id}-tool",
+        subtask_id=subtask_id,
         plan=plan,
         params=free_params(plan),
         output_template=default_output_template(plan),
@@ -186,7 +190,7 @@ def draft_tool(
     except (PlanParseError, PlanInvalid) as exc:
         exc.completion_text = completion.text  # type: ignore[attr-defined]
         raise
-    return _spec_from_plan(subtask, plan, completion.text)
+    return _spec_from_plan(subtask.id, plan, completion.text)
 
 
 def failed_draft(subtask: SubTask, completion_text: str) -> ToolSpec:
@@ -310,15 +314,7 @@ def repair_tool(
             errors = [f"{exc.category}: {exc}"]
             logger.info("repair attempt %d for %s failed to parse: %s", attempt, spec.name, exc)
             continue
-        candidate = ToolSpec(
-            name=spec.name,
-            subtask_id=spec.subtask_id,
-            plan=plan,
-            params=free_params(plan),
-            output_template=default_output_template(plan),
-            status=STATUS_DRAFT,
-            raw_plan_text=completion.text,
-        )
+        candidate = _spec_from_plan(spec.subtask_id, plan, completion.text)
         report = unit_test_tool(candidate, fixtures, cases, lists)
         if report.passed:
             return candidate
@@ -360,9 +356,7 @@ def _decorated_template(spec: ToolSpec) -> str:
             + " per " + plan.group_by().key + ": {by_group} ({n_groups} groups)."
         )
     if aggregate is not None and aggregate.func != "count":
-        name_map = {"distinct_count": "n_distinct", "mean": "mean", "std": "std",
-                    "max": "max", "min": "min"}
-        key = name_map[aggregate.func]
+        key = AGG_FUNCS[aggregate.func]
         return (
             prefix + "{n} " + _types_phrase(plan) + " entries; "
             + aggregate.func + f" of {aggregate.field} = {{{key}}}."
@@ -508,7 +502,9 @@ def build_tool_for_subtask(
     repair_template: PromptTemplate = TOOL_REPAIR,
 ) -> ForgeOutcome:
     """Full lifecycle for one sub-task; falls back to a built-in (or marks
-    the sub-task unservable) when the repair budget runs out."""
+    the sub-task unservable) when the repair budget runs out or the backend
+    fails during draft or repair. A template missing a variable is a
+    configuration error and still aborts."""
     outcome = ForgeOutcome(spec=None, used_builtin=False)
     if not cases:
         logger.warning("no unit-test cases configured for %s; using builtin fallback", subtask.id)
@@ -542,14 +538,14 @@ def build_tool_for_subtask(
             )
         outcome.spec = decorate_tool(spec, subtask)
         return outcome
-    except ToolIrreparable as exc:
+    except (ToolIrreparable, TransportError, BackendUnreachable, ScriptExhausted) as exc:
         logger.warning("%s; falling back to builtin for %s", exc, subtask.id)
         fallback = match_builtin(subtask, k_sigma)
         if fallback is not None:
             fallback.test_cases = tuple(cases)
             outcome.spec = fallback
             outcome.used_builtin = True
-        outcome.error = str(exc)
+        outcome.error = f"{exc.category}: {exc}"
         return outcome
 
 

@@ -12,7 +12,7 @@ import os
 import string
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from .errors import (
@@ -392,7 +392,3 @@ def cost_report(records: Sequence[CostRecord]) -> CostReport:
         stats.dollars += record.dollars
         stats.latency_ms += record.latency_ms
     return report
-
-
-def with_note(record: CostRecord, note: str) -> CostRecord:
-    return replace(record, note=note)

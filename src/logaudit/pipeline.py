@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+from .config import (
+    RunConfig,
+    build_backend,
+    load_lists,
+    load_snapshot,
+    load_templates,
+    resolve_path,
+)
 from .debate import (
     EXECUTOR_A,
     EXECUTOR_B,
@@ -19,24 +27,29 @@ from .debate import (
     DebateTranscript,
     FinalConclusion,
     debate_loop,
-    run_emad,
+    initial_result_set,
 )
 from .decomposer import SubTask, SubTaskSet
-from .errors import InsufficientHistory, MissingDecision, ResponseUnparseable, UnknownUser
+from .errors import (
+    InsufficientHistory,
+    RegistryMissing,
+    ResponseUnparseable,
+    UnknownUser,
+)
 from .executor import (
     VERDICT_MALICIOUS,
     ExecutorResultSet,
     SubTaskResult,
     apply_evidence_check,
-    parse_structured_response,
+    ask,
+    busiest_day,
+    parse_decision_reply,
     render_excerpt,
-    run_subtask,
-    synthesize,
 )
-from .forge import LoadedRegistry, ToolSpec
-from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
+from .forge import LoadedRegistry, ToolSpec, load_registry
+from .gateway import Backend, CostLedger, PromptTemplate, RateTable
 from .logstore import LogStore, UserSequence
-from .prompts import DEFAULT_TEMPLATES, ONE_SHOT, VANILLA
+from .prompts import DEFAULT_TEMPLATES
 from .runtime import ListCatalog, ToolResult, invoke
 
 logger = logging.getLogger(__name__)
@@ -144,6 +157,27 @@ def context_from_registry(
     )
 
 
+def context_from_config(config: RunConfig, ledger: CostLedger, variant: str) -> DetectContext:
+    """The context a run config describes: its store snapshot, its registry
+    (recorded test cases replayed), lists, backend, debate settings and
+    prompt templates (overrides applied)."""
+    store = load_snapshot(config)
+    registry_path = resolve_path(config, config.registry_path)
+    if not registry_path.exists():
+        raise RegistryMissing(f"registry not found: {registry_path}; run forge first")
+    lists = load_lists(config)
+    registry = load_registry(registry_path, store=store, lists=lists)
+    return context_from_registry(
+        registry, store, build_backend(config), ledger,
+        rates=config.rates, lists=lists,
+        debate=DebateConfig(n_debate=config.n_debate, seed_a=config.seed_executor_a,
+                            seed_b=config.seed_executor_b),
+        excerpt_budget=config.excerpt_budget,
+        variant=variant,
+        templates=load_templates(config),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Variant building blocks
 # ---------------------------------------------------------------------------
@@ -153,16 +187,11 @@ def _invoke_for_user(
 ) -> tuple[str, ToolResult | None]:
     """Invoke one tool with its natural (user, busiest-day) binding."""
     assert spec.plan is not None
-    relevant_days: dict[str, int] = {}
-    for entry in user.entries:
-        if entry.activity in set(spec.plan.select.activity_types):
-            key = entry.day.isoformat()
-            relevant_days[key] = relevant_days.get(key, 0) + 1
-    if not relevant_days:
+    focus = busiest_day(user, frozenset(spec.plan.select.activity_types))
+    if focus is None:
         return f"[{spec.name}] (no relevant activity)", None
-    focus = max(sorted(relevant_days), key=lambda d: relevant_days[d])
     params = {
-        name: (user.user if name == "user" else focus) for name, _ in spec.params
+        name: (user.user if name == "user" else focus.isoformat()) for name, _ in spec.params
     }
     try:
         result = invoke(spec, params, ctx.store, ctx.lists)
@@ -230,18 +259,10 @@ def _one_shot_set(ctx: DetectContext, executor_id: str, user: UserSequence, seed
         "excerpt_count": len(excerpt),
         "activity_excerpt": render_excerpt(excerpt, ctx.excerpt_budget),
     }
-    parsed = None
-    for attempt in range(2):
-        try:
-            completion, _ = chat(
-                ctx.backend, ctx.templates.get("one_shot", ONE_SHOT), variables,
-                stage="one-shot", ledger=ctx.ledger, rates=ctx.rates,
-                note=f"{executor_id}" + (":reprompt" if attempt else ""), seed_hint=seed,
-            )
-            parsed = parse_structured_response(completion.text)
-            break
-        except MissingDecision:
-            continue
+    parsed = ask(
+        ctx.backend, ctx.templates["one_shot"], variables, parse_decision_reply,
+        stage="one-shot", note=executor_id, ledger=ctx.ledger, rates=ctx.rates, seed_hint=seed,
+    )
     if parsed is None:
         raise ResponseUnparseable(f"one-shot decision for {user.user!r} unparseable after re-prompt")
 
@@ -285,18 +306,10 @@ def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusi
         "excerpt_count": len(excerpt),
         "activity_excerpt": render_excerpt(excerpt, ctx.excerpt_budget),
     }
-    parsed = None
-    for attempt in range(2):
-        try:
-            completion, _ = chat(
-                ctx.backend, ctx.templates.get("vanilla", VANILLA), variables,
-                stage="vanilla", ledger=ctx.ledger, rates=ctx.rates,
-                note=user.user + (":reprompt" if attempt else ""),
-            )
-            parsed = parse_structured_response(completion.text)
-            break
-        except MissingDecision:
-            continue
+    parsed = ask(
+        ctx.backend, ctx.templates["vanilla"], variables, parse_decision_reply,
+        stage="vanilla", note=user.user, ledger=ctx.ledger, rates=ctx.rates,
+    )
     if parsed is None:
         raise ResponseUnparseable(f"vanilla decision for {user.user!r} unparseable after re-prompt")
     valid_ids = {e.entry_id for e in user.entries}
@@ -322,7 +335,8 @@ def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusi
 def detect_user(
     user: UserSequence, ctx: DetectContext
 ) -> tuple[FinalConclusion, DebateTranscript | None]:
-    """Audit one user under the context's variant configuration."""
+    """Audit one user under the context's variant configuration: build the
+    two executors' opening sets the variant's way, then debate and merge."""
     variant = ctx.variant
 
     if variant.agentless:
@@ -331,61 +345,61 @@ def detect_user(
     debate = ctx.debate if variant.use_debate else DebateConfig(
         n_debate=0, seed_a=ctx.debate.seed_a, seed_b=ctx.debate.seed_b
     )
-
-    rebuttal_template = ctx.templates["executor_rebuttal"]
-    merge_template = ctx.templates["executor_merge"]
+    seats = ((EXECUTOR_A, debate.seed_a), (EXECUTOR_B, debate.seed_b))
 
     if not variant.per_check_cot:
-        a0 = _one_shot_set(ctx, EXECUTOR_A, user, debate.seed_a)
-        b0 = _one_shot_set(ctx, EXECUTOR_B, user, debate.seed_b)
-        return debate_loop(a0, b0, ctx.backend, debate, user=user,
-                           ledger=ctx.ledger, rates=ctx.rates,
-                           rebuttal_template=rebuttal_template,
-                           merge_template=merge_template)
-
-    if not variant.use_decomposition:
-        generic = _generic_subtask(ctx)
-        subtasks = SubTaskSet([generic], rounds=0)
-        override = _combined_tool_result(ctx, user) if variant.use_tools else None
-
-        def build(executor_id: str, seed: int) -> ExecutorResultSet:
-            result = run_subtask(
-                executor_id, generic, None, user, ctx.store, ctx.backend,
+        a0, b0 = (_one_shot_set(ctx, executor_id, user, seed) for executor_id, seed in seats)
+    else:
+        if variant.use_decomposition:
+            subtasks = ctx.subtasks
+            tools = ctx.tools if variant.use_tools else {}
+            override = None
+        else:
+            subtasks = SubTaskSet([_generic_subtask(ctx)], rounds=0)
+            tools = {}
+            override = _combined_tool_result(ctx, user) if variant.use_tools else None
+        a0, b0 = (
+            initial_result_set(
+                executor_id, subtasks, tools, user, ctx.store, ctx.backend,
                 lists=ctx.lists, excerpt_budget=ctx.excerpt_budget,
                 ledger=ctx.ledger, rates=ctx.rates, seed_hint=seed,
+                subtask_template=ctx.templates["executor_subtask"],
                 tool_result_override=override,
-                template=ctx.templates["executor_subtask"],
             )
-            return synthesize(executor_id, [result], backend=None, round_index=0)
+            for executor_id, seed in seats
+        )
 
-        a0 = build(EXECUTOR_A, debate.seed_a)
-        b0 = build(EXECUTOR_B, debate.seed_b)
-        return debate_loop(a0, b0, ctx.backend, debate, user=user,
-                           ledger=ctx.ledger, rates=ctx.rates,
-                           rebuttal_template=rebuttal_template,
-                           merge_template=merge_template)
-
-    tools = dict(ctx.tools) if variant.use_tools else {s.id: None for s in ctx.subtasks.subtasks}
-    return run_emad(
-        ctx.subtasks, tools, user, ctx.store, ctx.backend, debate,
-        lists=ctx.lists, excerpt_budget=ctx.excerpt_budget,
-        ledger=ctx.ledger, rates=ctx.rates,
-        subtask_template=ctx.templates["executor_subtask"],
-        rebuttal_template=rebuttal_template,
-        merge_template=merge_template,
+    return debate_loop(
+        a0, b0, ctx.backend, debate,
+        user=user, ledger=ctx.ledger, rates=ctx.rates,
+        rebuttal_template=ctx.templates["executor_rebuttal"],
+        merge_template=ctx.templates["executor_merge"],
     )
 
 
 def detect_all(
     ctx: DetectContext, parallelism: int = 1
 ) -> dict[str, tuple[FinalConclusion, DebateTranscript | None]]:
-    """Audit every user in the store; distinct users may run in parallel."""
+    """Audit every user in the store; distinct users may run in parallel.
+
+    Each user is audited against a ledger of its own, and the records are
+    appended to the context's ledger in user order, so the ledger is the
+    same whatever the parallelism.
+    """
     users = sorted(ctx.store.users)
+
+    def audit(user: str) -> tuple[tuple[FinalConclusion, DebateTranscript | None], CostLedger]:
+        own = replace(ctx, ledger=CostLedger())
+        return detect_user(ctx.store.users[user], own), own.ledger
+
     if parallelism <= 1:
-        return {u: detect_user(ctx.store.users[u], ctx) for u in users}
+        runs = [audit(user) for user in users]
+    else:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            runs = list(pool.map(audit, users))
     results: dict[str, tuple[FinalConclusion, DebateTranscript | None]] = {}
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {u: pool.submit(detect_user, ctx.store.users[u], ctx) for u in users}
-        for user, future in futures.items():
-            results[user] = future.result()
+    for user, (outcome, ledger) in zip(users, runs):
+        for record in ledger.records():
+            ctx.ledger.append(record)
+        results[user] = outcome
     return results

@@ -41,7 +41,9 @@ _PARAM_RE = re.compile(r"^\{(\w+)\}$")
 PREDICATES = ("equals", "contains", "matches_glob", "in_list", "numeric_cmp")
 NUMERIC_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
 GROUP_KEYS = ("user", "day", "user_day", "host")
-AGG_FUNCS = ("count", "distinct_count", "mean", "std", "max", "min")
+# Aggregate funcs, each mapped to the result field that holds its value.
+AGG_FUNCS = {"count": "n", "distinct_count": "n_distinct", "mean": "mean",
+             "std": "std", "max": "max", "min": "min"}
 
 
 @dataclass(frozen=True)
@@ -370,9 +372,7 @@ def plan_result_fields(plan: QueryPlan) -> frozenset[str]:
         if plan.group_by() is not None:
             fields |= {"n_groups", "by_group"}
         else:
-            name_map = {"count": "n", "distinct_count": "n_distinct", "mean": "mean",
-                        "std": "std", "max": "max", "min": "min"}
-            fields.add(name_map[aggregate.func])
+            fields.add(AGG_FUNCS[aggregate.func])
     return frozenset(fields)
 
 

@@ -1,13 +1,11 @@
 """Default prompt templates for the three agent roles.
 
 Each template opens with a bracketed stage marker so scripted backends can
-match on it, and closes with the mandated response format. The executor
-synthesis/merge format file can be overridden from the run config.
+match on it, and closes with the mandated response format. Any template
+can be overridden by name from the run config's ``templates`` map.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from .gateway import PromptTemplate
 
@@ -102,22 +100,6 @@ Flagged: <comma-separated entry ids, only when suspicious>
 """,
 )
 
-EXECUTOR_SYNTHESIS = PromptTemplate.from_text(
-    "executor_synthesis",
-    """[stage: synthesis] You are a security log auditor. All audit checks for
-user {user} are complete. Combine the findings below into one conclusion.
-
-Findings:
-{findings_block}
-
-Reply with one line per check family, then exactly these lines:
-Suspicious: <which behaviors are suspicious, or "none">
-Basis of Judgment: <what the conclusion rests on>
-Flagged: <comma-separated entry ids you stand behind>
-Decision: <Benign or Malicious>
-""",
-)
-
 EXECUTOR_REBUTTAL = PromptTemplate.from_text(
     "executor_rebuttal",
     """[stage: rebuttal] You are executor {executor_label}, a security log
@@ -200,7 +182,6 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
         TOOL_BUILDER,
         TOOL_REPAIR,
         EXECUTOR_SUBTASK,
-        EXECUTOR_SYNTHESIS,
         EXECUTOR_REBUTTAL,
         EXECUTOR_MERGE,
         VANILLA,
@@ -208,13 +189,3 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
     )
 }
 
-
-def load_template_overrides(paths: dict[str, str]) -> dict[str, PromptTemplate]:
-    """Merge template override files (name -> path) over the defaults."""
-    templates = dict(DEFAULT_TEMPLATES)
-    for name, path in paths.items():
-        if name not in templates:
-            raise KeyError(f"unknown template name {name!r}")
-        text = Path(path).read_text(encoding="utf-8")
-        templates[name] = PromptTemplate.from_text(name, text)
-    return templates

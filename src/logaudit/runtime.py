@@ -27,6 +27,7 @@ from .errors import (
 )
 from .logstore import ActivityType, LogEntry, LogStore
 from .plans import (
+    AGG_FUNCS,
     AggregateStage,
     BaselineCompareStage,
     FilterStage,
@@ -471,9 +472,7 @@ def invoke(
             ) or "(empty)"
         else:
             result = aggregate_value(selection, aggregate)
-            name_map = {"count": "n", "distinct_count": "n_distinct", "mean": "mean",
-                        "std": "std", "max": "max", "min": "min"}
-            key = name_map[aggregate.func]
+            key = AGG_FUNCS[aggregate.func]
             values[key] = _format_number(result) if result is not None else "(no data)"
 
     rendered = spec.output_template.format_map(_SafeDict(values))
@@ -509,10 +508,7 @@ def default_output_template(plan: QueryPlan) -> str:
     elif plan.aggregate() is not None and plan.group_by() is not None:
         parts += ["n_groups={n_groups}", "by_group={by_group}"]
     elif plan.aggregate() is not None:
-        agg = plan.aggregate()
-        name_map = {"count": "n", "distinct_count": "n_distinct", "mean": "mean",
-                    "std": "std", "max": "max", "min": "min"}
-        key = name_map[agg.func]
+        key = AGG_FUNCS[plan.aggregate().func]
         if key != "n":
             parts.append(f"{key}={{{key}}}")
     for name, _ in free_params(plan):

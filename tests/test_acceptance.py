@@ -15,10 +15,10 @@ from conftest import entry, seal
 from logaudit.bench import ConfusionCounts, compute_metrics, run_variant_inline
 from logaudit.cli import main as cli_main
 from logaudit.config import build_backend, load_config, load_lists
-from logaudit.debate import DebateConfig, run_emad
+from logaudit.debate import DebateConfig, merge_conclusion, rebut, run_emad
 from logaudit.decomposer import SubTask, SubTaskSet
 from logaudit.errors import LifecycleError
-from logaudit.executor import SubTaskResult, synthesize
+from logaudit.executor import ExecutorResultSet, SubTaskResult
 from logaudit.forge import (
     ToolSpec,
     ToolTestCase,
@@ -246,25 +246,37 @@ def test_criterion_04_debate_conformance(burst_store):
                f"ledger bound 2*{n_t}+2*{n_debate}+1 holds")
 
 
-def test_criterion_05_faithfulness_post_check(ledger, caplog):
-    """A synthesis that says Benign while flagging anomalies is corrected to
-    Malicious and the contradiction is logged."""
-    results = [
-        SubTaskResult("logon-baseline", "tool: fine", "normal", frozenset(), False),
-        SubTaskResult("website-legitimacy", "tool: flagged wikileaks.org",
-                      "untrusted visit", frozenset({"WEB-1"}), True),
-    ]
+def test_criterion_05_faithfulness_post_check(burst_store, ledger, caplog):
+    """A rebuttal or a merge that says Benign while anomalies stay flagged is
+    corrected to Malicious and the contradiction is logged."""
+    flagged = ExecutorResultSet(
+        "executor_a",
+        [SubTaskResult("logon-baseline", "tool: fine", "normal", frozenset(), False),
+         SubTaskResult("website-legitimacy", "tool: flagged wikileaks.org",
+                       "untrusted visit", frozenset({"WEB-1"}), True)],
+        frozenset({"WEB-1"}), "untrusted visit", "malicious",
+    )
+    clean = ExecutorResultSet(
+        "executor_b",
+        [SubTaskResult("logon-baseline", "tool: fine", "normal", frozenset(), False)],
+        frozenset(), "nothing found", "benign",
+    )
     backend = make_scripted_backend([
-        ("executor_synthesis",
-         "Suspicious: none\nBasis of Judgment: seems fine\nDecision: Benign"),
+        ("[stage: rebuttal]",
+         "Suspicious: none\nBasis of Judgment: seems fine\nFlagged: WEB-1\nDecision: Benign"),
+        ("[stage: merge]", "Basis of Judgment: seems fine\nDecision: Benign"),
     ])
+    user = burst_store.users["UX"]
     with caplog.at_level("WARNING"):
-        result_set = synthesize("executor_a", results, backend, user="UX", ledger=ledger)
-    assert result_set.verdict == "malicious"
-    assert result_set.anomalies == frozenset({"WEB-1"})
-    assert result_set.correction is not None
-    assert any("contradicts the evidence" in r.message for r in caplog.records)
-    _report(5, "hallucinated Benign corrected to Malicious and logged")
+        rebutted = rebut("executor_a", flagged, clean, backend, user=user, ledger=ledger)
+        final = merge_conclusion(flagged, clean, backend, user=user, rounds_used=0,
+                                 consensus=False, ledger=ledger)
+    for outcome in (rebutted, final):
+        assert outcome.verdict == "malicious"
+        assert outcome.anomalies == frozenset({"WEB-1"})
+        assert outcome.correction is not None
+    assert sum("contradicts the evidence" in r.message for r in caplog.records) == 2
+    _report(5, "hallucinated Benign corrected to Malicious and logged (rebuttal and merge)")
 
 
 def test_criterion_06_ablation_degradation(demo_root: Path):

@@ -90,6 +90,15 @@ def test_costs_ledgers_written(completed_run: Path):
     assert main(["cost-report", "--config", str(completed_run / "config.json")]) == 0
 
 
+def test_parallel_detect_writes_the_serial_ledger(completed_run: Path):
+    out = completed_run / "out"
+    serial = (out / "costs-detect.jsonl").read_bytes()
+    config = str(completed_run / "config.json")
+    for _ in range(3):
+        assert main(["detect", "--config", config, "--parallelism", "4"]) == 0
+        assert (out / "costs-detect.jsonl").read_bytes() == serial
+
+
 def test_forge_is_idempotent(completed_run: Path):
     registry_path = completed_run / "out" / "registry.json"
     before = registry_path.read_bytes()

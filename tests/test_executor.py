@@ -222,50 +222,6 @@ def test_synthesize_deterministic_malicious():
     assert result_set.correction is None
 
 
-def test_synthesize_backend_benign_sets(ledger):
-    backend = make_scripted_backend([
-        ("executor_synthesis",
-         "Suspicious: none\nBasis of Judgment: All checks normal.\nDecision: Benign"),
-    ])
-    result_set = synthesize("executor_a", _results(), backend, user="UX", ledger=ledger)
-    assert result_set.verdict == "benign"
-    assert result_set.basis == "All checks normal."
-
-
-def test_synthesize_backend_corrects_hallucinated_benign(ledger, caplog):
-    backend = make_scripted_backend([
-        ("executor_synthesis",
-         "Suspicious: none\nBasis of Judgment: Looks fine overall.\nDecision: Benign"),
-    ])
-    with caplog.at_level("WARNING"):
-        result_set = synthesize("executor_a", _results(frozenset({"WEB-1"})),
-                                backend, user="UX", ledger=ledger)
-    assert result_set.verdict == "malicious"
-    assert result_set.correction is not None
-    assert any("contradicts the evidence" in r.message for r in caplog.records)
-
-
-def test_synthesize_backend_malicious_with_basis(ledger):
-    backend = make_scripted_backend([
-        ("executor_synthesis",
-         "Suspicious: the website visit\n"
-         "Basis of Judgment: Legitimacy of website visits.\nDecision: Malicious"),
-    ])
-    result_set = synthesize("executor_a", _results(frozenset({"WEB-1"})),
-                            backend, user="UX", ledger=ledger)
-    assert result_set.verdict == "malicious"
-    assert result_set.basis == "Legitimacy of website visits."
-    assert result_set.correction is None
-
-
-def test_synthesize_unparseable_after_reprompt(ledger):
-    backend = make_scripted_backend([
-        ScriptEntry("executor_synthesis", "mumble", repeat=True),
-    ])
-    with pytest.raises(ResponseUnparseable):
-        synthesize("executor_a", _results(), backend, user="UX", ledger=ledger)
-
-
 def test_render_result_set_contains_verdict_line():
     result_set = ExecutorResultSet(
         executor_id="executor_a", results=_results(frozenset({"WEB-1"})),

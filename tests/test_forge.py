@@ -9,6 +9,7 @@ from logaudit.decomposer import SubTask, SubTaskSet
 from logaudit.errors import (
     InvalidTestCases,
     LifecycleError,
+    MissingPlaceholder,
     PlanInvalid,
     RegistryCorrupt,
     TemplateMismatch,
@@ -27,7 +28,7 @@ from logaudit.forge import (
     save_registry,
     unit_test_tool,
 )
-from logaudit.gateway import ScriptEntry, make_scripted_backend
+from logaudit.gateway import PromptTemplate, ScriptEntry, make_scripted_backend
 from logaudit.logstore import ActivityType
 from logaudit.plans import parse_plan
 
@@ -269,6 +270,30 @@ def test_build_tool_falls_back_to_builtin(fixture_store, ledger):
     assert outcome.spec.subtask_id == "logon-baseline"
     assert outcome.spec.status == "decorated"
     assert outcome.error is not None
+
+
+def test_build_tool_falls_back_when_the_backend_fails(fixture_store, ledger):
+    # The draft parses but fails its unit tests, and the script has no
+    # tool_repair entry: the repair call raises ScriptExhausted.
+    backend = make_scripted_backend([
+        ScriptEntry("tool_builder", "select activity=Logon user={user}\naggregate func=count"),
+    ])
+    outcome = build_tool_for_subtask(
+        LOGON_SUBTASK, LOG_EXAMPLES, _count_cases(), fixture_store, backend, ledger=ledger
+    )
+    assert outcome.used_builtin
+    assert outcome.spec is not None and outcome.spec.builtin
+    assert outcome.spec.subtask_id == "logon-baseline"
+    assert outcome.error.startswith("ScriptExhausted: ")
+
+
+def test_build_tool_aborts_on_a_template_error(fixture_store, ledger):
+    backend = make_scripted_backend([ScriptEntry("tool_builder", GOOD_PLAN)])
+    with pytest.raises(MissingPlaceholder):
+        build_tool_for_subtask(
+            LOGON_SUBTASK, LOG_EXAMPLES, _count_cases(), fixture_store, backend, ledger=ledger,
+            draft_template=PromptTemplate.from_text("tool_builder", "{undefined_variable}"),
+        )
 
 
 # --- registry ---

@@ -100,18 +100,11 @@ def test_run_variant_from_config(bundle):
     assert metrics.counts.tp == 2
 
 
-def test_template_override_from_config(bundle, tmp_path):
-    root, *_ = bundle
+def _config_with_subtask_override(root, tmp_path, text: str):
+    """A copy of the demo config, in tmp_path, with the executor_subtask
+    prompt replaced by ``text``."""
     override = tmp_path / "subtask_prompt.txt"
-    override.write_text(
-        "[stage: subtask] OVERRIDDEN auditor reviewing {user}.\n"
-        "Check: {subtask_description}\n"
-        "Tool output: {tool_output}\n"
-        "Tool signal: {tool_signal}\n"
-        "Excerpt ({excerpt_count}):\n{activity_excerpt}\n"
-        "Reply with Finding:/Suspicious:/Flagged: lines.\n",
-        encoding="utf-8",
-    )
+    override.write_text(text, encoding="utf-8")
     doc = json.loads((root / "config.json").read_text())
     doc["templates"] = {"executor_subtask": str(override)}
     doc["output_dir"] = str(tmp_path / "out")
@@ -122,6 +115,20 @@ def test_template_override_from_config(bundle, tmp_path):
         item["path"] = str(root / "lists" / f"{name}.txt")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
+    return config_path
+
+
+def test_template_override_from_config(bundle, tmp_path):
+    root, *_ = bundle
+    config_path = _config_with_subtask_override(
+        root, tmp_path,
+        "[stage: subtask] OVERRIDDEN auditor reviewing {user}.\n"
+        "Check: {subtask_description}\n"
+        "Tool output: {tool_output}\n"
+        "Tool signal: {tool_signal}\n"
+        "Excerpt ({excerpt_count}):\n{activity_excerpt}\n"
+        "Reply with Finding:/Suspicious:/Flagged: lines.\n",
+    )
 
     assert cli_main(["detect", "--config", str(config_path)]) == 0
     conclusions = json.loads((tmp_path / "out" / "conclusions.json").read_text())
@@ -132,6 +139,23 @@ def test_template_override_from_config(bundle, tmp_path):
     config = load_config(config_path)
     templates = load_templates(config)
     assert "OVERRIDDEN" in templates["executor_subtask"].system_text
+
+
+def test_run_variant_applies_template_overrides(bundle, tmp_path):
+    # The demo script flags a check only on "Tool signal: suspicious"; a
+    # subtask prompt that hides the signal must leave both insiders unflagged.
+    root, *_ = bundle
+    config_path = _config_with_subtask_override(
+        root, tmp_path,
+        "[stage: subtask] Auditor reviewing {user}.\n"
+        "Check: {subtask_description}\n"
+        "Tool output: {tool_output}\n"
+        "Excerpt ({excerpt_count}):\n{activity_excerpt}\n"
+        "Reply with Finding:/Suspicious:/Flagged: lines.\n",
+    )
+    metrics = run_variant("original", load_config(config_path))
+    assert metrics.counts.tp == 0
+    assert metrics.dr == 0.0
 
 
 def test_no_tools_misses_burst_when_flags_depend_on_tool_phrase(burst_store):
