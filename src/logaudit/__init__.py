@@ -9,7 +9,7 @@ testable without a live model.
 
 __version__ = "0.1.0"
 
-from .debate import DebateConfig, FinalConclusion, run_emad
+from .debate import DebateConfig, FinalConclusion
 from .decomposer import SubTask, SubTaskSet, decompose, refine, validate_coverage
 from .forge import ToolSpec, load_registry, save_registry
 from .gateway import (
@@ -34,7 +34,7 @@ from .logstore import (
     sample_exemplars,
     undersample_benign,
 )
-from .runtime import baseline_stats, check_url, invoke
+from .runtime import invoke
 
 __all__ = [
     "ActivityType",
@@ -52,10 +52,8 @@ __all__ = [
     "SubTask",
     "SubTaskSet",
     "ToolSpec",
-    "baseline_stats",
     "build_user_sequences",
     "chat",
-    "check_url",
     "cost_report",
     "decompose",
     "invoke",
@@ -64,7 +62,6 @@ __all__ = [
     "parse_cert_file",
     "parse_zeek_file",
     "refine",
-    "run_emad",
     "sample_exemplars",
     "save_registry",
     "undersample_benign",

@@ -1,9 +1,8 @@
 """Evaluation harness: the four detection metrics over labeled runs, the
 ablation variants, and report emission.
 
-The positive class is malicious. Granularity is per-user by default (a user
-is positive iff any of their entries is labeled malicious); per-entry
-evaluation is available behind :func:`evaluate_entries`. Ratios with a zero
+The positive class is malicious. Granularity is per user (a user is
+positive iff any of their entries is labeled malicious). Ratios with a zero
 denominator are reported as absent (None), never as zero.
 """
 
@@ -13,15 +12,13 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .config import RunConfig
-from .debate import DebateConfig, FinalConclusion
 from .errors import MissingLabel
-from .forge import LoadedRegistry
-from .gateway import Backend, CostLedger, CostReport, RateTable
+from .gateway import CostLedger, CostReport
 from .logstore import LABEL_MALICIOUS, LogStore
-from .pipeline import VARIANTS, context_from_config, context_from_registry, detect_all
+from .pipeline import VARIANTS, context_from_config, detect_all
 
 logger = logging.getLogger(__name__)
 
@@ -99,62 +96,9 @@ def user_labels(store: LogStore) -> dict[str, str]:
     return {user: store.user_label(user) for user in store.users}
 
 
-def evaluate_entries(
-    predictions: Mapping[str, FinalConclusion],
-    store: LogStore,
-    variant: str = "original",
-) -> MetricsReport:
-    """Per-entry granularity: an entry is predicted malicious iff some
-    conclusion flagged it as anomalous."""
-    flagged: set[str] = set()
-    for conclusion in predictions.values():
-        flagged |= conclusion.anomalies
-    tp = fp = fn = tn = 0
-    for entry in store.entries:
-        predicted = entry.entry_id in flagged
-        actual = store.is_malicious(entry.entry_id)
-        if predicted and actual:
-            tp += 1
-        elif predicted:
-            fp += 1
-        elif actual:
-            fn += 1
-        else:
-            tn += 1
-    return compute_metrics(ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn), variant)
-
-
 # ---------------------------------------------------------------------------
 # Variant runs
 # ---------------------------------------------------------------------------
-
-def run_variant_inline(
-    variant: str,
-    store: LogStore,
-    registry: LoadedRegistry,
-    backend_factory: Callable[[], Backend],
-    *,
-    lists=None,
-    debate: DebateConfig | None = None,
-    excerpt_budget: int = 50,
-    rates: RateTable | None = None,
-    parallelism: int = 1,
-) -> tuple[MetricsReport, CostLedger, dict[str, FinalConclusion]]:
-    """Run detection under one variant tag and evaluate it.
-
-    A fresh backend comes from the factory so scripted runs start from an
-    unconsumed script; the ledger is returned for cost inspection.
-    """
-    ledger = CostLedger()
-    ctx = context_from_registry(
-        registry, store, backend_factory(), ledger,
-        rates=rates, lists=lists, debate=debate,
-        excerpt_budget=excerpt_budget, variant=variant,
-    )
-    outcomes = detect_all(ctx, parallelism=parallelism)
-    predictions = {user: final for user, (final, _t) in outcomes.items()}
-    return evaluate(predictions, user_labels(store), variant), ledger, predictions
-
 
 def run_variant(variant: str, config: RunConfig) -> MetricsReport:
     """Config-driven variant run: the store, registry, lists, backend and

@@ -107,6 +107,9 @@ def cmd_ingest(config: RunConfig) -> int:
             parsed = parse_cert_file(path, source)
         else:
             parsed = parse_zeek_file(path, kind=source)
+        # Record the path as the config writes it, so a snapshot does not
+        # depend on where the dataset was checked out.
+        parsed.source.path = raw_path
         store.add_parsed(parsed)
         logger.info("ingested %s: %d entries, %d malformed", path, len(parsed.entries),
                     len(parsed.errors))
@@ -161,6 +164,7 @@ def cmd_forge(config: RunConfig) -> int:
 
     specs = []
     unservable = []
+    fallbacks = {}
     for subtask in subtasks.subtasks:
         examples = [e for t in sorted(subtask.activity_types, key=lambda a: a.value)
                     for e in exemplars.get(t, [])]
@@ -172,6 +176,8 @@ def cmd_forge(config: RunConfig) -> int:
             draft_template=templates["tool_builder"],
             repair_template=templates["tool_repair"],
         )
+        if outcome.used_builtin:
+            fallbacks[subtask.id] = outcome.error or "no unit-test cases configured"
         if outcome.spec is None:
             unservable.append(subtask.id)
             logger.warning("sub-task %s is unservable: %s", subtask.id, outcome.error)
@@ -186,6 +192,7 @@ def cmd_forge(config: RunConfig) -> int:
         "subtasks": len(subtasks.subtasks),
         "tools": len(specs),
         "unservable": unservable,
+        "fallbacks": fallbacks,
         "refine_rounds": subtasks.rounds,
     })
     print(f"forged {len(specs)} tools for {len(subtasks.subtasks)} checks "

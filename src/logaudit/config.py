@@ -11,22 +11,38 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .debate import DEFAULT_DEBATE_ROUNDS, DEFAULT_SEED_A, DEFAULT_SEED_B
+from .decomposer import DEFAULT_MAX_REFINE_ROUNDS
 from .errors import ConfigInvalid
-from .forge import ToolTestCase
+from .executor import DEFAULT_EXCERPT_BUDGET
+from .forge import DEFAULT_REPAIR_ATTEMPTS, ToolTestCase
 from .gateway import Backend, HttpBackend, PromptTemplate, RateTable, ScriptEntry, ScriptedBackend
-from .logstore import LogStore, load_store
+from .logstore import (
+    DEFAULT_EXEMPLARS_PER_TYPE,
+    DEFAULT_SEED,
+    DEFAULT_UNDERSAMPLE_CAP,
+    LogStore,
+    load_store,
+)
+from .plans import DEFAULT_K_SIGMA
 from .prompts import DEFAULT_TEMPLATES
 from .runtime import LIST_KINDS, ListCatalog, load_list_file
 
-_KNOWN_KEYS = {
-    "dataset", "backend", "rates", "seeds", "n_debate", "k_sigma",
-    "excerpt_budget", "undersample_cap", "registry_path", "store_path",
-    "output_dir", "ablation", "lists", "tool_tests", "exemplar_k",
-    "max_refine_rounds", "max_repair_attempts", "parallelism",
-    "allow_partial_coverage", "templates",
-}
-
 _CERT_SOURCES = ("logon", "device", "http", "email", "file")
+
+# Top-level keys that set one RunConfig field each, with their types; an
+# absent key leaves the field's default.
+_SCALAR_KEYS = {
+    "n_debate": int, "k_sigma": float, "excerpt_budget": int, "undersample_cap": int,
+    "registry_path": str, "store_path": str, "output_dir": str, "ablation": str,
+    "exemplar_k": int, "max_refine_rounds": int, "max_repair_attempts": int,
+    "parallelism": int, "allow_partial_coverage": bool,
+}
+_SEED_KEYS = {"sampler": "seed_sampler", "executor_a": "seed_executor_a",
+              "executor_b": "seed_executor_b"}
+_KNOWN_KEYS = set(_SCALAR_KEYS) | {
+    "dataset", "backend", "rates", "seeds", "lists", "tool_tests", "templates",
+}
 
 
 @dataclass
@@ -58,22 +74,22 @@ class RunConfig:
     dataset: DatasetConfig
     backend: BackendConfig
     rates: RateTable = field(default_factory=RateTable)
-    seed_sampler: int = 42
-    seed_executor_a: int = 1
-    seed_executor_b: int = 2
-    n_debate: int = 3
-    k_sigma: float = 2.0
-    excerpt_budget: int = 50
-    undersample_cap: int = 20_000
+    seed_sampler: int = DEFAULT_SEED
+    seed_executor_a: int = DEFAULT_SEED_A
+    seed_executor_b: int = DEFAULT_SEED_B
+    n_debate: int = DEFAULT_DEBATE_ROUNDS
+    k_sigma: float = DEFAULT_K_SIGMA
+    excerpt_budget: int = DEFAULT_EXCERPT_BUDGET
+    undersample_cap: int = DEFAULT_UNDERSAMPLE_CAP
     registry_path: str = "out/registry.json"
     store_path: str = "out/store.json"
     output_dir: str = "out"
     ablation: str = "original"
     lists: dict[str, ListConfig] = field(default_factory=dict)
     tool_tests: dict[str, list[ToolTestCase]] = field(default_factory=dict)
-    exemplar_k: int = 3
-    max_refine_rounds: int = 5
-    max_repair_attempts: int = 3
+    exemplar_k: int = DEFAULT_EXEMPLARS_PER_TYPE
+    max_refine_rounds: int = DEFAULT_MAX_REFINE_ROUNDS
+    max_repair_attempts: int = DEFAULT_REPAIR_ATTEMPTS
     parallelism: int = 1
     allow_partial_coverage: bool = False
     templates: dict[str, str] = field(default_factory=dict)
@@ -140,7 +156,6 @@ def load_config(path: str | Path) -> RunConfig:
         output_per_1k=float(rates_doc.get("output_per_1k", 0.0)),
     )
 
-    seeds = doc.get("seeds") or {}
     lists = {}
     for name, item in (doc.get("lists") or {}).items():
         list_kind = item.get("kind", "")
@@ -163,31 +178,18 @@ def load_config(path: str | Path) -> RunConfig:
     if unknown_templates:
         raise ConfigInvalid(f"{path}: unknown template names {sorted(unknown_templates)}")
 
+    seeds = doc.get("seeds") or {}
     config = RunConfig(
         config_path=str(path),
         dataset=dataset,
         backend=backend,
         rates=rates,
-        seed_sampler=int(seeds.get("sampler", 42)),
-        seed_executor_a=int(seeds.get("executor_a", 1)),
-        seed_executor_b=int(seeds.get("executor_b", 2)),
-        n_debate=int(doc.get("n_debate", 3)),
-        k_sigma=float(doc.get("k_sigma", 2.0)),
-        excerpt_budget=int(doc.get("excerpt_budget", 50)),
-        undersample_cap=int(doc.get("undersample_cap", 20_000)),
-        registry_path=str(doc.get("registry_path", "out/registry.json")),
-        store_path=str(doc.get("store_path", "out/store.json")),
-        output_dir=str(doc.get("output_dir", "out")),
-        ablation=str(doc.get("ablation", "original")),
         lists=lists,
         tool_tests=tool_tests,
-        exemplar_k=int(doc.get("exemplar_k", 3)),
-        max_refine_rounds=int(doc.get("max_refine_rounds", 5)),
-        max_repair_attempts=int(doc.get("max_repair_attempts", 3)),
-        parallelism=int(doc.get("parallelism", 1)),
-        allow_partial_coverage=bool(doc.get("allow_partial_coverage", False)),
         templates=templates,
         raw=doc,
+        **{key: cast(doc[key]) for key, cast in _SCALAR_KEYS.items() if key in doc},
+        **{name: int(seeds[key]) for key, name in _SEED_KEYS.items() if key in seeds},
     )
     _validate_ranges(config)
     return config

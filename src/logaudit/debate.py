@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
-from .decomposer import SubTaskSet
 from .errors import GatewayError
 from .executor import (
     VERDICT_BENIGN,
@@ -25,14 +23,10 @@ from .executor import (
     parse_decision_reply,
     rebuild_results_from_anomalies,
     render_result_set,
-    run_subtask,
-    synthesize,
 )
-from .forge import ToolSpec
 from .gateway import Backend, CostLedger, PromptTemplate, RateTable
-from .logstore import LogStore, UserSequence
-from .prompts import EXECUTOR_MERGE, EXECUTOR_REBUTTAL, EXECUTOR_SUBTASK
-from .runtime import ListCatalog, ToolResult
+from .logstore import UserSequence
+from .prompts import EXECUTOR_MERGE, EXECUTOR_REBUTTAL
 
 logger = logging.getLogger(__name__)
 
@@ -40,13 +34,15 @@ EXECUTOR_A = "executor_a"
 EXECUTOR_B = "executor_b"
 
 DEFAULT_DEBATE_ROUNDS = 3
+DEFAULT_SEED_A = 1
+DEFAULT_SEED_B = 2
 
 
 @dataclass(frozen=True)
 class DebateConfig:
     n_debate: int = DEFAULT_DEBATE_ROUNDS
-    seed_a: int = 1
-    seed_b: int = 2
+    seed_a: int = DEFAULT_SEED_A
+    seed_b: int = DEFAULT_SEED_B
 
     def __post_init__(self) -> None:
         if self.n_debate < 0:
@@ -222,36 +218,6 @@ def merge_conclusion(
 # The debate loop
 # ---------------------------------------------------------------------------
 
-def initial_result_set(
-    executor_id: str,
-    subtasks: SubTaskSet,
-    tools: Mapping[str, ToolSpec | None],
-    user: UserSequence,
-    store: LogStore,
-    backend: Backend,
-    *,
-    lists: ListCatalog | None,
-    excerpt_budget: int,
-    ledger: CostLedger,
-    rates: RateTable | None,
-    seed_hint: int | None,
-    subtask_template: PromptTemplate = EXECUTOR_SUBTASK,
-    tool_result_override: ToolResult | None = None,
-) -> ExecutorResultSet:
-    """Lines 2-3: one executor works through every check independently; the
-    initial verdict is the deterministic fold of its own evidence."""
-    results = [
-        run_subtask(
-            executor_id, subtask, tools.get(subtask.id), user, store, backend,
-            lists=lists, excerpt_budget=excerpt_budget, ledger=ledger, rates=rates,
-            template=subtask_template, seed_hint=seed_hint,
-            tool_result_override=tool_result_override,
-        )
-        for subtask in subtasks.subtasks
-    ]
-    return synthesize(executor_id, results)
-
-
 def debate_loop(
     a0: ExecutorResultSet,
     b0: ExecutorResultSet,
@@ -311,41 +277,6 @@ def debate_loop(
         )
     transcript.final = final
     return final, transcript
-
-
-def run_emad(
-    subtasks: SubTaskSet,
-    tools: Mapping[str, ToolSpec | None],
-    user: UserSequence,
-    store: LogStore,
-    backend: Backend,
-    config: DebateConfig,
-    *,
-    lists: ListCatalog | None = None,
-    excerpt_budget: int = 50,
-    ledger: CostLedger,
-    rates: RateTable | None = None,
-    subtask_template: PromptTemplate = EXECUTOR_SUBTASK,
-    rebuttal_template: PromptTemplate = EXECUTOR_REBUTTAL,
-    merge_template: PromptTemplate = EXECUTOR_MERGE,
-) -> tuple[FinalConclusion, DebateTranscript]:
-    """Full debate for one user: independent initial audits, verdict-gated
-    rebuttal rounds, and executor A's final merge."""
-    a0 = initial_result_set(
-        EXECUTOR_A, subtasks, tools, user, store, backend,
-        lists=lists, excerpt_budget=excerpt_budget, ledger=ledger, rates=rates,
-        seed_hint=config.seed_a, subtask_template=subtask_template,
-    )
-    b0 = initial_result_set(
-        EXECUTOR_B, subtasks, tools, user, store, backend,
-        lists=lists, excerpt_budget=excerpt_budget, ledger=ledger, rates=rates,
-        seed_hint=config.seed_b, subtask_template=subtask_template,
-    )
-    return debate_loop(
-        a0, b0, backend, config,
-        user=user, ledger=ledger, rates=rates,
-        rebuttal_template=rebuttal_template, merge_template=merge_template,
-    )
 
 
 # ---------------------------------------------------------------------------

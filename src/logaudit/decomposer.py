@@ -49,12 +49,6 @@ class SubTaskSet:
     def ids(self) -> list[str]:
         return [s.id for s in self.subtasks]
 
-    def by_id(self, subtask_id: str) -> SubTask:
-        for subtask in self.subtasks:
-            if subtask.id == subtask_id:
-                return subtask
-        raise KeyError(subtask_id)
-
     def covered_types(self) -> set[ActivityType]:
         covered: set[ActivityType] = set()
         for subtask in self.subtasks:

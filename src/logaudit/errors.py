@@ -19,10 +19,6 @@ class IngestFailed(AuditError):
     """Too many malformed rows, or a structurally unusable input file."""
 
 
-class UnknownStream(AuditError):
-    """Zeek stream name not in the mapping table (strict mode only)."""
-
-
 class DuplicateEntryId(AuditError):
     """Two ingested rows share an entry id."""
 
@@ -113,10 +109,6 @@ class ParamMissing(AuditError):
 
 class InsufficientHistory(AuditError):
     """Baseline comparison attempted over an empty history."""
-
-
-class UnknownUser(AuditError):
-    """Baseline requested for a user absent from the store."""
 
 
 class MalformedUrl(AuditError):

@@ -17,12 +17,7 @@ from datetime import date
 from typing import Callable, Collection, Mapping, Sequence, TypeVar
 
 from .decomposer import SubTask
-from .errors import (
-    InsufficientHistory,
-    MissingDecision,
-    ResponseUnparseable,
-    UnknownUser,
-)
+from .errors import InsufficientHistory, MissingDecision, ResponseUnparseable
 from .forge import ToolSpec
 from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
 from .logstore import ActivityType, LogEntry, LogStore, UserSequence
@@ -265,82 +260,71 @@ def _parse_subtask_reply(text: str) -> tuple[str, bool, list[str]] | None:
     return finding, suspicious, flagged
 
 
+def bind_and_invoke(
+    spec: ToolSpec, user: UserSequence, focus: date | None,
+    store: LogStore, lists: ListCatalog | None,
+) -> tuple[str, ToolResult | None]:
+    """Invoke a tool for one user: ``user`` binds to the user and ``day`` to
+    the caller's focus day. A tool with any other parameter, or with a
+    ``day`` and no focus day, is not invocable. Returns the rendered output
+    and the result (None when the tool did not run or the user's history
+    is too short)."""
+    params: dict[str, str] = {}
+    for name, _semantic in spec.params:
+        if name == "user":
+            params[name] = user.user
+        elif name == "day" and focus is not None:
+            params[name] = focus.isoformat()
+        else:
+            return "(tool not invocable: no relevant activity to bind)", None
+    try:
+        result = invoke(spec, params, store, lists)
+    except InsufficientHistory as exc:
+        return f"(no usable history: {exc})", None
+    return result.rendered, result
+
+
 def run_subtask(
     executor_id: str,
     subtask: SubTask,
-    spec: ToolSpec | None,
+    tool: tuple[str, ToolResult | None],
     user: UserSequence,
-    store: LogStore,
     backend: Backend,
     *,
-    lists: ListCatalog | None = None,
     excerpt_budget: int = DEFAULT_EXCERPT_BUDGET,
     ledger: CostLedger,
     rates: RateTable | None = None,
     template: PromptTemplate = EXECUTOR_SUBTASK,
     seed_hint: int | None = None,
-    tool_result_override: ToolResult | None = None,
 ) -> SubTaskResult:
-    """Invoke the check's tool, ask the backend for a judgment, and parse it.
+    """Ask the backend to judge one check from the tool's outcome (its
+    rendered output and result) and the user's entries, and parse the reply.
 
     Checks whose activity types are absent from the user's sequence are not
     sent to the backend at all: they report "no activity" and can never flag
     anomalies. Backend-flagged ids are validated against the user's own
     entries; when a suspicious judgment names no valid ids, the tool's own
-    evidence is used instead. ``tool_result_override`` substitutes an
-    already-computed tool output (used by ablation variants that fold many
-    tools into one check).
+    evidence is used instead.
     """
     focus = select_focus_day(user, subtask)
-    tool_result: ToolResult | None = None
-    rendered = TOOL_UNAVAILABLE
-    signal = "none"
-
-    if tool_result_override is not None:
-        tool_result = tool_result_override
-        rendered = tool_result.rendered
-        signal = tool_result.verdict_hint or "none"
-    elif spec is not None and spec.plan is not None:
-        params: dict[str, str] = {}
-        bindable = True
-        for name, _semantic in spec.params:
-            if name == "user":
-                params["user"] = user.user
-            elif name == "day":
-                if focus is None:
-                    bindable = False
-                else:
-                    params["day"] = focus.isoformat()
-            else:
-                bindable = False
-        if bindable:
-            try:
-                tool_result = invoke(spec, params, store, lists)
-                rendered = tool_result.rendered
-                signal = tool_result.verdict_hint or "none"
-            except (InsufficientHistory, UnknownUser) as exc:
-                rendered = f"(no usable history: {exc})"
-                signal = "none"
-        else:
-            rendered = "(tool not invocable: no relevant activity to bind)"
-            signal = "none"
-
+    rendered, tool_result = tool
     if focus is None:
         # Vacuous check: nothing of these types to audit for this user.
         return SubTaskResult(
             subtask_id=subtask.id,
-            tool_rendered=rendered if spec is not None else TOOL_UNAVAILABLE,
+            tool_rendered=rendered,
             finding=NO_ACTIVITY,
             flagged=frozenset(),
             suspicious=False,
         )
 
     excerpt = _excerpt_entries(user, subtask, focus, excerpt_budget)
+    signal = tool_result.verdict_hint if tool_result is not None else None
     variables = {
         "user": user.user,
         "subtask_description": subtask.description,
         "tool_output": rendered,
-        "tool_signal": signal,
+        "tool_signal": signal or "none",
         "excerpt_count": len(excerpt),
         "activity_excerpt": render_excerpt(excerpt, excerpt_budget),
     }
@@ -362,7 +346,7 @@ def run_subtask(
     finding, suspicious, raw_ids = parsed
 
     own_ids = {e.entry_id for e in user.entries}
-    flagged = frozenset(i for i in raw_ids if i in own_ids and store.has_entry(i))
+    flagged = frozenset(i for i in raw_ids if i in own_ids)
     dropped = [i for i in raw_ids if i not in flagged]
     if dropped:
         logger.warning("%s/%s: dropped %d flagged ids not in this user's entries",

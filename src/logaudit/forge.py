@@ -34,6 +34,7 @@ from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
 from .logstore import ActivityType, LogEntry, LogStore
 from .plans import (
     AGG_FUNCS,
+    DEFAULT_K_SIGMA,
     BaselineCompareStage,
     LookupStage,
     QueryPlan,
@@ -403,7 +404,7 @@ def _builtin(name: str, doc: str, plan_text: str, output_template: str) -> ToolS
     )
 
 
-def builtin_tools(k_sigma: float = 2.0) -> dict[str, ToolSpec]:
+def builtin_tools(k_sigma: float = DEFAULT_K_SIGMA) -> dict[str, ToolSpec]:
     """The six canonical fallback tools."""
     k = k_sigma
     return {
@@ -446,7 +447,7 @@ def builtin_tools(k_sigma: float = 2.0) -> dict[str, ToolSpec]:
     }
 
 
-def match_builtin(subtask: SubTask, k_sigma: float = 2.0) -> ToolSpec | None:
+def match_builtin(subtask: SubTask, k_sigma: float = DEFAULT_K_SIGMA) -> ToolSpec | None:
     """Best built-in for a sub-task, or None; matching is keyword-based."""
     tools = builtin_tools(k_sigma)
     text = subtask.description.lower()
@@ -497,7 +498,7 @@ def build_tool_for_subtask(
     ledger: CostLedger,
     rates: RateTable | None = None,
     max_repair_attempts: int = DEFAULT_REPAIR_ATTEMPTS,
-    k_sigma: float = 2.0,
+    k_sigma: float = DEFAULT_K_SIGMA,
     draft_template: PromptTemplate = TOOL_BUILDER,
     repair_template: PromptTemplate = TOOL_REPAIR,
 ) -> ForgeOutcome:

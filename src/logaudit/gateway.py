@@ -25,8 +25,6 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-CHAT_ROLES = ("system", "user", "assistant", "tool")
-
 # Transport retry policy: base 1s, doubling, at most 3 attempts in total.
 RETRY_BASE_SECONDS = 1.0
 RETRY_FACTOR = 2.0
@@ -57,18 +55,6 @@ class PromptTemplate:
         if missing:
             raise MissingPlaceholder(f"template {self.name!r} missing variables {missing}")
         return self.system_text.format(**{k: variables[k] for k in self.placeholders})
-
-
-@dataclass(frozen=True)
-class ChatTurn:
-    role: str
-    content: str
-
-    def __post_init__(self) -> None:
-        if self.role not in CHAT_ROLES:
-            raise ValueError(f"bad chat role {self.role!r}")
-        if not self.content and self.role != "tool":
-            raise ValueError("empty content is only allowed for tool placeholders")
 
 
 @dataclass(frozen=True)
@@ -106,7 +92,6 @@ class RateTable:
 @dataclass(frozen=True)
 class ChatRequest:
     prompt: str
-    history: tuple[ChatTurn, ...]
     template_name: str
     stage: str
     seed_hint: int | None = None
@@ -165,7 +150,7 @@ class ScriptedBackend:
     """Deterministic backend replaying an ordered script.
 
     Each call consumes the first unconsumed matching entry. Token counts are
-    whitespace-token counts of the prompt (history included) and response.
+    whitespace-token counts of the prompt and response.
     """
 
     def __init__(self, entries: Sequence[ScriptEntry], name: str = "scripted") -> None:
@@ -181,12 +166,9 @@ class ScriptedBackend:
                     continue
                 if not entry.repeat:
                     self._consumed.add(idx)
-                prompt_tokens = whitespace_tokens(request.prompt) + sum(
-                    whitespace_tokens(turn.content) for turn in request.history
-                )
                 return Completion(
                     text=entry.response,
-                    prompt_tokens=prompt_tokens,
+                    prompt_tokens=whitespace_tokens(request.prompt),
                     completion_tokens=whitespace_tokens(entry.response),
                     latency_ms=0.0,
                 )
@@ -239,11 +221,9 @@ class HttpBackend:
         self._post = post
 
     def complete(self, request: ChatRequest) -> Completion:
-        messages = [{"role": t.role, "content": t.content} for t in request.history]
-        messages.append({"role": "user", "content": request.prompt})
         body: dict[str, object] = {
             "model": self.model,
-            "messages": messages,
+            "messages": [{"role": "user", "content": request.prompt}],
             "temperature": 0,
         }
         if request.seed_hint is not None:
@@ -290,7 +270,6 @@ def chat(
     backend: Backend,
     template: PromptTemplate,
     variables: dict[str, object],
-    history: Sequence[ChatTurn] = (),
     *,
     stage: str,
     ledger: CostLedger,
@@ -303,7 +282,6 @@ def chat(
     prompt = template.render(variables)
     request = ChatRequest(
         prompt=prompt,
-        history=tuple(history),
         template_name=template.name,
         stage=stage,
         seed_hint=seed_hint,

@@ -24,7 +24,6 @@ from .errors import (
     LabelsInvalid,
     LabelsMissing,
     StoreSealed,
-    UnknownStream,
 )
 
 logger = logging.getLogger(__name__)
@@ -364,12 +363,11 @@ def _zeek_epoch(raw: str) -> datetime:
     return datetime.fromtimestamp(float(raw), tz=timezone.utc).replace(tzinfo=None)
 
 
-def parse_zeek_file(path: str | Path, kind: str | None = None, strict: bool = False) -> ParsedFile:
+def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
     """Parse one Zeek TSV log (``#fields`` header) or JSON-lines log.
 
     ``kind`` is the stream name; when omitted it is taken from the ``#path``
-    header line or the file stem. Unknown streams map to ZeekSystem unless
-    ``strict`` is set, in which case they raise UnknownStream.
+    header line or the file stem. Unknown streams map to ZeekSystem.
     """
     path = Path(path)
     entries: list[LogEntry] = []
@@ -422,11 +420,7 @@ def parse_zeek_file(path: str | Path, kind: str | None = None, strict: bool = Fa
                 continue
 
             stream = kind or header_kind or path.stem
-            activity = ZEEK_STREAM_GROUPS.get(stream)
-            if activity is None:
-                if strict:
-                    raise UnknownStream(f"{path}: stream {stream!r} not in the mapping table")
-                activity = ActivityType.ZEEK_SYSTEM
+            activity = ZEEK_STREAM_GROUPS.get(stream, ActivityType.ZEEK_SYSTEM)
 
             user = ""
             for name in _ZEEK_USER_FIELDS:

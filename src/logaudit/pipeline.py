@@ -27,30 +27,30 @@ from .debate import (
     DebateTranscript,
     FinalConclusion,
     debate_loop,
-    initial_result_set,
 )
 from .decomposer import SubTask, SubTaskSet
-from .errors import (
-    InsufficientHistory,
-    RegistryMissing,
-    ResponseUnparseable,
-    UnknownUser,
-)
+from .errors import RegistryMissing, ResponseUnparseable
 from .executor import (
+    DEFAULT_EXCERPT_BUDGET,
+    TOOL_UNAVAILABLE,
     VERDICT_MALICIOUS,
     ExecutorResultSet,
     SubTaskResult,
     apply_evidence_check,
     ask,
+    bind_and_invoke,
     busiest_day,
     parse_decision_reply,
     render_excerpt,
+    run_subtask,
+    select_focus_day,
+    synthesize,
 )
 from .forge import LoadedRegistry, ToolSpec, load_registry
 from .gateway import Backend, CostLedger, PromptTemplate, RateTable
 from .logstore import LogStore, UserSequence
 from .prompts import DEFAULT_TEMPLATES
-from .runtime import ListCatalog, ToolResult, invoke
+from .runtime import ListCatalog, ToolResult
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +121,7 @@ class DetectContext:
     rates: RateTable | None = None
     lists: ListCatalog | None = None
     debate: DebateConfig = field(default_factory=DebateConfig)
-    excerpt_budget: int = 50
+    excerpt_budget: int = DEFAULT_EXCERPT_BUDGET
     variant: VariantBehavior = VARIANTS[VARIANT_ORIGINAL]
     templates: Mapping[str, PromptTemplate] = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
 
@@ -135,7 +135,7 @@ def context_from_registry(
     rates: RateTable | None = None,
     lists: ListCatalog | None = None,
     debate: DebateConfig | None = None,
-    excerpt_budget: int = 50,
+    excerpt_budget: int = DEFAULT_EXCERPT_BUDGET,
     variant: str = VARIANT_ORIGINAL,
     templates: Mapping[str, PromptTemplate] | None = None,
 ) -> DetectContext:
@@ -182,25 +182,31 @@ def context_from_config(config: RunConfig, ledger: CostLedger, variant: str) -> 
 # Variant building blocks
 # ---------------------------------------------------------------------------
 
+def _check_tool(
+    ctx: DetectContext, subtask: SubTask, user: UserSequence
+) -> tuple[str, ToolResult | None]:
+    """The check's tool outcome, with the day bound to the user's busiest
+    day for the check's activity types."""
+    spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
+    if spec is None or spec.plan is None:
+        return TOOL_UNAVAILABLE, None
+    return bind_and_invoke(spec, user, select_focus_day(user, subtask), ctx.store, ctx.lists)
+
+
 def _invoke_for_user(
     ctx: DetectContext, spec: ToolSpec, user: UserSequence
 ) -> tuple[str, ToolResult | None]:
-    """Invoke one tool with its natural (user, busiest-day) binding."""
+    """Invoke one tool with the day bound to the user's busiest day for the
+    plan's activity types."""
     assert spec.plan is not None
     focus = busiest_day(user, frozenset(spec.plan.select.activity_types))
     if focus is None:
         return f"[{spec.name}] (no relevant activity)", None
-    params = {
-        name: (user.user if name == "user" else focus.isoformat()) for name, _ in spec.params
-    }
-    try:
-        result = invoke(spec, params, ctx.store, ctx.lists)
-    except (InsufficientHistory, UnknownUser) as exc:
-        return f"[{spec.name}] (no usable history: {exc})", None
-    return f"[{spec.name}] {result.rendered}", result
+    rendered, result = bind_and_invoke(spec, user, focus, ctx.store, ctx.lists)
+    return f"[{spec.name}] {rendered}", result
 
 
-def _combined_tool_result(ctx: DetectContext, user: UserSequence) -> ToolResult:
+def _combined_tool_result(ctx: DetectContext, user: UserSequence) -> tuple[str, ToolResult]:
     """Invoke every registry tool for this user and fold the outputs."""
     rendered: list[str] = []
     evidence: list[str] = []
@@ -220,7 +226,7 @@ def _combined_tool_result(ctx: DetectContext, user: UserSequence) -> ToolResult:
     hint = None
     if any_signal:
         hint = "suspicious" if any_suspicious else "normal"
-    return ToolResult(
+    combined = ToolResult(
         tool_name="combined-registry",
         bound_params={"user": user.user},
         values={},
@@ -228,6 +234,7 @@ def _combined_tool_result(ctx: DetectContext, user: UserSequence) -> ToolResult:
         verdict_hint=hint,
         evidence=tuple(dict.fromkeys(evidence)),
     )
+    return combined.rendered, combined
 
 
 def _generic_subtask(ctx: DetectContext) -> SubTask:
@@ -342,30 +349,29 @@ def detect_user(
     if variant.agentless:
         return _vanilla_conclusion(ctx, user), None
 
-    debate = ctx.debate if variant.use_debate else DebateConfig(
-        n_debate=0, seed_a=ctx.debate.seed_a, seed_b=ctx.debate.seed_b
-    )
+    debate = ctx.debate if variant.use_debate else replace(ctx.debate, n_debate=0)
     seats = ((EXECUTOR_A, debate.seed_a), (EXECUTOR_B, debate.seed_b))
 
     if not variant.per_check_cot:
         a0, b0 = (_one_shot_set(ctx, executor_id, user, seed) for executor_id, seed in seats)
     else:
+        # Lines 2-3: each executor works through every check independently,
+        # on the same tool outcomes; its opening verdict is the fold of its
+        # own evidence.
         if variant.use_decomposition:
-            subtasks = ctx.subtasks
-            tools = ctx.tools if variant.use_tools else {}
-            override = None
+            checks = [(s, _check_tool(ctx, s, user)) for s in ctx.subtasks.subtasks]
         else:
-            subtasks = SubTaskSet([_generic_subtask(ctx)], rounds=0)
-            tools = {}
-            override = _combined_tool_result(ctx, user) if variant.use_tools else None
+            tool = _combined_tool_result(ctx, user) if variant.use_tools else (TOOL_UNAVAILABLE, None)
+            checks = [(_generic_subtask(ctx), tool)]
         a0, b0 = (
-            initial_result_set(
-                executor_id, subtasks, tools, user, ctx.store, ctx.backend,
-                lists=ctx.lists, excerpt_budget=ctx.excerpt_budget,
-                ledger=ctx.ledger, rates=ctx.rates, seed_hint=seed,
-                subtask_template=ctx.templates["executor_subtask"],
-                tool_result_override=override,
-            )
+            synthesize(executor_id, [
+                run_subtask(
+                    executor_id, subtask, tool, user, ctx.backend,
+                    excerpt_budget=ctx.excerpt_budget, ledger=ctx.ledger, rates=ctx.rates,
+                    template=ctx.templates["executor_subtask"], seed_hint=seed,
+                )
+                for subtask, tool in checks
+            ])
             for executor_id, seed in seats
         )
 

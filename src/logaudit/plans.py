@@ -74,10 +74,13 @@ class AggregateStage:
     field: str | None = None
 
 
+DEFAULT_K_SIGMA = 2.0
+
+
 @dataclass(frozen=True)
 class BaselineCompareStage:
     statistic: str = "mean"
-    k_sigma: float = 2.0
+    k_sigma: float = DEFAULT_K_SIGMA
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def _parse_stage(line: str) -> Stage:
     if name == "baseline_compare":
         statistic = args.get("statistic", "mean")
         try:
-            k_sigma = float(args.get("k_sigma", "2.0"))
+            k_sigma = float(args.get("k_sigma", DEFAULT_K_SIGMA))
         except ValueError:
             raise PlanParseError(f"bad k_sigma in line {line!r}")
         return BaselineCompareStage(statistic=statistic, k_sigma=k_sigma)

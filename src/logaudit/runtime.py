@@ -18,14 +18,8 @@ from statistics import fmean, pstdev
 from typing import TYPE_CHECKING, Iterable, Mapping
 from urllib.parse import urlparse
 
-from .errors import (
-    InsufficientHistory,
-    MalformedUrl,
-    ParamMissing,
-    UnknownList,
-    UnknownUser,
-)
-from .logstore import ActivityType, LogEntry, LogStore
+from .errors import InsufficientHistory, MalformedUrl, ParamMissing, UnknownList
+from .logstore import LogEntry, LogStore
 from .plans import (
     AGG_FUNCS,
     AggregateStage,
@@ -90,7 +84,7 @@ def load_list_file(name: str, kind: str, path: str | Path) -> ListDef:
 
 
 # ---------------------------------------------------------------------------
-# URL checks
+# URL domains
 # ---------------------------------------------------------------------------
 
 def extract_domain(url: str) -> str:
@@ -115,20 +109,6 @@ def _domain_matches(domain: str, listed: Iterable[str]) -> bool:
         if domain == item or domain.endswith("." + item):
             return True
     return False
-
-
-def check_url(url: str, allow: Iterable[str] = (), deny: Iterable[str] = ()) -> str:
-    """Classify a URL as trusted / untrusted / unknown by domain lists.
-
-    Deny wins over allow; domains on neither list are unknown, which the
-    pipeline treats as normal unless a sub-task says otherwise.
-    """
-    domain = extract_domain(url)
-    if _domain_matches(domain, (d.lower() for d in deny)):
-        return "untrusted"
-    if _domain_matches(domain, (d.lower() for d in allow)):
-        return "trusted"
-    return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +251,6 @@ def aggregate_value(entries: list[LogEntry], agg: AggregateStage) -> float | int
 # Baselines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaselineStats:
-    """Per-day rate statistics for one user and activity over a day window."""
-
-    user: str
-    activity: ActivityType
-    window: tuple[date, date]
-    mean: float
-    std: float
-    n_days: int
-
-
 def _window_days(window: tuple[date, date]) -> list[date]:
     start, end = window
     if end < start:
@@ -297,26 +265,6 @@ def daily_counts(entries: Iterable[LogEntry], window: tuple[date, date]) -> dict
         if entry.day in counts:
             counts[entry.day] += 1
     return counts
-
-
-def baseline_stats(
-    store: LogStore, user: str, activity: ActivityType, window: tuple[date, date]
-) -> BaselineStats:
-    """Population mean/std of the user's per-day rate for one activity."""
-    sequence = store.users.get(user)
-    if sequence is None:
-        raise UnknownUser(f"user {user!r} not in store")
-    relevant = [e for e in sequence.entries if e.activity == activity]
-    counts = daily_counts(relevant, window)
-    series = [counts[d] for d in sorted(counts)]
-    return BaselineStats(
-        user=user,
-        activity=activity,
-        window=window,
-        mean=fmean(series),
-        std=pstdev(series),
-        n_days=len(series),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from logaudit.bench import MetricsReport, evaluate, user_labels
+from logaudit.debate import FinalConclusion
 from logaudit.decomposer import SubTask, SubTaskSet
 from logaudit.gateway import CostLedger
 from logaudit.logstore import ActivityType, LogEntry, LogStore, build_user_sequences
+from logaudit.pipeline import DetectContext, detect_all
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -54,6 +57,13 @@ def logon_series(user: str, counts: list[int], prefix: str = "L") -> list[LogEnt
                       day_offset=day_offset, hour=8 + j, minute=j)
             )
     return entries
+
+
+def evaluate_detection(ctx: DetectContext) -> tuple[MetricsReport, dict[str, FinalConclusion]]:
+    """Audit every user in the context's store and score the verdicts
+    against the store's labels."""
+    predictions = {user: final for user, (final, _t) in detect_all(ctx).items()}
+    return evaluate(predictions, user_labels(ctx.store), ctx.variant.tag), predictions
 
 
 @pytest.fixture

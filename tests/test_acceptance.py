@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import entry, seal
-from logaudit.bench import ConfusionCounts, compute_metrics, run_variant_inline
+from conftest import entry, evaluate_detection, seal
+from logaudit.bench import ConfusionCounts, compute_metrics
 from logaudit.cli import main as cli_main
-from logaudit.config import build_backend, load_config, load_lists
-from logaudit.debate import DebateConfig, merge_conclusion, rebut, run_emad
+from logaudit.config import load_config
+from logaudit.debate import DebateConfig, merge_conclusion, rebut
 from logaudit.decomposer import SubTask, SubTaskSet
 from logaudit.errors import LifecycleError
 from logaudit.executor import ExecutorResultSet, SubTaskResult
@@ -28,8 +28,9 @@ from logaudit.forge import (
     save_registry,
     unit_test_tool,
 )
-from logaudit.gateway import ScriptEntry, make_scripted_backend
+from logaudit.gateway import CostLedger, ScriptEntry, make_scripted_backend
 from logaudit.logstore import ActivityType, undersample_benign
+from logaudit.pipeline import DetectContext, context_from_config, detect_user
 from logaudit.plans import free_params, parse_plan
 from logaudit.runtime import ListDef, default_output_template, invoke
 from logaudit.synthetic import generate_demo
@@ -198,16 +199,14 @@ def test_criterion_04_debate_conformance(burst_store):
     """(a) agreement means zero rebuttal rounds; (b) a never-agreeing script
     with a cap of 3 runs exactly 3 rounds then merges; (c) the cost ledger
     stays within 2*N_t + 2*n_debate + 1 calls plus re-prompts."""
-    from logaudit.gateway import CostLedger
-
     # (a) agreeing initial verdicts
     agree_backend = make_scripted_backend([
         ScriptEntry("[stage: subtask]", BENIGN_REPLY, repeat=True),
         ScriptEntry("[stage: merge]", "Basis of Judgment: ok\nDecision: Benign", repeat=True),
     ])
     ledger_a = CostLedger()
-    final, transcript = run_emad(SUBTASKS, TOOLS, burst_store.users["UX"], burst_store,
-                                 agree_backend, DebateConfig(n_debate=3), ledger=ledger_a)
+    final, transcript = detect_user(burst_store.users["UX"], DetectContext(
+        SUBTASKS, TOOLS, burst_store, agree_backend, ledger_a, debate=DebateConfig(n_debate=3)))
     assert final.rounds_used == 0
     assert final.consensus
     assert len(transcript.rounds) == 1
@@ -227,9 +226,9 @@ def test_criterion_04_debate_conformance(burst_store):
     ])
     ledger_b = CostLedger()
     n_debate = 3
-    final, transcript = run_emad(SUBTASKS, TOOLS, burst_store.users["UX"], burst_store,
-                                 disagree_backend, DebateConfig(n_debate=n_debate),
-                                 ledger=ledger_b)
+    final, transcript = detect_user(burst_store.users["UX"], DetectContext(
+        SUBTASKS, TOOLS, burst_store, disagree_backend, ledger_b,
+        debate=DebateConfig(n_debate=n_debate)))
     assert final.rounds_used == 3
     assert not final.consensus
     assert len(transcript.rounds) == 4       # initial + 3 rebuttal rounds
@@ -282,21 +281,13 @@ def test_criterion_05_faithfulness_post_check(burst_store, ledger, caplog):
 def test_criterion_06_ablation_degradation(demo_root: Path):
     """With flags tied to tool output: no_tools misses the logon-burst user
     (DR strictly below original); no_emad equals original under agreement."""
-    out = _run_pipeline(demo_root, "ablate")
+    _run_pipeline(demo_root, "ablate")
     config = load_config(demo_root / "config-ablate.json")
-    from logaudit.logstore import load_store
-
-    store = load_store(out / "store.json")
-    lists = load_lists(config)
-    registry = load_registry(out / "registry.json", store=store, lists=lists)
-    debate = DebateConfig(n_debate=config.n_debate)
 
     def run(tag):
-        return run_variant_inline(
-            tag, store, registry, lambda: build_backend(config),
-            lists=lists, debate=debate, excerpt_budget=config.excerpt_budget,
-            rates=config.rates,
-        )
+        ctx = context_from_config(config, CostLedger(), tag)
+        metrics, predictions = evaluate_detection(ctx)
+        return metrics, ctx.ledger, predictions
 
     original, ledger_orig, _ = run("original")
     no_tools, _, preds_no_tools = run("no_tools")

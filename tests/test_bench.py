@@ -10,15 +10,14 @@ from logaudit.bench import (
     compute_metrics,
     emit_report,
     evaluate,
-    evaluate_entries,
     render_metrics_table,
-    run_variant_inline,
     user_labels,
 )
 from logaudit.debate import FinalConclusion
 from logaudit.errors import MissingLabel
-from logaudit.gateway import CostRecord, cost_report
+from logaudit.gateway import CostLedger, CostRecord, cost_report
 from logaudit.logstore import ActivityType
+from logaudit.pipeline import context_from_registry
 from oracles import naive_metrics
 
 TOL = 1e-12
@@ -114,21 +113,9 @@ def test_user_labels_from_store():
     assert user_labels(store) == {"alice": "benign", "bob": "malicious"}
 
 
-def test_evaluate_entries_granularity():
-    store = seal([
-        entry("E1", "u", ActivityType.LOGON),
-        entry("E2", "u", ActivityType.LOGON, hour=10),
-        entry("E3", "u", ActivityType.LOGON, hour=11),
-    ])
-    store.attach_labels({"E1": "malicious"})
-    predictions = {"u": _conclusion("malicious", {"E1", "E2"})}
-    report = evaluate_entries(predictions, store)
-    assert (report.counts.tp, report.counts.fp, report.counts.fn, report.counts.tn) == (1, 1, 0, 1)
-
-
 def test_run_variant_rejects_unknown_tag(burst_store):
     with pytest.raises(ValueError):
-        run_variant_inline("vanila", burst_store, None, lambda: None)
+        context_from_registry(None, burst_store, None, CostLedger(), variant="vanila")
 
 
 # --- reports ---

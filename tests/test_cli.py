@@ -255,3 +255,48 @@ def test_yaml_config_accepted(demo: Path, tmp_path):
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(config_doc))
     assert main(["ingest", "--config", str(config_path)]) == 0
+
+
+def test_store_snapshot_is_the_same_in_any_checkout(tmp_path):
+    snapshots = []
+    for root in (tmp_path / "a", tmp_path / "checkout" / "elsewhere"):
+        generate_demo(root)
+        assert main(["ingest", "--config", str(root / "config.json")]) == 0
+        snapshots.append((root / "out" / "store.json").read_bytes())
+        manifest = json.loads(snapshots[-1])["manifest"]
+        assert [item["path"] for item in manifest][0] == "data/device.csv"
+    assert snapshots[0] == snapshots[1]
+
+
+def test_forge_manifest_records_builtin_fallbacks(demo: Path, completed_run: Path, tmp_path):
+    # The logon draft fails its unit test and the script has no repair
+    # entry, so the repair call fails; the website check has no test cases.
+    script = [
+        {"when": "[stage: decompose]",
+         "response": "1. Check logons. (types: Logon, Logoff)\n"
+                     "2. Check websites. (types: HttpVisit)"},
+        {"when": "[stage: refine]", "response": "nothing further"},
+        {"when": "[stage: tool-draft]",
+         "response": "select activity=Logon user={user} day={day}\naggregate func=count"},
+    ]
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script))
+    config_doc = json.loads((demo / "config.json").read_text())
+    config_doc["backend"]["script"] = str(script_path)
+    config_doc["store_path"] = str(completed_run / "out" / "store.json")
+    config_doc["registry_path"] = str(tmp_path / "registry.json")
+    config_doc["output_dir"] = str(tmp_path / "out")
+    config_doc["tool_tests"] = {"check-logons": [
+        {"params": {"user": "B0001", "day": "2024-03-01"}, "expected": {"n": 999}},
+    ]}
+    for name, item in config_doc["lists"].items():
+        item["path"] = str(demo / "lists" / f"{name}.txt")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_doc))
+
+    assert main(["forge", "--config", str(config_path), "--allow-partial-coverage"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest-forge.json").read_text())
+    assert manifest["unservable"] == []
+    assert manifest["fallbacks"]["check-websites"] == "no unit-test cases configured"
+    assert manifest["fallbacks"]["check-logons"].startswith("ScriptExhausted: ")
+    assert set(manifest["fallbacks"]) == {"check-logons", "check-websites"}

@@ -3,15 +3,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import simple_subtasks
-from logaudit.debate import (
-    DebateConfig,
-    consensus_reached,
-    rebut,
-    run_emad,
-    transcript_doc,
-)
+from logaudit.debate import DebateConfig, consensus_reached, rebut, transcript_doc
 from logaudit.executor import ExecutorResultSet, SubTaskResult
-from logaudit.gateway import ScriptEntry, make_scripted_backend
+from logaudit.gateway import CostLedger, ScriptEntry, make_scripted_backend
+from logaudit.pipeline import DetectContext, detect_user
 
 NO_TOOLS = {"logon-baseline": None, "website-legitimacy": None}
 
@@ -19,15 +14,11 @@ BENIGN_REPLY = "Finding: fine\nSuspicious: no"
 FLAG_WEB = "Finding: untrusted website visited\nSuspicious: yes\nFlagged: WEB-1"
 
 
-def _emad(store, backend, n_debate=3, ledger=None):
-    from logaudit.gateway import CostLedger
-
-    ledger = ledger if ledger is not None else CostLedger()
-    final, transcript = run_emad(
-        simple_subtasks(), NO_TOOLS, store.users["UX"], store, backend,
-        DebateConfig(n_debate=n_debate), ledger=ledger,
-    )
-    return final, transcript, ledger
+def _emad(store, backend, n_debate=3):
+    ctx = DetectContext(simple_subtasks(), NO_TOOLS, store, backend, CostLedger(),
+                        debate=DebateConfig(n_debate=n_debate))
+    final, transcript = detect_user(store.users["UX"], ctx)
+    return final, transcript, ctx.ledger
 
 
 def test_agreeing_verdicts_break_immediately(burst_store):

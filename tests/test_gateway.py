@@ -15,7 +15,6 @@ from logaudit.errors import (
 )
 from logaudit.gateway import (
     ChatRequest,
-    ChatTurn,
     Completion,
     CostLedger,
     CostRecord,
@@ -32,10 +31,10 @@ TEMPLATE = PromptTemplate.from_text("executor_subtask", "audit {user} for {subta
 
 
 def _request(prompt="hello world", name="executor_subtask", stage="subtask"):
-    return ChatRequest(prompt=prompt, history=(), template_name=name, stage=stage)
+    return ChatRequest(prompt=prompt, template_name=name, stage=stage)
 
 
-# --- templates and turns ---
+# --- templates ---
 
 def test_template_placeholder_extraction():
     assert TEMPLATE.placeholders == ("subtask", "user")
@@ -49,14 +48,6 @@ def test_template_missing_placeholder():
 def test_template_renders_extra_vars_ignored():
     text = TEMPLATE.render({"user": "u", "subtask": "s", "junk": 1})
     assert text == "audit u for s"
-
-
-def test_chat_turn_role_validation():
-    with pytest.raises(ValueError):
-        ChatTurn(role="narrator", content="x")
-    with pytest.raises(ValueError):
-        ChatTurn(role="user", content="")
-    assert ChatTurn(role="tool", content="").content == ""
 
 
 # --- scripted backend ---

@@ -1,0 +1,74 @@
+"""Golden-output gate: the demo's forge outputs and, for every variant, its
+conclusions, detect ledger and transcripts are pinned by content hash
+(first 16 hex digits of SHA-256). A refactor must leave them unchanged; a
+change that means to alter them updates the pins and says why."""
+
+from __future__ import annotations
+
+import hashlib
+import shutil
+from pathlib import Path
+
+import pytest
+
+from logaudit.cli import main as cli_main
+from logaudit.synthetic import generate_demo
+
+FORGE = {
+    "registry.json": "903022c09ae00acf",
+    "costs-forge.jsonl": "f31a6203f02fc5a6",
+}
+
+# variant -> (conclusions.json, costs-detect.jsonl, transcripts digest)
+DETECT = {
+    "original": ("f424a2c5fce5e9f4", "55ae86f585b244f4", "137428d35c0b1a77"),
+    "vanilla": ("b2255789b6f14f0c", "914f801b1b6ae843", None),
+    "no_cot": ("c0be1fc1b2db1aa6", "212d71577b687bbf", "fcea2a4180aaf1b8"),
+    "no_decomp": ("a9b3e4e6efee4a3c", "c700ad0e33dbbb4a", "8cdb9b47c51f6eee"),
+    "no_tools": ("07097baa3344725f", "d5d1e1347a80fb75", "b11cf9f8c4bc2498"),
+    "no_emad": ("f4ddd8d83549c5ed", "55ae86f585b244f4", "137428d35c0b1a77"),
+}
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def _transcripts_digest(directory: Path) -> str | None:
+    """Hash of every transcript's file name and bytes, in name order; None
+    when the variant writes no transcripts."""
+    if not directory.exists():
+        return None
+    digest = hashlib.sha256()
+    for path in sorted(directory.glob("*.json")):
+        digest.update(path.name.encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory) -> tuple[Path, Path]:
+    root = tmp_path_factory.mktemp("golden-demo")
+    generate_demo(root)
+    config = root / "config.json"
+    for phase in ("ingest", "forge"):
+        assert cli_main([phase, "--config", str(config)]) == 0
+    return config, root / "out"
+
+
+def test_forge_outputs_are_golden(demo):
+    _config, out = demo
+    assert {name: _digest(out / name) for name in FORGE} == FORGE
+
+
+@pytest.mark.parametrize("variant", sorted(DETECT))
+def test_detect_outputs_are_golden(demo, variant):
+    config, out = demo
+    shutil.rmtree(out / "transcripts", ignore_errors=True)
+    assert cli_main(["detect", "--config", str(config), "--variant", variant]) == 0
+    outputs = (
+        _digest(out / "conclusions.json"),
+        _digest(out / "costs-detect.jsonl"),
+        _transcripts_digest(out / "transcripts"),
+    )
+    assert outputs == DETECT[variant]

@@ -14,7 +14,6 @@ from logaudit.errors import (
     LabelsInvalid,
     LabelsMissing,
     StoreSealed,
-    UnknownStream,
 )
 from logaudit.logstore import (
     ActivityType,
@@ -152,8 +151,6 @@ def test_zeek_unknown_stream(tmp_path):
     )
     parsed = parse_zeek_file(path)
     assert parsed.entries[0].activity is ActivityType.ZEEK_SYSTEM
-    with pytest.raises(UnknownStream):
-        parse_zeek_file(path, strict=True)
 
 
 def test_zeek_json_lines(tmp_path):

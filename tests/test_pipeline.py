@@ -3,14 +3,23 @@ from __future__ import annotations
 import json
 import pytest
 
-from logaudit.bench import run_variant, run_variant_inline
+from conftest import evaluate_detection, simple_subtasks
+from logaudit.bench import run_variant
 from logaudit.cli import main as cli_main
 from logaudit.config import build_backend, load_config, load_lists, load_templates
 from logaudit.debate import DebateConfig
-from logaudit.forge import load_registry
-from logaudit.gateway import CostLedger
+from logaudit.forge import ToolSpec, builtin_tools, load_registry
+from logaudit.gateway import CostLedger, ScriptEntry, make_scripted_backend
 from logaudit.logstore import load_store
-from logaudit.pipeline import VARIANTS, context_from_registry, detect_all
+from logaudit.pipeline import (
+    VARIANTS,
+    DetectContext,
+    context_from_registry,
+    detect_all,
+    detect_user,
+)
+from logaudit.plans import free_params, parse_plan
+from logaudit.runtime import ListDef
 from logaudit.synthetic import generate_demo
 
 
@@ -30,11 +39,13 @@ def bundle(tmp_path_factory):
 
 def _run(bundle, tag):
     _root, config, store, lists, registry = bundle
-    return run_variant_inline(
-        tag, store, registry, lambda: build_backend(config),
-        lists=lists, debate=DebateConfig(n_debate=config.n_debate),
-        excerpt_budget=config.excerpt_budget, rates=config.rates,
+    ctx = context_from_registry(
+        registry, store, build_backend(config), CostLedger(),
+        rates=config.rates, lists=lists, debate=DebateConfig(n_debate=config.n_debate),
+        excerpt_budget=config.excerpt_budget, variant=tag,
     )
+    metrics, predictions = evaluate_detection(ctx)
+    return metrics, ctx.ledger, predictions
 
 
 def test_variant_table_is_exhaustive():
@@ -161,13 +172,6 @@ def test_run_variant_applies_template_overrides(bundle, tmp_path):
 def test_no_tools_misses_burst_when_flags_depend_on_tool_phrase(burst_store):
     """Script flags only when the tool output literally says "above average";
     without the tool the baseline is unavailable and the burst user is missed."""
-    from conftest import simple_subtasks
-    from logaudit.debate import run_emad
-    from logaudit.forge import builtin_tools
-    from logaudit.gateway import ScriptEntry, make_scripted_backend
-    from logaudit.runtime import ListDef
-
-    subtasks = simple_subtasks()
     script = [
         ScriptEntry(["[stage: subtask]", "above average"],
                     "Finding: Logs in 4 times, above average.\nSuspicious: yes", repeat=True),
@@ -184,9 +188,9 @@ def test_no_tools_misses_burst_when_flags_depend_on_tool_phrase(burst_store):
             "logon-baseline": builtin_tools()["logon_frequency"] if with_tools else None,
             "website-legitimacy": None,
         }
-        ledger = CostLedger()
-        final, _ = run_emad(subtasks, tools, burst_store.users["UX"], burst_store,
-                            backend, DebateConfig(n_debate=3), lists=lists, ledger=ledger)
+        ctx = DetectContext(simple_subtasks(), tools, burst_store, backend, CostLedger(),
+                            lists=lists, debate=DebateConfig(n_debate=3))
+        final, _ = detect_user(burst_store.users["UX"], ctx)
         return final.verdict
 
     assert detect(with_tools=True) == "malicious"
@@ -200,3 +204,29 @@ def test_template_override_unknown_name(tmp_path, bundle):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(doc))
     assert cli_main(["ingest", "--config", str(config_path)]) == 1
+
+
+@pytest.mark.parametrize("variant", ["original", "no_cot"])
+def test_tool_with_an_unbindable_param_is_not_invocable(burst_store, variant):
+    """Only ``user`` and ``day`` bind; a tool with any other parameter is
+    reported as not invocable, by the per-check and the one-step paths alike."""
+    plan = parse_plan("select activity=Logon user={user} day={day}\n"
+                      "filter field=host predicate=equals value={host}\naggregate func=count")
+    spec = ToolSpec(name="host-logons", subtask_id="logon-baseline", plan=plan,
+                    params=free_params(plan), output_template="n={n}")
+    not_invocable = "tool not invocable"
+    backend = make_scripted_backend([
+        ScriptEntry("[stage: subtask]", "Finding: fine\nSuspicious: no", repeat=True),
+        # The one-step prompt must carry the note, or the script runs out.
+        ScriptEntry(["one_shot", f"[host-logons] ({not_invocable}"],
+                    "Basis of Judgment: fine\nDecision: Benign", repeat=True),
+        ScriptEntry("[stage: merge]", "Basis of Judgment: fine\nDecision: Benign", repeat=True),
+    ])
+    ctx = DetectContext(simple_subtasks(), {"logon-baseline": spec, "website-legitimacy": None},
+                        burst_store, backend, CostLedger(), variant=VARIANTS[variant])
+    final, transcript = detect_user(burst_store.users["UX"], ctx)
+    assert final.verdict == "benign"
+    if variant == "original":
+        opening = transcript.rounds[0]
+        for side in (opening.a, opening.b):
+            assert side.results[0].tool_rendered.startswith(f"({not_invocable}")

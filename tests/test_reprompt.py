@@ -8,7 +8,7 @@ import pytest
 from conftest import simple_subtasks
 from logaudit.debate import merge_conclusion, rebut
 from logaudit.errors import ResponseUnparseable
-from logaudit.executor import ExecutorResultSet, SubTaskResult, run_subtask
+from logaudit.executor import TOOL_UNAVAILABLE, ExecutorResultSet, SubTaskResult, run_subtask
 from logaudit.gateway import ScriptEntry, make_scripted_backend
 from logaudit.pipeline import DetectContext, _one_shot_set, _vanilla_conclusion
 
@@ -32,8 +32,8 @@ def _sets() -> tuple[ExecutorResultSet, ExecutorResultSet]:
 
 
 def _subtask(backend, store, ledger):
-    return run_subtask("executor_a", WEBSITE_CHECK, None, store.users["UX"], store, backend,
-                       ledger=ledger, seed_hint=1)
+    return run_subtask("executor_a", WEBSITE_CHECK, (TOOL_UNAVAILABLE, None), store.users["UX"],
+                       backend, ledger=ledger, seed_hint=1)
 
 
 def _rebuttal(backend, store, ledger):

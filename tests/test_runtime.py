@@ -5,20 +5,12 @@ from datetime import date
 import pytest
 
 from conftest import entry, seal
-from logaudit.errors import (
-    InsufficientHistory,
-    MalformedUrl,
-    ParamMissing,
-    UnknownList,
-    UnknownUser,
-)
+from logaudit.errors import InsufficientHistory, MalformedUrl, ParamMissing, UnknownList
 from logaudit.forge import builtin_tools
 from logaudit.logstore import ActivityType
 from logaudit.plans import parse_plan
 from logaudit.runtime import (
     ListDef,
-    baseline_stats,
-    check_url,
     daily_counts,
     extract_domain,
     invoke,
@@ -133,42 +125,36 @@ def test_invoke_deterministic(burst_store):
     assert first.evidence == second.evidence
 
 
-# --- baseline_stats ---
+# --- invoke: baseline statistics ---
 
-def test_baseline_stats_flat_counts():
+def test_baseline_flat_history_has_zero_sigma():
     store = seal(sum(([entry(f"F{d}{j}", "u", ActivityType.LOGON, day_offset=d, hour=8 + j)
                        for j in range(2)] for d in range(3)), []))
-    stats = baseline_stats(store, "u", ActivityType.LOGON,
-                           (date(2024, 1, 1), date(2024, 1, 3)))
-    assert stats.mean == 2.0
-    assert stats.std == 0.0
-    assert stats.n_days == 3
+    result = invoke(_logon_tool(), {"user": "u", "day": "2024-01-03"}, store)
+    assert result.values["mu"] == 2.0
+    assert result.values["sigma"] == 0.0
+    assert result.verdict_hint == "normal"
 
 
-def test_baseline_stats_population_std():
-    # Counts [0, 4] over a two-day window: population mean 2, std 2.
-    store = seal([entry(f"P{j}", "u", ActivityType.LOGON, day_offset=1, hour=8 + j)
-                  for j in range(4)])
-    stats = baseline_stats(store, "u", ActivityType.LOGON,
-                           (date(2024, 1, 1), date(2024, 1, 2)))
-    assert stats.mean == 2.0
-    assert stats.std == 2.0
+def test_baseline_sigma_is_population_std():
+    # History [0, 4] (day 1 has only an email): population mean 2, std 2;
+    # the sample std would be 2.83.
+    store = seal([entry("P-E", "u", ActivityType.EMAIL_SEND)]
+                 + [entry(f"P{j}", "u", ActivityType.LOGON, day_offset=1, hour=8 + j)
+                    for j in range(4)]
+                 + [entry("P-A", "u", ActivityType.LOGON, day_offset=2)])
+    result = invoke(_logon_tool(), {"user": "u", "day": "2024-01-03"}, store)
+    assert result.values["mu"] == 2.0
+    assert result.values["sigma"] == 2.0
 
 
-def test_baseline_stats_zero_fill_absent_user_window():
-    store = seal([entry("Z1", "u", ActivityType.LOGON)])
-    stats = baseline_stats(store, "u", ActivityType.EMAIL_SEND,
-                           (date(2024, 2, 1), date(2024, 2, 7)))
-    assert stats.mean == 0.0
-    assert stats.std == 0.0
-    assert stats.n_days == 7
-
-
-def test_baseline_stats_unknown_user():
-    store = seal([entry("Z1", "u", ActivityType.LOGON)])
-    with pytest.raises(UnknownUser):
-        baseline_stats(store, "ghost", ActivityType.LOGON,
-                       (date(2024, 1, 1), date(2024, 1, 2)))
+def test_baseline_zero_fills_inactive_days():
+    # Logons on the first and the audited (seventh) day only: the five
+    # empty days between count as zeros, so the history mean is 1/6.
+    store = seal([entry("Z1", "u", ActivityType.LOGON),
+                  entry("Z7", "u", ActivityType.LOGON, day_offset=6)])
+    result = invoke(_logon_tool(), {"user": "u", "day": "2024-01-07"}, store)
+    assert abs(float(result.values["mu"]) - 1 / 6) <= 1e-4
 
 
 def test_daily_counts_zero_fill():
@@ -177,33 +163,50 @@ def test_daily_counts_zero_fill():
     assert counts == {date(2024, 1, 1): 0, date(2024, 1, 2): 1, date(2024, 1, 3): 0}
 
 
-# --- check_url ---
+# --- URL domains in lookups ---
 
-def test_check_url_denied_domain():
-    assert check_url("http://wikileaks.org/xxx.php", deny={"wikileaks.org"}) == "untrusted"
-
-
-def test_check_url_subdomain_and_port():
-    assert check_url("https://files.wikileaks.org:8443/a", deny={"wikileaks.org"}) == "untrusted"
-    assert check_url("http://notwikileaks.org/a", deny={"wikileaks.org"}) == "unknown"
+def _visit_lookup(url: str, lists=LISTS):
+    store = seal([entry("V1", "u", ActivityType.HTTP_VISIT, url=url)])
+    return invoke(builtin_tools()["url_legitimacy"], {"user": "u"}, store, lists)
 
 
-def test_check_url_allowed_domain():
-    assert check_url("http://docs.corp.example/x", allow={"corp.example"}) == "trusted"
+def test_lookup_denied_domain():
+    result = _visit_lookup("http://wikileaks.org/xxx.php")
+    assert result.verdict_hint == "suspicious"
+    assert result.evidence == ("V1",)
 
 
-def test_check_url_unknown_domain():
-    assert check_url("http://neutral.example.net/") == "unknown"
+def test_lookup_subdomain_and_port():
+    result = _visit_lookup("https://files.wikileaks.org:8443/a")
+    assert result.verdict_hint == "suspicious"
+    assert result.values["matched"] == "files.wikileaks.org"
+    assert _visit_lookup("http://notwikileaks.org/a").values["n_matched"] == 0
 
 
-def test_check_url_malformed():
+def test_lookup_allow_list_match_is_normal():
+    allow = {"untrusted_domains": ListDef("untrusted_domains", "domain_allow",
+                                          frozenset({"corp.example"}))}
+    result = _visit_lookup("http://docs.corp.example/x", allow)
+    assert result.values["n_matched"] == 1
+    assert result.verdict_hint == "normal"
+
+
+def test_lookup_unlisted_domain_is_normal():
+    result = _visit_lookup("http://neutral.example.net/")
+    assert result.values["n_matched"] == 0
+    assert result.verdict_hint == "normal"
+
+
+def test_extract_domain_malformed():
     with pytest.raises(MalformedUrl):
-        check_url("not a url")
+        extract_domain("not a url")
     with pytest.raises(MalformedUrl):
         extract_domain("")
+    # A lookup skips a URL with no host instead of failing.
+    assert _visit_lookup("not a url").values["n_matched"] == 0
 
 
-def test_check_url_schemeless():
+def test_extract_domain_schemeless():
     assert extract_domain("www.example.com/path") == "www.example.com"
 
 
