@@ -109,6 +109,15 @@ def _read_doc(path: Path) -> dict:
     return doc
 
 
+def _typed(path: Path, key: str, value: object, kind: type) -> object:
+    """The value if it has the key's type: an int that is not a bool, any
+    number for a float (returned as float), a real bool, or a str."""
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigInvalid(f"{path}: {key} must be of type {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -151,10 +160,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigInvalid(f"{path}: http backend requires endpoint and model")
 
     rates_doc = doc.get("rates") or {}
-    rates = RateTable(
-        input_per_1k=float(rates_doc.get("input_per_1k", 0.0)),
-        output_per_1k=float(rates_doc.get("output_per_1k", 0.0)),
-    )
+    rates = RateTable(**{
+        key: _typed(path, f"rates.{key}", rates_doc[key], float)
+        for key in ("input_per_1k", "output_per_1k") if key in rates_doc
+    })
 
     lists = {}
     for name, item in (doc.get("lists") or {}).items():
@@ -188,8 +197,10 @@ def load_config(path: str | Path) -> RunConfig:
         tool_tests=tool_tests,
         templates=templates,
         raw=doc,
-        **{key: cast(doc[key]) for key, cast in _SCALAR_KEYS.items() if key in doc},
-        **{name: int(seeds[key]) for key, name in _SEED_KEYS.items() if key in seeds},
+        **{key: _typed(path, key, doc[key], kind)
+           for key, kind in _SCALAR_KEYS.items() if key in doc},
+        **{name: _typed(path, f"seeds.{key}", seeds[key], int)
+           for key, name in _SEED_KEYS.items() if key in seeds},
     )
     _validate_ranges(config)
     return config

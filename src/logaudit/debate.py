@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, replace
 from .errors import GatewayError
 from .executor import (
     VERDICT_BENIGN,
-    VERDICT_MALICIOUS,
     ExecutorResultSet,
     apply_evidence_check,
     ask,
     parse_decision_reply,
+    pin_to_evidence,
     rebuild_results_from_anomalies,
     render_result_set,
 )
@@ -106,10 +106,10 @@ def rebut(
 ) -> ExecutorResultSet:
     """One executor reviews the opposing result set and restates its own.
 
-    The reply's Flagged ids (validated against this user's entries and both
-    sides' evidence) become the new anomaly set; a malicious decision with
-    no ids adopts the union of both sides' anomalies, a benign one drops
-    them. The evidence-consistency check then pins the verdict.
+    The reply's Flagged ids that are this user's entries become the new
+    anomaly set; a malicious decision with no ids adopts the union of both
+    sides' anomalies, a benign one drops them. The evidence-consistency
+    check then pins the verdict.
     """
     if not (own.round == other.round or other.round == own.round + 1):
         raise ValueError(
@@ -136,19 +136,7 @@ def rebut(
             correction="rebuttal unparseable; prior set carried forward",
         )
 
-    valid_ids = {e.entry_id for e in user.entries}
-    explicit = frozenset(i for i in parsed.flagged if i in valid_ids)
-    dropped = set(parsed.flagged) - set(explicit)
-    if dropped:
-        logger.warning("%s rebuttal flagged %d unknown ids; dropped", executor_id, len(dropped))
-    if explicit:
-        anomalies = explicit
-    elif parsed.decision == VERDICT_MALICIOUS:
-        anomalies = own.anomalies | other.anomalies
-    else:
-        anomalies = frozenset()
-
-    verdict, correction = apply_evidence_check(parsed.decision, anomalies)
+    anomalies, verdict, correction = pin_to_evidence(parsed, user, own.anomalies | other.anomalies)
     results = rebuild_results_from_anomalies(own.results, anomalies, _attribution(own, other))
     return ExecutorResultSet(
         executor_id=own.executor_id,

@@ -163,6 +163,22 @@ def parse_decision_reply(text: str) -> StructuredResponse | None:
         return None
 
 
+def pin_to_evidence(
+    parsed: StructuredResponse, user: UserSequence, fallback: frozenset[str]
+) -> tuple[frozenset[str], str, str | None]:
+    """Hold a decision reply to evidence: its Flagged ids that are the
+    user's own, or ``fallback`` when a Malicious reply names none. Returns
+    the anomaly set and the evidence-checked verdict and correction."""
+    own_ids = {e.entry_id for e in user.entries}
+    anomalies = frozenset(i for i in parsed.flagged if i in own_ids)
+    if len(anomalies) < len(set(parsed.flagged)):
+        logger.warning("%s: dropped flagged ids not in this user's entries", user.user)
+    if not anomalies and parsed.decision == VERDICT_MALICIOUS:
+        anomalies = fallback
+    verdict, correction = apply_evidence_check(parsed.decision, anomalies)
+    return anomalies, verdict, correction
+
+
 def ask(
     backend: Backend,
     template: PromptTemplate,

@@ -39,13 +39,14 @@ from .plans import (
     LookupStage,
     QueryPlan,
     free_params,
+    known_fields,
     parse_plan,
     plan_result_fields,
     plan_summary,
     render_plan,
 )
 from .prompts import TOOL_BUILDER, TOOL_REPAIR
-from .runtime import ListCatalog, default_output_template, invoke
+from .runtime import ListCatalog, invoke
 
 logger = logging.getLogger(__name__)
 
@@ -72,32 +73,22 @@ class ToolSpec:
 
     name: str
     subtask_id: str
-    plan: QueryPlan | None
+    plan: QueryPlan
     doc: str = ""
     params: tuple[tuple[str, str], ...] = ()
     output_template: str = ""
     status: str = STATUS_DRAFT
     builtin: bool = False
-    raw_plan_text: str = ""
     test_cases: tuple[ToolTestCase, ...] = ()
 
 
 @dataclass
-class InvocationOutcome:
-    params: dict[str, str]
-    values: dict[str, object] | None
-    error: str | None
+class TestReport:
+    failures: list[str]
 
     @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-@dataclass
-class TestReport:
-    passed: bool
-    invocations: list[InvocationOutcome]
-    failures: list[str]
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _advance(spec: ToolSpec, new_status: str) -> None:
@@ -122,7 +113,7 @@ def validate_template(template: str, plan: QueryPlan) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Drafting
+# Drafting and unit testing
 # ---------------------------------------------------------------------------
 
 def _render_log_examples(entries: Sequence[LogEntry]) -> str:
@@ -136,79 +127,14 @@ def _render_log_examples(entries: Sequence[LogEntry]) -> str:
     return "\n".join(lines)
 
 
-def _spec_from_plan(subtask_id: str, plan: QueryPlan, raw_text: str) -> ToolSpec:
+def _spec_from_plan(subtask_id: str, plan: QueryPlan) -> ToolSpec:
     return ToolSpec(
         name=f"{subtask_id}-tool",
         subtask_id=subtask_id,
         plan=plan,
         params=free_params(plan),
-        output_template=default_output_template(plan),
-        status=STATUS_DRAFT,
-        raw_plan_text=raw_text,
     )
 
-
-def draft_tool(
-    subtask: SubTask,
-    log_examples: Sequence[LogEntry],
-    result_examples: Sequence[str],
-    backend: Backend,
-    *,
-    ledger: CostLedger,
-    rates: RateTable | None = None,
-    template: PromptTemplate = TOOL_BUILDER,
-) -> ToolSpec:
-    """Prompt with input/output demonstrations and parse the plan back.
-
-    Raises PlanParseError / PlanInvalid with the completion text attached so
-    the repair loop can feed it back.
-    """
-    if not log_examples:
-        raise InvalidTestCases("drafting requires at least one log example")
-    if not result_examples:
-        raise InvalidTestCases("drafting requires at least one result example")
-
-    from .plans import known_fields
-
-    fields = known_fields(subtask.activity_types)
-    completion, _ = chat(
-        backend,
-        template,
-        {
-            "subtask_description": subtask.description,
-            "activity_types": ", ".join(sorted(t.value for t in subtask.activity_types)),
-            "schema_fields": ", ".join(sorted(fields)) if fields else "(open schema)",
-            "log_examples": _render_log_examples(log_examples),
-            "result_examples": "\n".join(f"  {r}" for r in result_examples),
-        },
-        stage="tool-draft",
-        ledger=ledger,
-        rates=rates,
-        note=subtask.id,
-    )
-    try:
-        plan = parse_plan(completion.text)
-    except (PlanParseError, PlanInvalid) as exc:
-        exc.completion_text = completion.text  # type: ignore[attr-defined]
-        raise
-    return _spec_from_plan(subtask.id, plan, completion.text)
-
-
-def failed_draft(subtask: SubTask, completion_text: str) -> ToolSpec:
-    """Draft-status placeholder for a plan that did not parse or validate,
-    kept only so the repair loop has something to re-prompt from."""
-    return ToolSpec(
-        name=f"{subtask.id}-tool",
-        subtask_id=subtask.id,
-        plan=None,
-        status=STATUS_DRAFT,
-        raw_plan_text=completion_text,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Unit testing
-# ---------------------------------------------------------------------------
 
 def _values_match(expected: object, actual: object) -> bool:
     try:
@@ -226,6 +152,31 @@ def _pad_cases(cases: Sequence[ToolTestCase]) -> list[ToolTestCase]:
     return padded[:REQUIRED_INVOCATIONS]
 
 
+def _case_failures(
+    spec: ToolSpec,
+    store: LogStore,
+    cases: Sequence[ToolTestCase],
+    lists: ListCatalog | None,
+) -> list[str]:
+    """Invoke the tool once per case and describe every case whose run
+    fails or whose values differ from the expected ones."""
+    failures: list[str] = []
+    for case in cases:
+        try:
+            result = invoke(spec, case.params, store, lists)
+        except AuditError as exc:
+            failures.append(f"params {case.params}: {exc.category}: {exc}")
+            continue
+        mismatches = [
+            f"{key}: expected {expected!r}, got {result.values.get(key)!r}"
+            for key, expected in case.expected.items()
+            if not _values_match(expected, result.values.get(key))
+        ]
+        if mismatches:
+            failures.append(f"params {case.params}: {'; '.join(mismatches)}")
+    return failures
+
+
 def unit_test_tool(
     spec: ToolSpec,
     fixtures: LogStore,
@@ -235,95 +186,11 @@ def unit_test_tool(
     """Run the three invocation tests; on pass the spec advances to tested."""
     if spec.status != STATUS_DRAFT:
         raise LifecycleError(f"unit testing requires a draft spec, got {spec.status!r}")
-    if spec.plan is None:
-        raise PlanInvalid("spec has no parsed plan to test")
-
-    invocations: list[InvocationOutcome] = []
-    failures: list[str] = []
-    for case in _pad_cases(cases):
-        try:
-            result = invoke(spec, case.params, fixtures, lists)
-        except AuditError as exc:
-            invocations.append(InvocationOutcome(params=case.params, values=None, error=str(exc)))
-            failures.append(f"params {case.params}: {exc.category}: {exc}")
-            continue
-        mismatches = [
-            f"{key}: expected {case.expected[key]!r}, got {result.values.get(key)!r}"
-            for key in case.expected
-            if not _values_match(case.expected[key], result.values.get(key))
-        ]
-        if mismatches:
-            invocations.append(
-                InvocationOutcome(params=case.params, values=result.values, error="; ".join(mismatches))
-            )
-            failures.append(f"params {case.params}: {'; '.join(mismatches)}")
-        else:
-            invocations.append(InvocationOutcome(params=case.params, values=result.values, error=None))
-
-    passed = not failures
-    if passed:
+    report = TestReport(failures=_case_failures(spec, fixtures, _pad_cases(cases), lists))
+    if report.passed:
         _advance(spec, STATUS_TESTED)
         spec.test_cases = tuple(ToolTestCase(dict(c.params), dict(c.expected)) for c in cases)
-    return TestReport(passed=passed, invocations=invocations, failures=failures)
-
-
-# ---------------------------------------------------------------------------
-# Repair
-# ---------------------------------------------------------------------------
-
-def repair_tool(
-    spec: ToolSpec,
-    failures: Sequence[str],
-    backend: Backend,
-    fixtures: LogStore,
-    cases: Sequence[ToolTestCase],
-    max_attempts: int = DEFAULT_REPAIR_ATTEMPTS,
-    *,
-    lists: ListCatalog | None = None,
-    ledger: CostLedger,
-    rates: RateTable | None = None,
-    template: PromptTemplate = TOOL_REPAIR,
-    subtask: SubTask | None = None,
-) -> ToolSpec:
-    """Re-prompt with error details, re-validate and re-test, up to
-    ``max_attempts`` cycles; returns the first passing (tested) spec."""
-    if spec.status != STATUS_DRAFT:
-        raise LifecycleError(f"repair requires a failed draft, got status {spec.status!r}")
-
-    description = subtask.description if subtask else spec.subtask_id
-    previous = render_plan(spec.plan) if spec.plan is not None else spec.raw_plan_text
-    errors = list(failures)
-
-    for attempt in range(1, max_attempts + 1):
-        completion, _ = chat(
-            backend,
-            template,
-            {
-                "subtask_description": description,
-                "previous_plan": previous or "(no parseable plan)",
-                "errors": "\n".join(f"  - {e}" for e in errors) or "  - (unspecified failure)",
-            },
-            stage="tool-repair",
-            ledger=ledger,
-            rates=rates,
-            note=f"{spec.subtask_id}#{attempt}",
-        )
-        previous = completion.text
-        try:
-            plan = parse_plan(completion.text)
-        except (PlanParseError, PlanInvalid) as exc:
-            errors = [f"{exc.category}: {exc}"]
-            logger.info("repair attempt %d for %s failed to parse: %s", attempt, spec.name, exc)
-            continue
-        candidate = _spec_from_plan(spec.subtask_id, plan, completion.text)
-        report = unit_test_tool(candidate, fixtures, cases, lists)
-        if report.passed:
-            return candidate
-        errors = list(report.failures)
-        previous = render_plan(plan)
-        logger.info("repair attempt %d for %s failed its tests", attempt, spec.name)
-
-    raise ToolIrreparable(f"tool {spec.name!r} still failing after {max_attempts} repair attempts")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +203,6 @@ def _types_phrase(plan: QueryPlan) -> str:
 
 def _decorated_template(spec: ToolSpec) -> str:
     plan = spec.plan
-    assert plan is not None
     param_names = {name for name, _ in spec.params}
     prefix = "User {user}: " if "user" in param_names else ""
     comparator = plan.comparator()
@@ -372,7 +238,6 @@ def decorate_tool(spec: ToolSpec, subtask: SubTask | None = None) -> ToolSpec:
         return spec
     if spec.status != STATUS_TESTED:
         raise LifecycleError(f"decoration requires a tested spec, got {spec.status!r}")
-    assert spec.plan is not None
     template = _decorated_template(spec)
     validate_template(template, spec.plan)
     description = subtask.description if subtask else spec.subtask_id.replace("-", " ")
@@ -483,7 +348,6 @@ def match_builtin(subtask: SubTask, k_sigma: float = DEFAULT_K_SIGMA) -> ToolSpe
 class ForgeOutcome:
     spec: ToolSpec | None
     used_builtin: bool
-    reports: list[TestReport] = field(default_factory=list)
     error: str | None = None
 
 
@@ -502,10 +366,14 @@ def build_tool_for_subtask(
     draft_template: PromptTemplate = TOOL_BUILDER,
     repair_template: PromptTemplate = TOOL_REPAIR,
 ) -> ForgeOutcome:
-    """Full lifecycle for one sub-task; falls back to a built-in (or marks
-    the sub-task unservable) when the repair budget runs out or the backend
-    fails during draft or repair. A template missing a variable is a
-    configuration error and still aborts."""
+    """Full lifecycle for one sub-task: ask for a plan (the draft, then up to
+    ``max_repair_attempts`` repairs that show the previous plan and its
+    errors), parse it, unit-test it, and decorate the first plan that passes.
+
+    Falls back to a built-in (or marks the sub-task unservable) when the
+    repair budget runs out or the backend fails; the built-in keeps the
+    configured cases only if it passes them all. A template missing a
+    variable is a configuration error and still aborts."""
     outcome = ForgeOutcome(spec=None, used_builtin=False)
     if not cases:
         logger.warning("no unit-test cases configured for %s; using builtin fallback", subtask.id)
@@ -513,41 +381,67 @@ def build_tool_for_subtask(
         outcome.used_builtin = outcome.spec is not None
         outcome.error = None if outcome.spec else "no test cases and no builtin"
         return outcome
+    if not log_examples:
+        raise InvalidTestCases("drafting requires at least one log example")
 
-    result_examples = [
-        ", ".join(f"{k}={v}" for k, v in sorted(case.expected.items())) or "(empty)"
-        for case in cases
-    ]
+    fields = known_fields(subtask.activity_types)
+    template, stage, note = draft_template, "tool-draft", subtask.id
+    variables: dict[str, object] = {
+        "subtask_description": subtask.description,
+        "activity_types": ", ".join(sorted(t.value for t in subtask.activity_types)),
+        "schema_fields": ", ".join(sorted(fields)) if fields else "(open schema)",
+        "log_examples": _render_log_examples(log_examples),
+        "result_examples": "\n".join(
+            "  " + (", ".join(f"{k}={v}" for k, v in sorted(case.expected.items())) or "(empty)")
+            for case in cases
+        ),
+    }
     try:
-        try:
-            spec = draft_tool(
-                subtask, log_examples, result_examples, backend,
-                ledger=ledger, rates=rates, template=draft_template,
+        for attempt in range(max_repair_attempts + 1):
+            if attempt:
+                template, stage, note = repair_template, "tool-repair", f"{subtask.id}#{attempt}"
+                variables = {
+                    "subtask_description": subtask.description,
+                    "previous_plan": previous or "(no parseable plan)",
+                    "errors": "\n".join(f"  - {e}" for e in errors) or "  - (unspecified failure)",
+                }
+            completion, _ = chat(
+                backend, template, variables,
+                stage=stage, ledger=ledger, rates=rates, note=note,
             )
+            previous = completion.text
+            try:
+                plan = parse_plan(completion.text)
+            except (PlanParseError, PlanInvalid) as exc:
+                errors = [f"{exc.category}: {exc}"]
+                logger.info("%s attempt %d failed to parse: %s", subtask.id, attempt, exc)
+                continue
+            spec = _spec_from_plan(subtask.id, plan)
             report = unit_test_tool(spec, fixtures, cases, lists)
-            outcome.reports.append(report)
-            failures = report.failures
-        except (PlanParseError, PlanInvalid) as exc:
-            spec = failed_draft(subtask, getattr(exc, "completion_text", ""))
-            failures = [f"{exc.category}: {exc}"]
-        if spec.status != STATUS_TESTED:
-            spec = repair_tool(
-                spec, failures, backend, fixtures, cases,
-                max_attempts=max_repair_attempts,
-                lists=lists, ledger=ledger, rates=rates, subtask=subtask,
-                template=repair_template,
-            )
-        outcome.spec = decorate_tool(spec, subtask)
-        return outcome
-    except (ToolIrreparable, TransportError, BackendUnreachable, ScriptExhausted) as exc:
-        logger.warning("%s; falling back to builtin for %s", exc, subtask.id)
-        fallback = match_builtin(subtask, k_sigma)
-        if fallback is not None:
+            if report.passed:
+                outcome.spec = decorate_tool(spec, subtask)
+                return outcome
+            errors = report.failures
+            previous = render_plan(plan)
+            logger.info("%s attempt %d failed its tests", subtask.id, attempt)
+        cause: AuditError = ToolIrreparable(
+            f"tool {subtask.id + '-tool'!r} still failing after {max_repair_attempts} repair attempts"
+        )
+    except (TransportError, BackendUnreachable, ScriptExhausted) as exc:
+        cause = exc
+    logger.warning("%s; falling back to builtin for %s", cause, subtask.id)
+    fallback = match_builtin(subtask, k_sigma)
+    if fallback is not None:
+        failures = _case_failures(fallback, fixtures, cases, lists)
+        if failures:
+            logger.warning("builtin %s fails the cases for %s, so it records none: %s",
+                           fallback.name, subtask.id, failures[0])
+        else:
             fallback.test_cases = tuple(cases)
-            outcome.spec = fallback
-            outcome.used_builtin = True
-        outcome.error = f"{exc.category}: {exc}"
-        return outcome
+        outcome.spec = fallback
+        outcome.used_builtin = True
+    outcome.error = f"{cause.category}: {cause}"
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +458,6 @@ def _subtask_doc(subtask: SubTask) -> dict[str, object]:
 
 
 def _tool_doc(spec: ToolSpec) -> dict[str, object]:
-    assert spec.plan is not None
     return {
         "name": spec.name,
         "subtask_id": spec.subtask_id,
@@ -691,20 +584,10 @@ def load_registry(
                     f"tool {spec.name!r} uses activity types absent from the store: "
                     f"{sorted(t.value for t in missing)}"
                 )
-            elif store is not None:
-                for case in spec.test_cases:
-                    try:
-                        result = invoke(spec, case.params, store, lists)
-                    except AuditError as exc:
-                        raise RegistryCorrupt(
-                            f"{path}: tool {spec.name!r} case {case.params} no longer runs: {exc}"
-                        )
-                    for key, expected in case.expected.items():
-                        if not _values_match(expected, result.values.get(key)):
-                            raise RegistryCorrupt(
-                                f"{path}: tool {spec.name!r} case {case.params} drifted: "
-                                f"{key} expected {expected!r}, got {result.values.get(key)!r}"
-                            )
+            else:
+                failures = _case_failures(spec, store, spec.test_cases, lists)
+                if failures:
+                    raise RegistryCorrupt(f"{path}: tool {spec.name!r} fails a recorded case: {failures[0]}")
         tools.append(spec)
 
     for warning in warnings:

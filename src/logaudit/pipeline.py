@@ -33,14 +33,13 @@ from .errors import RegistryMissing, ResponseUnparseable
 from .executor import (
     DEFAULT_EXCERPT_BUDGET,
     TOOL_UNAVAILABLE,
-    VERDICT_MALICIOUS,
     ExecutorResultSet,
     SubTaskResult,
-    apply_evidence_check,
     ask,
     bind_and_invoke,
     busiest_day,
     parse_decision_reply,
+    pin_to_evidence,
     render_excerpt,
     run_subtask,
     select_focus_day,
@@ -188,7 +187,7 @@ def _check_tool(
     """The check's tool outcome, with the day bound to the user's busiest
     day for the check's activity types."""
     spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
-    if spec is None or spec.plan is None:
+    if spec is None:
         return TOOL_UNAVAILABLE, None
     return bind_and_invoke(spec, user, select_focus_day(user, subtask), ctx.store, ctx.lists)
 
@@ -198,7 +197,6 @@ def _invoke_for_user(
 ) -> tuple[str, ToolResult | None]:
     """Invoke one tool with the day bound to the user's busiest day for the
     plan's activity types."""
-    assert spec.plan is not None
     focus = busiest_day(user, frozenset(spec.plan.select.activity_types))
     if focus is None:
         return f"[{spec.name}] (no relevant activity)", None
@@ -214,7 +212,7 @@ def _combined_tool_result(ctx: DetectContext, user: UserSequence) -> tuple[str, 
     any_signal = False
     for subtask in ctx.subtasks.subtasks:
         spec = ctx.tools.get(subtask.id)
-        if spec is None or spec.plan is None:
+        if spec is None:
             continue
         line, result = _invoke_for_user(ctx, spec, user)
         rendered.append(line)
@@ -245,24 +243,34 @@ def _generic_subtask(ctx: DetectContext) -> SubTask:
     )
 
 
-def _one_shot_set(ctx: DetectContext, executor_id: str, user: UserSequence, seed: int) -> ExecutorResultSet:
-    """One backend call deciding all checks at once (the no-CoT path)."""
+def _one_shot_findings(ctx: DetectContext, user: UserSequence) -> tuple[str, dict[str, tuple[str, ...]]]:
+    """The no-CoT findings block, one line per check with its tool's output,
+    and each tool's evidence; both executors read the same."""
     blocks = []
     per_tool_evidence: dict[str, tuple[str, ...]] = {}
     for subtask in ctx.subtasks.subtasks:
         spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
         line = f"- [{subtask.id}] {subtask.description}"
-        if spec is not None and spec.plan is not None:
+        if spec is not None:
             text, result = _invoke_for_user(ctx, spec, user)
             signal = result.verdict_hint if result is not None else None
             line += f"\n    tool: {text} (signal: {signal or 'none'})"
             if result is not None:
                 per_tool_evidence[subtask.id] = result.evidence
         blocks.append(line)
+    return "\n".join(blocks), per_tool_evidence
+
+
+def _one_shot_set(
+    ctx: DetectContext, executor_id: str, user: UserSequence, seed: int,
+    findings: tuple[str, dict[str, tuple[str, ...]]],
+) -> ExecutorResultSet:
+    """One backend call deciding all checks at once (the no-CoT path)."""
+    findings_block, per_tool_evidence = findings
     excerpt = user.entries[-ctx.excerpt_budget:]
     variables = {
         "user": user.user,
-        "findings_block": "\n".join(blocks),
+        "findings_block": findings_block,
         "excerpt_count": len(excerpt),
         "activity_excerpt": render_excerpt(excerpt, ctx.excerpt_budget),
     }
@@ -273,16 +281,9 @@ def _one_shot_set(ctx: DetectContext, executor_id: str, user: UserSequence, seed
     if parsed is None:
         raise ResponseUnparseable(f"one-shot decision for {user.user!r} unparseable after re-prompt")
 
-    valid_ids = {e.entry_id for e in user.entries}
-    explicit = frozenset(i for i in parsed.flagged if i in valid_ids)
-    if explicit:
-        anomalies = explicit
-    elif parsed.decision == VERDICT_MALICIOUS:
-        anomalies = frozenset(i for ids in per_tool_evidence.values() for i in ids)
-    else:
-        anomalies = frozenset()
-    verdict, correction = apply_evidence_check(parsed.decision, anomalies)
-
+    anomalies, verdict, correction = pin_to_evidence(
+        parsed, user, frozenset(i for ids in per_tool_evidence.values() for i in ids)
+    )
     results = []
     for subtask in ctx.subtasks.subtasks:
         ids = frozenset(per_tool_evidence.get(subtask.id, ())) & anomalies
@@ -319,12 +320,10 @@ def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusi
     )
     if parsed is None:
         raise ResponseUnparseable(f"vanilla decision for {user.user!r} unparseable after re-prompt")
-    valid_ids = {e.entry_id for e in user.entries}
-    anomalies = frozenset(i for i in parsed.flagged if i in valid_ids)
-    if parsed.decision == VERDICT_MALICIOUS and not anomalies:
-        # The single-prompt variant implicates the window it saw.
-        anomalies = frozenset(e.entry_id for e in excerpt)
-    verdict, correction = apply_evidence_check(parsed.decision, anomalies)
+    # A malicious reply naming no entries implicates the window it saw.
+    anomalies, verdict, correction = pin_to_evidence(
+        parsed, user, frozenset(e.entry_id for e in excerpt)
+    )
     return FinalConclusion(
         verdict=verdict,
         anomalies=anomalies,
@@ -353,7 +352,10 @@ def detect_user(
     seats = ((EXECUTOR_A, debate.seed_a), (EXECUTOR_B, debate.seed_b))
 
     if not variant.per_check_cot:
-        a0, b0 = (_one_shot_set(ctx, executor_id, user, seed) for executor_id, seed in seats)
+        findings = _one_shot_findings(ctx, user)
+        a0, b0 = (
+            _one_shot_set(ctx, executor_id, user, seed, findings) for executor_id, seed in seats
+        )
     else:
         # Lines 2-3: each executor works through every check independently,
         # on the same tool outcomes; its opening verdict is the fold of its

@@ -28,7 +28,6 @@ from .plans import (
     LookupStage,
     QueryPlan,
     SelectStage,
-    free_params,
 )
 
 if TYPE_CHECKING:
@@ -423,7 +422,7 @@ def invoke(
             key = AGG_FUNCS[aggregate.func]
             values[key] = _format_number(result) if result is not None else "(no data)"
 
-    rendered = spec.output_template.format_map(_SafeDict(values))
+    rendered = spec.output_template.format_map(values)
     return ToolResult(
         tool_name=spec.name,
         bound_params=bound,
@@ -432,33 +431,3 @@ def invoke(
         verdict_hint=hint,
         evidence=evidence,
     )
-
-
-class _SafeDict(dict):
-    """format_map helper: unknown keys render as-is instead of raising.
-
-    Decoration validates templates up front, so this only matters for
-    un-decorated drafts run during unit testing.
-    """
-
-    def __missing__(self, key: str) -> str:
-        return "{" + key + "}"
-
-
-def default_output_template(plan: QueryPlan) -> str:
-    """Minimal template for drafts, before decoration restructures it."""
-    parts = ["n={n}"]
-    comparator = plan.comparator()
-    if isinstance(comparator, BaselineCompareStage):
-        parts += ["mu={mu}", "sigma={sigma}", "assessment={assessment}"]
-    elif isinstance(comparator, LookupStage):
-        parts += ["n_matched={n_matched}", "matched={matched}"]
-    elif plan.aggregate() is not None and plan.group_by() is not None:
-        parts += ["n_groups={n_groups}", "by_group={by_group}"]
-    elif plan.aggregate() is not None:
-        key = AGG_FUNCS[plan.aggregate().func]
-        if key != "n":
-            parts.append(f"{key}={{{key}}}")
-    for name, _ in free_params(plan):
-        parts.append(f"{name}={{{name}}}")
-    return " ".join(parts)

@@ -32,7 +32,7 @@ from logaudit.gateway import CostLedger, ScriptEntry, make_scripted_backend
 from logaudit.logstore import ActivityType, undersample_benign
 from logaudit.pipeline import DetectContext, context_from_config, detect_user
 from logaudit.plans import free_params, parse_plan
-from logaudit.runtime import ListDef, default_output_template, invoke
+from logaudit.runtime import ListDef, invoke
 from logaudit.synthetic import generate_demo
 from conftest import random_store
 from oracles import naive_metrics, naive_plan_eval
@@ -93,8 +93,7 @@ def test_criterion_01_end_to_end_scenario_suite(demo_root: Path):
 def _spec_for(plan_text: str) -> ToolSpec:
     plan = parse_plan(plan_text)
     return ToolSpec(name="t", subtask_id="s", plan=plan, params=free_params(plan),
-                    output_template=default_output_template(plan), status="decorated",
-                    doc="equivalence suite tool")
+                    status="decorated", doc="equivalence suite tool")
 
 
 ORACLE_PLANS: list[tuple[str, dict[str, str]]] = [
@@ -340,8 +339,7 @@ def test_criterion_08_registry_lifecycle(burst_store, ledger, tmp_path):
     plan = parse_plan("select activity=Logon user={user} day={day}\naggregate func=count")
     cases = [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4})]
 
-    draft = ToolSpec(name="t", subtask_id="logon-baseline", plan=plan,
-                     params=free_params(plan), output_template=default_output_template(plan))
+    draft = ToolSpec(name="t", subtask_id="logon-baseline", plan=plan, params=free_params(plan))
     with pytest.raises(LifecycleError):
         decorate_tool(draft)  # cannot skip testing
     report = unit_test_tool(draft, burst_store, cases)

@@ -162,6 +162,24 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ConfigInvalid:")
 
 
+@pytest.mark.parametrize("bad", [
+    {"n_debate": "three"},
+    {"n_debate": 2.7},
+    {"allow_partial_coverage": "false"},
+    {"seeds": {"sampler": "x"}},
+    {"rates": {"input_per_1k": "abc"}},
+], ids=["int-as-text", "int-as-float", "bool-as-text", "seed-as-text", "rate-as-text"])
+def test_mistyped_config_value_rejected(tmp_path, capsys, bad):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dataset": {"kind": "cert"},
+                                       "backend": {"type": "scripted", "script": "s.json"},
+                                       **bad}))
+    code = main(["ingest", "--config", str(config_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigInvalid:") and err.count("\n") == 1
+
+
 def test_variant_flag_overrides_config(demo: Path, completed_run: Path, tmp_path):
     config_doc = json.loads((demo / "config.json").read_text())
     config_doc["store_path"] = str(completed_run / "out" / "store.json")
@@ -268,6 +286,23 @@ def test_store_snapshot_is_the_same_in_any_checkout(tmp_path):
     assert snapshots[0] == snapshots[1]
 
 
+def _config_copy(demo: Path, completed_run: Path, tmp_path: Path, script: list[dict]) -> Path:
+    """The demo config with the given backend script, reading the completed
+    run's store and writing its registry and outputs under tmp_path."""
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script))
+    config_doc = json.loads((demo / "config.json").read_text())
+    config_doc["backend"]["script"] = str(script_path)
+    config_doc["store_path"] = str(completed_run / "out" / "store.json")
+    config_doc["registry_path"] = str(tmp_path / "registry.json")
+    config_doc["output_dir"] = str(tmp_path / "out")
+    for name, item in config_doc["lists"].items():
+        item["path"] = str(demo / "lists" / f"{name}.txt")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_doc))
+    return config_path
+
+
 def test_forge_manifest_records_builtin_fallbacks(demo: Path, completed_run: Path, tmp_path):
     # The logon draft fails its unit test and the script has no repair
     # entry, so the repair call fails; the website check has no test cases.
@@ -279,19 +314,11 @@ def test_forge_manifest_records_builtin_fallbacks(demo: Path, completed_run: Pat
         {"when": "[stage: tool-draft]",
          "response": "select activity=Logon user={user} day={day}\naggregate func=count"},
     ]
-    script_path = tmp_path / "script.json"
-    script_path.write_text(json.dumps(script))
-    config_doc = json.loads((demo / "config.json").read_text())
-    config_doc["backend"]["script"] = str(script_path)
-    config_doc["store_path"] = str(completed_run / "out" / "store.json")
-    config_doc["registry_path"] = str(tmp_path / "registry.json")
-    config_doc["output_dir"] = str(tmp_path / "out")
+    config_path = _config_copy(demo, completed_run, tmp_path, script)
+    config_doc = json.loads(config_path.read_text())
     config_doc["tool_tests"] = {"check-logons": [
         {"params": {"user": "B0001", "day": "2024-03-01"}, "expected": {"n": 999}},
     ]}
-    for name, item in config_doc["lists"].items():
-        item["path"] = str(demo / "lists" / f"{name}.txt")
-    config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config_doc))
 
     assert main(["forge", "--config", str(config_path), "--allow-partial-coverage"]) == 0
@@ -300,3 +327,18 @@ def test_forge_manifest_records_builtin_fallbacks(demo: Path, completed_run: Pat
     assert manifest["fallbacks"]["check-websites"] == "no unit-test cases configured"
     assert manifest["fallbacks"]["check-logons"].startswith("ScriptExhausted: ")
     assert set(manifest["fallbacks"]) == {"check-logons", "check-websites"}
+
+
+def test_builtin_fallback_records_only_cases_it_passes(demo: Path, completed_run: Path, tmp_path):
+    # Without its draft entry the threatening-content check falls back to
+    # the url_legitimacy built-in, which does not pass that check's cases:
+    # recording them would make every later detect reject the registry.
+    script = [item for item in json.loads((demo / "script.json").read_text())
+              if item["when"] != ["[stage: tool-draft]", "website content for threatening"]]
+    config_path = _config_copy(demo, completed_run, tmp_path, script)
+    assert main(["forge", "--config", str(config_path)]) == 0
+    assert main(["detect", "--config", str(config_path)]) == 0
+    tools = {t["name"]: t for t in json.loads((tmp_path / "registry.json").read_text())["tools"]}
+    fallback = tools["review-visited-website-content-for-threatening-builtin"]
+    assert fallback["plan"][-1] == "lookup list=untrusted_domains field=url"
+    assert fallback["test_cases"] == []

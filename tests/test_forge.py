@@ -5,15 +5,14 @@ import json
 import pytest
 
 from conftest import entry, seal
+from logaudit import forge
 from logaudit.decomposer import SubTask, SubTaskSet
 from logaudit.errors import (
     InvalidTestCases,
     LifecycleError,
     MissingPlaceholder,
-    PlanInvalid,
     RegistryCorrupt,
     TemplateMismatch,
-    ToolIrreparable,
 )
 from logaudit.forge import (
     ToolTestCase,
@@ -21,10 +20,8 @@ from logaudit.forge import (
     build_tool_for_subtask,
     builtin_tools,
     decorate_tool,
-    draft_tool,
     load_registry,
     match_builtin,
-    repair_tool,
     save_registry,
     unit_test_tool,
 )
@@ -43,8 +40,9 @@ GOOD_PLAN = ("select activity=Logon user={user}\ngroup_by key=user_day\n"
 COUNT_PLAN = "select activity=Logon user={user} day={day}\naggregate func=count"
 BAD_FIELD_PLAN = "select activity=HttpVisit user={user}\nfilter field=urll predicate=contains value=x"
 
+INVALID_PLAN = "aggregate func=count\nselect activity=Logon"
+
 LOG_EXAMPLES = [entry("L1", "u", ActivityType.LOGON)]
-RESULT_EXAMPLES = ["n=4"]
 
 
 @pytest.fixture
@@ -60,37 +58,84 @@ def _count_cases():
     ]
 
 
+@pytest.fixture
+def invocations(monkeypatch):
+    """Counts the tool invocations the forge makes."""
+    calls = []
+    real = forge.invoke
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(forge, "invoke", counting)
+    return calls
+
+
+def _build(backend, store, ledger, cases=None, **kwargs):
+    return build_tool_for_subtask(
+        LOGON_SUBTASK, LOG_EXAMPLES, _count_cases() if cases is None else cases, store, backend,
+        ledger=ledger, **kwargs,
+    )
+
+
+def _repairs(ledger) -> int:
+    return sum(1 for r in ledger.records() if r.stage == "tool-repair")
+
+
 # --- drafting ---
 
-def test_draft_tool_parses_scripted_plan(ledger):
+def test_build_tool_decorates_a_passing_draft(fixture_store, ledger):
     backend = make_scripted_backend([("tool_builder", GOOD_PLAN)])
-    spec = draft_tool(LOGON_SUBTASK, LOG_EXAMPLES, RESULT_EXAMPLES, backend, ledger=ledger)
-    assert spec.status == "draft"
+    cases = [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4})]
+    outcome = _build(backend, fixture_store, ledger, cases)
+    spec = outcome.spec
+    assert not outcome.used_builtin and outcome.error is None
+    assert spec.status == "decorated"
     assert spec.plan == parse_plan(GOOD_PLAN)
     assert spec.params == (("day", "date"), ("user", "principal"))
     assert spec.subtask_id == "logon-baseline"
+    assert _repairs(ledger) == 0
 
 
-def test_draft_tool_invalid_plan_raises_with_text(ledger):
-    backend = make_scripted_backend([("tool_builder", "aggregate func=count\nselect activity=Logon")])
-    with pytest.raises(PlanInvalid) as excinfo:
-        draft_tool(LOGON_SUBTASK, LOG_EXAMPLES, RESULT_EXAMPLES, backend, ledger=ledger)
-    assert hasattr(excinfo.value, "completion_text")
+def test_build_tool_repair_prompt_shows_the_raw_draft(fixture_store, ledger):
+    # The repair entry matches only if the unparseable draft's own text is
+    # in the repair prompt.
+    backend = make_scripted_backend([
+        ("tool_builder", INVALID_PLAN),
+        ScriptEntry(["tool_repair", "Previous plan:\n" + INVALID_PLAN], COUNT_PLAN),
+    ])
+    outcome = _build(backend, fixture_store, ledger)
+    assert not outcome.used_builtin
+    assert outcome.spec.plan == parse_plan(COUNT_PLAN)
 
 
-def test_draft_tool_unknown_field(ledger):
-    backend = make_scripted_backend([("tool_builder", BAD_FIELD_PLAN)])
-    with pytest.raises(PlanInvalid) as excinfo:
-        draft_tool(LOGON_SUBTASK, LOG_EXAMPLES, RESULT_EXAMPLES, backend, ledger=ledger)
-    assert "urll" in str(excinfo.value)
+def test_build_tool_repair_prompt_names_the_unknown_field(fixture_store, ledger):
+    backend = make_scripted_backend([
+        ("tool_builder", BAD_FIELD_PLAN),
+        ScriptEntry(["tool_repair", "  - PlanInvalid: unknown field 'urll'"], COUNT_PLAN),
+    ])
+    assert not _build(backend, fixture_store, ledger).used_builtin
 
 
-def test_draft_tool_requires_examples(ledger):
+def test_build_tool_repair_prompt_shows_the_failing_plan_and_its_tests(fixture_store, ledger):
+    # A draft that parses but fails its cases is shown rendered, with the
+    # mismatches as the errors.
+    wrong = "select activity=Logon user={user}\naggregate func=count"
+    backend = make_scripted_backend([
+        ("tool_builder", wrong),
+        ScriptEntry(["tool_repair", "Previous plan:\nselect activity=Logon user='{user}'\n",
+                     "n: expected 4, got"], COUNT_PLAN),
+    ])
+    assert not _build(backend, fixture_store, ledger).used_builtin
+
+
+def test_build_tool_requires_log_examples(fixture_store, ledger):
     backend = make_scripted_backend([("tool_builder", GOOD_PLAN)])
     with pytest.raises(InvalidTestCases):
-        draft_tool(LOGON_SUBTASK, [], RESULT_EXAMPLES, backend, ledger=ledger)
-    with pytest.raises(InvalidTestCases):
-        draft_tool(LOGON_SUBTASK, LOG_EXAMPLES, [], backend, ledger=ledger)
+        build_tool_for_subtask(LOGON_SUBTASK, [], _count_cases(), fixture_store, backend,
+                               ledger=ledger)
+    assert len(ledger) == 0
 
 
 # --- unit testing ---
@@ -98,18 +143,17 @@ def test_draft_tool_requires_examples(ledger):
 def _draft(plan_text: str) -> ToolSpec:
     plan = parse_plan(plan_text)
     from logaudit.plans import free_params
-    from logaudit.runtime import default_output_template
 
     return ToolSpec(name="logon-baseline-tool", subtask_id="logon-baseline", plan=plan,
-                    params=free_params(plan), output_template=default_output_template(plan))
+                    params=free_params(plan))
 
 
-def test_unit_test_passes_on_brute_force_counts(fixture_store):
+def test_unit_test_passes_on_brute_force_counts(fixture_store, invocations):
     spec = _draft(COUNT_PLAN)
     report = unit_test_tool(spec, fixture_store, _count_cases())
     assert report.passed
     assert spec.status == "tested"
-    assert len(report.invocations) == 3
+    assert len(invocations) == 3
     assert spec.test_cases == tuple(_count_cases())
 
 
@@ -128,12 +172,12 @@ def test_unit_test_zero_cases_rejected(fixture_store):
         unit_test_tool(_draft(COUNT_PLAN), fixture_store, [])
 
 
-def test_unit_test_pads_to_three_invocations(fixture_store):
+def test_unit_test_pads_to_three_invocations(fixture_store, invocations):
     spec = _draft(COUNT_PLAN)
     report = unit_test_tool(spec, fixture_store,
                             [ToolTestCase(params={"user": "UX", "day": "2024-01-05"},
                                       expected={"n": 4})])
-    assert len(report.invocations) == 3
+    assert len(invocations) == 3
     assert report.passed
 
 
@@ -147,36 +191,30 @@ def test_unit_test_requires_draft_status(fixture_store):
 # --- repair ---
 
 def test_repair_fixes_bad_field_on_first_attempt(fixture_store, ledger):
-    backend = make_scripted_backend([("tool_repair", COUNT_PLAN)])
-    spec = _draft("select activity=Logon user={user} day={day}\naggregate func=count\n")
-    spec.plan = None  # simulate a failed draft carrying only raw text
-    spec.raw_plan_text = BAD_FIELD_PLAN
-    repaired = repair_tool(spec, ["PlanInvalid: unknown field 'urll'"], backend,
-                           fixture_store, _count_cases(), ledger=ledger,
-                           subtask=LOGON_SUBTASK)
-    assert repaired.status == "tested"
-    assert repaired.plan == parse_plan(COUNT_PLAN)
+    backend = make_scripted_backend([
+        ("tool_builder", BAD_FIELD_PLAN),
+        ("tool_repair", COUNT_PLAN),
+    ])
+    outcome = _build(backend, fixture_store, ledger)
+    assert not outcome.used_builtin
+    assert outcome.spec.status == "decorated"
+    assert outcome.spec.plan == parse_plan(COUNT_PLAN)
+    assert outcome.spec.test_cases == tuple(_count_cases())
+    assert [r.note for r in ledger.records()] == ["logon-baseline", "logon-baseline#1"]
 
 
 def test_repair_exhausts_attempts(fixture_store, ledger):
     backend = make_scripted_backend([
+        ScriptEntry("tool_builder", BAD_FIELD_PLAN),
         ScriptEntry("tool_repair", BAD_FIELD_PLAN, repeat=True),
     ])
-    spec = _draft(COUNT_PLAN)
-    spec.plan = None
-    with pytest.raises(ToolIrreparable):
-        repair_tool(spec, ["bad"], backend, fixture_store, _count_cases(),
-                    max_attempts=3, ledger=ledger, subtask=LOGON_SUBTASK)
-    # exactly three repair prompts were issued
-    assert sum(1 for r in ledger.records() if r.stage == "tool-repair") == 3
-
-
-def test_repair_rejects_tested_spec(fixture_store, ledger):
-    backend = make_scripted_backend([])
-    spec = _draft(COUNT_PLAN)
-    unit_test_tool(spec, fixture_store, _count_cases())
-    with pytest.raises(LifecycleError):
-        repair_tool(spec, ["x"], backend, fixture_store, _count_cases(), ledger=ledger)
+    outcome = _build(backend, fixture_store, ledger, max_repair_attempts=2)
+    # exactly two repair prompts were issued, then the built-in took over
+    assert _repairs(ledger) == 2
+    assert outcome.used_builtin
+    assert outcome.error == (
+        "ToolIrreparable: tool 'logon-baseline-tool' still failing after 2 repair attempts"
+    )
 
 
 # --- decoration ---
@@ -270,6 +308,19 @@ def test_build_tool_falls_back_to_builtin(fixture_store, ledger):
     assert outcome.spec.subtask_id == "logon-baseline"
     assert outcome.spec.status == "decorated"
     assert outcome.error is not None
+    # The built-in passes the configured cases, so it records them.
+    assert outcome.spec.test_cases == tuple(_count_cases())
+
+
+def test_builtin_fallback_records_no_case_it_fails(fixture_store, ledger):
+    backend = make_scripted_backend([ScriptEntry("tool_builder", BAD_FIELD_PLAN)])
+    cases = _count_cases() + [
+        ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 5}),
+    ]
+    outcome = _build(backend, fixture_store, ledger, cases)
+    assert outcome.used_builtin
+    assert outcome.error.startswith("ScriptExhausted: ")
+    assert outcome.spec.test_cases == ()
 
 
 def test_build_tool_falls_back_when_the_backend_fails(fixture_store, ledger):

@@ -6,6 +6,7 @@ change that means to alter them updates the pins and says why."""
 from __future__ import annotations
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
@@ -18,6 +19,21 @@ FORGE = {
     "registry.json": "903022c09ae00acf",
     "costs-forge.jsonl": "f31a6203f02fc5a6",
 }
+
+# The demo with one tool repaired and one irreparable: the logon check's draft
+# counts Logoff, so it parses but fails its unit tests, and its first repair
+# passes. The device check's draft and first repair do not parse, and the
+# later repairs count over all days and fail, so it takes the built-in.
+REPAIR_FORGE = {
+    "registry.json": "70871245eb71fa3b",
+    "costs-forge.jsonl": "24dc487238854629",
+    "manifest-forge.json": "22fd8d19e362275b",
+}
+
+LOGOFF_PLAN = ("select activity=Logoff user={user}\ngroup_by key=user_day\n"
+               "aggregate func=count\nbaseline_compare statistic=mean k_sigma=2.0")
+LOGON_PLAN = LOGOFF_PLAN.replace("Logoff", "Logon")
+ALL_DAYS_DEVICE_PLAN = "select activity=DeviceConnect user={user}\naggregate func=count"
 
 # variant -> (conclusions.json, costs-detect.jsonl, transcripts digest)
 DETECT = {
@@ -56,6 +72,21 @@ def demo(tmp_path_factory) -> tuple[Path, Path]:
     return config, root / "out"
 
 
+def _repair_script(script: list[dict]) -> list[dict]:
+    for item in script:
+        if item["when"] == ["[stage: tool-draft]", "daily logon count"]:
+            item["response"] = LOGOFF_PLAN
+        elif item["when"] == ["[stage: tool-draft]", "daily removable device"]:
+            item["response"] = "count the device connections per day"
+    return script + [
+        {"when": ["[stage: tool-repair]", "daily logon count"], "response": LOGON_PLAN},
+        {"when": ["[stage: tool-repair]", "daily removable device"],
+         "response": "aggregate func=count"},
+        {"when": ["[stage: tool-repair]", "daily removable device"],
+         "response": ALL_DAYS_DEVICE_PLAN, "repeat": True},
+    ]
+
+
 def test_forge_outputs_are_golden(demo):
     _config, out = demo
     assert {name: _digest(out / name) for name in FORGE} == FORGE
@@ -72,3 +103,14 @@ def test_detect_outputs_are_golden(demo, variant):
         _transcripts_digest(out / "transcripts"),
     )
     assert outputs == DETECT[variant]
+
+
+def test_forge_repair_outputs_are_golden(tmp_path):
+    generate_demo(tmp_path)
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(_repair_script(json.loads(script_path.read_text()))))
+    config = tmp_path / "config.json"
+    for phase in ("ingest", "forge"):
+        assert cli_main([phase, "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert {name: _digest(out / name) for name in REPAIR_FORGE} == REPAIR_FORGE

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from conftest import evaluate_detection, simple_subtasks
+from logaudit import executor
 from logaudit.bench import run_variant
 from logaudit.cli import main as cli_main
 from logaudit.config import build_backend, load_config, load_lists, load_templates
@@ -73,6 +74,22 @@ def test_one_shot_variant_still_catches_insiders(bundle):
     stages = {r.stage for r in ledger.records()}
     assert "one-shot" in stages
     assert "subtask" not in stages
+
+
+@pytest.mark.parametrize("variant", ["original", "no_cot", "no_decomp"])
+def test_each_tool_runs_once_per_user_and_params(bundle, monkeypatch, variant):
+    # Both executors read the same tool outcomes, so no (tool, params) pair
+    # is invoked twice.
+    calls = []
+    real = executor.invoke
+
+    def counting(spec, params, *args):
+        calls.append((spec.name, tuple(sorted(params.items()))))
+        return real(spec, params, *args)
+
+    monkeypatch.setattr(executor, "invoke", counting)
+    _run(bundle, variant)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_no_decomp_single_generic_check(bundle):

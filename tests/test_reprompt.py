@@ -10,7 +10,7 @@ from logaudit.debate import merge_conclusion, rebut
 from logaudit.errors import ResponseUnparseable
 from logaudit.executor import TOOL_UNAVAILABLE, ExecutorResultSet, SubTaskResult, run_subtask
 from logaudit.gateway import ScriptEntry, make_scripted_backend
-from logaudit.pipeline import DetectContext, _one_shot_set, _vanilla_conclusion
+from logaudit.pipeline import DetectContext, _one_shot_findings, _one_shot_set, _vanilla_conclusion
 
 GARBLED = "mumble"
 DECISION = "Basis of Judgment: parsed on the second try\nFlagged: WEB-1\nDecision: Malicious"
@@ -54,7 +54,9 @@ def _context(backend, store, ledger) -> DetectContext:
 
 
 def _one_shot(backend, store, ledger):
-    return _one_shot_set(_context(backend, store, ledger), "executor_a", store.users["UX"], 1)
+    ctx = _context(backend, store, ledger)
+    user = store.users["UX"]
+    return _one_shot_set(ctx, "executor_a", user, 1, _one_shot_findings(ctx, user))
 
 
 def _vanilla(backend, store, ledger):

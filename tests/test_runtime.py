@@ -216,11 +216,9 @@ def test_invoke_matches_naive_oracle_on_counts(burst_store):
     plan = parse_plan("select activity=Logon user={user} day={day}\naggregate func=count")
     from logaudit.forge import ToolSpec
     from logaudit.plans import free_params
-    from logaudit.runtime import default_output_template
 
     spec = ToolSpec(name="t", subtask_id="s", plan=plan, params=free_params(plan),
-                    output_template=default_output_template(plan), status="decorated",
-                    doc="count logons")
+                    status="decorated", doc="count logons")
     params = {"user": "UX", "day": "2024-01-05"}
     mine = invoke(spec, params, burst_store)
     theirs = naive_plan_eval(burst_store, plan, params)
