@@ -118,6 +118,12 @@ def _typed(path: Path, key: str, value: object, kind: type) -> object:
     return float(value) if kind is float else value
 
 
+def _mapping(path: Path, key: str, value: object) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{path}: {key} must be a mapping, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -166,21 +172,27 @@ def load_config(path: str | Path) -> RunConfig:
     })
 
     lists = {}
-    for name, item in (doc.get("lists") or {}).items():
+    for name, item in _mapping(path, "lists", doc.get("lists") or {}).items():
+        item = _mapping(path, f"lists.{name}", item)
         list_kind = item.get("kind", "")
         if list_kind not in LIST_KINDS:
             raise ConfigInvalid(f"{path}: list {name!r} kind must be one of {LIST_KINDS}")
-        lists[name] = ListConfig(kind=list_kind, path=item["path"])
+        list_path = _typed(path, f"lists.{name}.path", item.get("path"), str)
+        lists[name] = ListConfig(kind=list_kind, path=list_path)
 
     tool_tests: dict[str, list[ToolTestCase]] = {}
-    for subtask_id, cases in (doc.get("tool_tests") or {}).items():
-        tool_tests[subtask_id] = [
-            ToolTestCase(
-                params={str(k): str(v) for k, v in case.get("params", {}).items()},
-                expected=dict(case.get("expected", {})),
-            )
-            for case in cases
-        ]
+    for subtask_id, cases in _mapping(path, "tool_tests", doc.get("tool_tests") or {}).items():
+        if not isinstance(cases, list):
+            raise ConfigInvalid(f"{path}: tool_tests.{subtask_id} must be a list, got {cases!r}")
+        tool_tests[subtask_id] = []
+        for n, case in enumerate(cases):
+            key = f"tool_tests.{subtask_id}[{n}]"
+            case = _mapping(path, key, case)
+            params = _mapping(path, f"{key}.params", case.get("params", {}))
+            tool_tests[subtask_id].append(ToolTestCase(
+                params={str(k): str(v) for k, v in params.items()},
+                expected=dict(_mapping(path, f"{key}.expected", case.get("expected", {}))),
+            ))
 
     templates = {str(k): str(v) for k, v in (doc.get("templates") or {}).items()}
     unknown_templates = set(templates) - set(DEFAULT_TEMPLATES)

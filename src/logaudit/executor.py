@@ -243,16 +243,40 @@ def render_excerpt(entries: Sequence[LogEntry], budget: int) -> str:
     return "\n".join(lines) if lines else "  (none)"
 
 
-def _excerpt_entries(user: UserSequence, subtask: SubTask, focus: date | None, budget: int) -> list[LogEntry]:
+def _excerpt_entries(user: UserSequence, subtask: SubTask, focus: date, budget: int) -> list[LogEntry]:
     relevant = [e for e in user.entries if e.activity in subtask.activity_types]
     if len(relevant) <= budget:
         return relevant
     # Keep the audited day in view, then fill with the most recent entries.
-    on_focus = [e for e in relevant if e.day == focus] if focus else []
-    rest = [e for e in relevant if e not in on_focus]
+    on_focus = [e for e in relevant if e.day == focus]
+    rest = [e for e in relevant if e.day != focus]
     fill = rest[-(budget - len(on_focus)):] if budget > len(on_focus) else []
     picked = sorted(on_focus[:budget] + fill, key=lambda e: e.timestamp)
     return picked
+
+
+@dataclass(frozen=True)
+class PreparedCheck:
+    """One check as both executors see it for one user: the focus day (None
+    when the user has no activity of the check's types), the tool outcome
+    (rendered output and result) and the rendered activity excerpt."""
+
+    subtask: SubTask
+    focus: date | None
+    tool: tuple[str, ToolResult | None]
+    excerpt_count: int = 0
+    excerpt: str = ""
+
+
+def prepare_check(
+    subtask: SubTask, user: UserSequence, focus: date | None,
+    tool: tuple[str, ToolResult | None], budget: int,
+) -> PreparedCheck:
+    """Render the check's excerpt once, for both executors."""
+    if focus is None:
+        return PreparedCheck(subtask, None, tool)
+    entries = _excerpt_entries(user, subtask, focus, budget)
+    return PreparedCheck(subtask, focus, tool, len(entries), render_excerpt(entries, budget))
 
 
 def _parse_subtask_reply(text: str) -> tuple[str, bool, list[str]] | None:
@@ -302,19 +326,17 @@ def bind_and_invoke(
 
 def run_subtask(
     executor_id: str,
-    subtask: SubTask,
-    tool: tuple[str, ToolResult | None],
+    check: PreparedCheck,
     user: UserSequence,
     backend: Backend,
     *,
-    excerpt_budget: int = DEFAULT_EXCERPT_BUDGET,
     ledger: CostLedger,
     rates: RateTable | None = None,
     template: PromptTemplate = EXECUTOR_SUBTASK,
     seed_hint: int | None = None,
 ) -> SubTaskResult:
-    """Ask the backend to judge one check from the tool's outcome (its
-    rendered output and result) and the user's entries, and parse the reply.
+    """Ask the backend to judge one prepared check from the tool's outcome
+    and the user's excerpt, and parse the reply.
 
     Checks whose activity types are absent from the user's sequence are not
     sent to the backend at all: they report "no activity" and can never flag
@@ -322,9 +344,9 @@ def run_subtask(
     entries; when a suspicious judgment names no valid ids, the tool's own
     evidence is used instead.
     """
-    focus = select_focus_day(user, subtask)
-    rendered, tool_result = tool
-    if focus is None:
+    subtask = check.subtask
+    rendered, tool_result = check.tool
+    if check.focus is None:
         # Vacuous check: nothing of these types to audit for this user.
         return SubTaskResult(
             subtask_id=subtask.id,
@@ -334,15 +356,14 @@ def run_subtask(
             suspicious=False,
         )
 
-    excerpt = _excerpt_entries(user, subtask, focus, excerpt_budget)
     signal = tool_result.verdict_hint if tool_result is not None else None
     variables = {
         "user": user.user,
         "subtask_description": subtask.description,
         "tool_output": rendered,
         "tool_signal": signal or "none",
-        "excerpt_count": len(excerpt),
-        "activity_excerpt": render_excerpt(excerpt, excerpt_budget),
+        "excerpt_count": check.excerpt_count,
+        "activity_excerpt": check.excerpt,
     }
 
     parsed = ask(

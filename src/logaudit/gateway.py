@@ -141,9 +141,13 @@ class ScriptEntry:
     response: str
     repeat: bool = False
 
-    def matches(self, request: ChatRequest) -> bool:
-        parts = [self.when] if isinstance(self.when, str) else list(self.when)
-        return all(p == request.template_name or p in request.prompt for p in parts)
+    @property
+    def parts(self) -> tuple[str, ...]:
+        return (self.when,) if isinstance(self.when, str) else tuple(self.when)
+
+
+def _part_matches(part: str, request: ChatRequest) -> bool:
+    return part == request.template_name or part in request.prompt
 
 
 class ScriptedBackend:
@@ -151,21 +155,40 @@ class ScriptedBackend:
 
     Each call consumes the first unconsumed matching entry. Token counts are
     whitespace-token counts of the prompt and response.
+
+    Entries are grouped by their first ``when`` part (None for an empty
+    ``when``), so a call tests each distinct first part once and scans only
+    the groups it matches.
     """
 
     def __init__(self, entries: Sequence[ScriptEntry], name: str = "scripted") -> None:
         self.name = name
         self._entries = list(entries)
-        self._consumed: set[int] = set()
+        self._rest = [entry.parts[1:] for entry in self._entries]
+        # Unconsumed script positions per first part, ascending.
+        self._groups: dict[str | None, list[int]] = {}
+        for idx, entry in enumerate(self._entries):
+            parts = entry.parts
+            self._groups.setdefault(parts[0] if parts else None, []).append(idx)
         self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> Completion:
         with self._lock:
-            for idx, entry in enumerate(self._entries):
-                if idx in self._consumed or not entry.matches(request):
+            best: tuple[int, list[int]] | None = None
+            for first, group in self._groups.items():
+                if first is not None and not _part_matches(first, request):
                     continue
+                for idx in group:
+                    if best is not None and idx > best[0]:
+                        break
+                    if all(_part_matches(p, request) for p in self._rest[idx]):
+                        best = (idx, group)
+                        break
+            if best is not None:
+                idx, group = best
+                entry = self._entries[idx]
                 if not entry.repeat:
-                    self._consumed.add(idx)
+                    group.remove(idx)
                 return Completion(
                     text=entry.response,
                     prompt_tokens=whitespace_tokens(request.prompt),

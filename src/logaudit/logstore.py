@@ -112,13 +112,6 @@ class UserSequence:
 
     user: str
     entries: list[LogEntry]
-    day_spans: dict[date, tuple[int, int]] = field(default_factory=dict)
-
-    def entries_on(self, day: date) -> list[LogEntry]:
-        span = self.day_spans.get(day)
-        if span is None:
-            return []
-        return self.entries[span[0]:span[1]]
 
     def day_range(self) -> tuple[date, date] | None:
         if not self.entries:
@@ -132,6 +125,9 @@ class LogStore:
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
         self.users: dict[str, UserSequence] = {}
+        # Store positions per (user, activity), ascending; built at seal.
+        # Host-only entries are indexed under the empty user.
+        self.index: dict[tuple[str, ActivityType], list[int]] = {}
         self.labels: dict[str, str] = {}
         self.source_manifest: list[SourceFile] = []
         self._by_id: dict[str, LogEntry] = {}
@@ -173,6 +169,16 @@ class LogStore:
 
     def entry(self, entry_id: str) -> LogEntry:
         return self._by_id[entry_id]
+
+    def entries_of(
+        self, users: Iterable[str], activities: Iterable[ActivityType]
+    ) -> list[LogEntry]:
+        """The sealed store's entries of any of the users and activity
+        types, in store order, read from the seal's index."""
+        keys = [(user, activity) for user in set(users) for activity in set(activities)]
+        lists = [self.index[key] for key in keys if key in self.index]
+        positions = lists[0] if len(lists) == 1 else sorted(i for part in lists for i in part)
+        return [self.entries[i] for i in positions]
 
     def activity_types(self) -> set[ActivityType]:
         return {e.activity for e in self.entries}
@@ -460,26 +466,24 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
 # ---------------------------------------------------------------------------
 
 def build_user_sequences(store: LogStore) -> LogStore:
-    """Populate per-user sequences and seal the store.
+    """Populate per-user sequences and the (user, activity) index, and seal
+    the store.
 
     The sort is stable: entries with equal timestamps keep ingest order.
-    Entries without a user (host-only records) stay in the store but are not
-    attributed to any sequence.
+    Entries without a user (host-only records) stay in the store and in the
+    index but are not attributed to any sequence.
     """
     grouped: dict[str, list[LogEntry]] = {}
-    for entry in store.entries:
+    index: dict[tuple[str, ActivityType], list[int]] = {}
+    for position, entry in enumerate(store.entries):
+        index.setdefault((entry.user, entry.activity), []).append(position)
         if entry.user:
             grouped.setdefault(entry.user, []).append(entry)
-    store.users = {}
-    for user, entries in grouped.items():
-        ordered = sorted(entries, key=lambda e: e.timestamp)
-        day_spans: dict[date, tuple[int, int]] = {}
-        start = 0
-        for idx in range(1, len(ordered) + 1):
-            if idx == len(ordered) or ordered[idx].day != ordered[start].day:
-                day_spans[ordered[start].day] = (start, idx)
-                start = idx
-        store.users[user] = UserSequence(user=user, entries=ordered, day_spans=day_spans)
+    store.users = {
+        user: UserSequence(user=user, entries=sorted(entries, key=lambda e: e.timestamp))
+        for user, entries in grouped.items()
+    }
+    store.index = index
     store._sealed = True
     return store
 

@@ -34,12 +34,14 @@ from .executor import (
     DEFAULT_EXCERPT_BUDGET,
     TOOL_UNAVAILABLE,
     ExecutorResultSet,
+    PreparedCheck,
     SubTaskResult,
     ask,
     bind_and_invoke,
     busiest_day,
     parse_decision_reply,
     pin_to_evidence,
+    prepare_check,
     render_excerpt,
     run_subtask,
     select_focus_day,
@@ -181,15 +183,16 @@ def context_from_config(config: RunConfig, ledger: CostLedger, variant: str) -> 
 # Variant building blocks
 # ---------------------------------------------------------------------------
 
-def _check_tool(
-    ctx: DetectContext, subtask: SubTask, user: UserSequence
-) -> tuple[str, ToolResult | None]:
-    """The check's tool outcome, with the day bound to the user's busiest
-    day for the check's activity types."""
+def _prepared_check(ctx: DetectContext, subtask: SubTask, user: UserSequence) -> PreparedCheck:
+    """The check for this user, focused on the user's busiest day for the
+    check's activity types, with its tool's day bound to that focus day."""
+    focus = select_focus_day(user, subtask)
     spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
     if spec is None:
-        return TOOL_UNAVAILABLE, None
-    return bind_and_invoke(spec, user, select_focus_day(user, subtask), ctx.store, ctx.lists)
+        tool: tuple[str, ToolResult | None] = (TOOL_UNAVAILABLE, None)
+    else:
+        tool = bind_and_invoke(spec, user, focus, ctx.store, ctx.lists)
+    return prepare_check(subtask, user, focus, tool, ctx.excerpt_budget)
 
 
 def _invoke_for_user(
@@ -358,21 +361,23 @@ def detect_user(
         )
     else:
         # Lines 2-3: each executor works through every check independently,
-        # on the same tool outcomes; its opening verdict is the fold of its
+        # on the same prepared checks; its opening verdict is the fold of its
         # own evidence.
         if variant.use_decomposition:
-            checks = [(s, _check_tool(ctx, s, user)) for s in ctx.subtasks.subtasks]
+            checks = [_prepared_check(ctx, s, user) for s in ctx.subtasks.subtasks]
         else:
+            generic = _generic_subtask(ctx)
             tool = _combined_tool_result(ctx, user) if variant.use_tools else (TOOL_UNAVAILABLE, None)
-            checks = [(_generic_subtask(ctx), tool)]
+            focus = select_focus_day(user, generic)
+            checks = [prepare_check(generic, user, focus, tool, ctx.excerpt_budget)]
         a0, b0 = (
             synthesize(executor_id, [
                 run_subtask(
-                    executor_id, subtask, tool, user, ctx.backend,
-                    excerpt_budget=ctx.excerpt_budget, ledger=ctx.ledger, rates=ctx.rates,
+                    executor_id, check, user, ctx.backend,
+                    ledger=ctx.ledger, rates=ctx.rates,
                     template=ctx.templates["executor_subtask"], seed_hint=seed,
                 )
-                for subtask, tool in checks
+                for check in checks
             ])
             for executor_id, seed in seats
         )

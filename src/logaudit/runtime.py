@@ -189,19 +189,28 @@ def _bind(raw: str | None, params: Mapping[str, str], *, required_by: str) -> st
 
 
 def select_entries(store: LogStore, select: SelectStage, params: Mapping[str, str]) -> list[LogEntry]:
+    """The select stage's entries, in store order. A user-bound select on a
+    sealed store reads the seal's (user, activity) index; an unbound one
+    scans. A user value may be a comma list of user ids."""
     wanted = set(select.activity_types)
     user = _bind(select.user, params, required_by="select")
     day = _bind(select.day, params, required_by="select")
     day_from = _bind(select.day_from, params, required_by="select")
     day_to = _bind(select.day_to, params, required_by="select")
-    users = set(u.strip() for u in user.split(",")) if user else None
+
+    users = {u.strip() for u in user.split(",")} if user is not None else None
+    if users is not None and store.sealed:
+        candidates = store.entries_of(users, wanted)
+    else:
+        candidates = [
+            e for e in store.entries
+            if e.activity in wanted and (users is None or e.user in users)
+        ]
+    if day is None and day_from is None and day_to is None:
+        return candidates
 
     picked = []
-    for entry in store.entries:
-        if entry.activity not in wanted:
-            continue
-        if users is not None and entry.user not in users:
-            continue
+    for entry in candidates:
         iso = entry.day.isoformat()
         if day is not None and iso != day:
             continue

@@ -203,6 +203,27 @@ def naive_plan_eval(store: LogStore, plan: QueryPlan, params: dict, lists=None) 
     return values
 
 
+class NaiveScript:
+    """Linear first-match replay of a script: each request takes the first
+    unconsumed entry whose every ``when`` part equals the template name or
+    occurs in the prompt; ``None`` when no entry matches."""
+
+    def __init__(self, entries) -> None:
+        self.entries = list(entries)
+        self.used: set[int] = set()
+
+    def complete(self, template_name: str, prompt: str) -> str | None:
+        for i, e in enumerate(self.entries):
+            if i in self.used:
+                continue
+            parts = [e.when] if isinstance(e.when, str) else list(e.when)
+            if all(p == template_name or p in prompt for p in parts):
+                if not e.repeat:
+                    self.used.add(i)
+                return e.response
+        return None
+
+
 def naive_metrics(tp: int, fp: int, fn: int, tn: int):
     """Direct formula transcription; None on zero denominators."""
     total = tp + fp + fn + tn

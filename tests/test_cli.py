@@ -180,6 +180,21 @@ def test_mistyped_config_value_rejected(tmp_path, capsys, bad):
     assert err.startswith("ConfigInvalid:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", [
+    {"lists": {"x": {"kind": "keyword"}}},
+    {"tool_tests": {"a": ["x"]}},
+], ids=["list-without-path", "test-case-not-a-mapping"])
+def test_malformed_config_entry_rejected(tmp_path, capsys, bad):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dataset": {"kind": "cert"},
+                                       "backend": {"type": "scripted", "script": "s.json"},
+                                       **bad}))
+    code = main(["ingest", "--config", str(config_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigInvalid:") and err.count("\n") == 1
+
+
 def test_variant_flag_overrides_config(demo: Path, completed_run: Path, tmp_path):
     config_doc = json.loads((demo / "config.json").read_text())
     config_doc["store_path"] = str(completed_run / "out" / "store.json")

@@ -6,12 +6,14 @@ from conftest import simple_subtasks
 from logaudit.decomposer import SubTask
 from logaudit.errors import MissingDecision, ResponseUnparseable
 from logaudit.executor import (
+    DEFAULT_EXCERPT_BUDGET,
     TOOL_UNAVAILABLE,
     ExecutorResultSet,
     SubTaskResult,
     apply_evidence_check,
     bind_and_invoke,
     parse_structured_response,
+    prepare_check,
     render_result_set,
     run_subtask,
     select_focus_day,
@@ -30,6 +32,10 @@ LISTS = {
 }
 
 NO_TOOL = (TOOL_UNAVAILABLE, None)
+
+
+def _check(subtask, user, tool=NO_TOOL, budget=DEFAULT_EXCERPT_BUDGET):
+    return prepare_check(subtask, user, select_focus_day(user, subtask), tool, budget)
 
 KEYLOG_STYLE_RESPONSE = """\
 Logon: Logs in 4 times, above average.
@@ -125,7 +131,7 @@ def test_run_subtask_burst_flags_tool_evidence(burst_store, ledger):
     ])
     user = burst_store.users["UX"]
     tool = bind_and_invoke(spec, user, select_focus_day(user, subtask), burst_store, LISTS)
-    result = run_subtask("executor_a", subtask, tool, user, backend, ledger=ledger)
+    result = run_subtask("executor_a", _check(subtask, user, tool), user, backend, ledger=ledger)
     assert result.suspicious
     assert result.finding == "Logs in 4 times, above average."
     assert len(result.flagged) == 4  # the audited day's logons, from tool evidence
@@ -137,7 +143,7 @@ def test_run_subtask_no_activity_skips_backend(burst_store, ledger):
     backend = make_scripted_backend([])  # any call would raise ScriptExhausted
     user = burst_store.users["UX"]
     tool = bind_and_invoke(builtin_tools()["email_keywords"], user, None, burst_store, LISTS)
-    result = run_subtask("executor_a", subtask, tool, user, backend, ledger=ledger)
+    result = run_subtask("executor_a", _check(subtask, user, tool), user, backend, ledger=ledger)
     assert not result.suspicious
     assert result.flagged == frozenset()
     assert "no activity" in result.finding
@@ -150,8 +156,8 @@ def test_run_subtask_unparseable_twice(burst_store, ledger):
         ScriptEntry("[stage: subtask]", "shrug", repeat=True),
     ])
     with pytest.raises(ResponseUnparseable):
-        run_subtask("executor_a", subtask, NO_TOOL, burst_store.users["UX"],
-                    backend, ledger=ledger)
+        run_subtask("executor_a", _check(subtask, burst_store.users["UX"]),
+                    burst_store.users["UX"], backend, ledger=ledger)
     assert len(ledger) == 2  # first try plus one re-prompt
 
 
@@ -161,8 +167,8 @@ def test_run_subtask_reprompt_recovers(burst_store, ledger):
         ScriptEntry("[stage: subtask]", "shrug"),
         ScriptEntry("[stage: subtask]", "Finding: ok\nSuspicious: no"),
     ])
-    result = run_subtask("executor_a", subtask, NO_TOOL, burst_store.users["UX"],
-                         backend, ledger=ledger)
+    result = run_subtask("executor_a", _check(subtask, burst_store.users["UX"]),
+                         burst_store.users["UX"], backend, ledger=ledger)
     assert result.finding == "ok"
     assert len(ledger) == 2
     assert ledger.records()[1].note.endswith("reprompt")
@@ -174,8 +180,8 @@ def test_run_subtask_drops_foreign_flagged_ids(burst_store, ledger):
         ScriptEntry("[stage: subtask]",
                     "Finding: bad\nSuspicious: yes\nFlagged: YUY-001, XUX-001"),
     ])
-    result = run_subtask("executor_a", subtask, NO_TOOL, burst_store.users["UX"],
-                         backend, ledger=ledger)
+    result = run_subtask("executor_a", _check(subtask, burst_store.users["UX"]),
+                         burst_store.users["UX"], backend, ledger=ledger)
     # YUY-001 belongs to user UY and is discarded; XUX-001 is UX's own entry.
     assert result.flagged == frozenset({"XUX-001"})
 
@@ -193,8 +199,8 @@ def test_run_subtask_excerpt_budget(burst_store, ledger):
 
             return Completion("Finding: ok\nSuspicious: no", 1, 1, 0.0)
 
-    run_subtask("executor_a", subtask, NO_TOOL, burst_store.users["UX"],
-                SpyBackend(), excerpt_budget=3, ledger=ledger)
+    user = burst_store.users["UX"]
+    run_subtask("executor_a", _check(subtask, user, budget=3), user, SpyBackend(), ledger=ledger)
     excerpt_lines = [l for l in captured["prompt"].splitlines() if l.startswith("  X")]
     assert len(excerpt_lines) == 3
     # The audited (peak) day stays in view under a tight budget.

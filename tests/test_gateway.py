@@ -26,6 +26,7 @@ from logaudit.gateway import (
     cost_report,
     make_scripted_backend,
 )
+from oracles import NaiveScript
 
 TEMPLATE = PromptTemplate.from_text("executor_subtask", "audit {user} for {subtask}")
 
@@ -69,6 +70,39 @@ def test_scripted_repeat_entry():
     backend = make_scripted_backend([ScriptEntry("executor_subtask", "ok", repeat=True)])
     for _ in range(5):
         assert backend.complete(_request()).text == "ok"
+
+
+_PARTS = ("tpl_a", "tpl_b", "alpha", "beta", "gamma", "[stage: x]")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    script=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_PARTS),
+                      st.lists(st.sampled_from(_PARTS), max_size=3)),
+            st.booleans(),
+        ),
+        max_size=12,
+    ),
+    requests=st.lists(
+        st.tuples(st.sampled_from(("tpl_a", "tpl_b")),
+                  st.lists(st.sampled_from(_PARTS[2:]), max_size=4)),
+        max_size=15,
+    ),
+)
+def test_scripted_backend_matches_linear_first_match(script, requests):
+    entries = [ScriptEntry(when, f"r{i}", repeat=repeat) for i, (when, repeat) in enumerate(script)]
+    backend = make_scripted_backend(entries)
+    oracle = NaiveScript(entries)
+    for name, words in requests:
+        prompt = " ".join(words)
+        expected = oracle.complete(name, prompt)
+        if expected is None:
+            with pytest.raises(ScriptExhausted):
+                backend.complete(_request(prompt=prompt, name=name))
+        else:
+            assert backend.complete(_request(prompt=prompt, name=name)).text == expected
 
 
 def test_scripted_whitespace_token_counts():

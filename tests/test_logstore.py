@@ -211,19 +211,21 @@ def test_sequences_match_single_pass_counter_oracle():
         assert times == sorted(times)
 
 
-def test_day_spans_cover_sequences():
-    store = seal(logon_entries := logon_series_for_span())
-    seq = store.users["u"]
-    covered = sum(hi - lo for lo, hi in seq.day_spans.values())
-    assert covered == len(seq.entries) == len(logon_entries)
-
-
-def logon_series_for_span():
-    entries = []
-    for d in range(3):
-        for j in range(d + 1):
-            entries.append(entry(f"S{d}{j}", "u", ActivityType.LOGON, day_offset=d, hour=8 + j))
-    return entries
+def test_seal_index_holds_every_entry_once():
+    rng = random.Random(7)
+    types = [ActivityType.LOGON, ActivityType.HTTP_VISIT, ActivityType.ZEEK_NETWORK]
+    store = seal([
+        entry(f"X{i:03d}", rng.choice(["u1", "u2", ""]), rng.choice(types),
+              day_offset=rng.randrange(5), hour=rng.randrange(24))
+        for i in range(300)
+    ])
+    positions = sorted(i for part in store.index.values() for i in part)
+    assert positions == list(range(len(store.entries)))
+    for (user, activity), part in store.index.items():
+        assert part == sorted(part)
+        assert all((store.entries[i].user, store.entries[i].activity) == (user, activity)
+                   for i in part)
+    assert any(user == "" for user, _ in store.index)  # host-only entries are indexed
 
 
 def test_sealed_store_rejects_mutation():

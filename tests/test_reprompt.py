@@ -8,7 +8,15 @@ import pytest
 from conftest import simple_subtasks
 from logaudit.debate import merge_conclusion, rebut
 from logaudit.errors import ResponseUnparseable
-from logaudit.executor import TOOL_UNAVAILABLE, ExecutorResultSet, SubTaskResult, run_subtask
+from logaudit.executor import (
+    DEFAULT_EXCERPT_BUDGET,
+    TOOL_UNAVAILABLE,
+    ExecutorResultSet,
+    SubTaskResult,
+    prepare_check,
+    run_subtask,
+    select_focus_day,
+)
 from logaudit.gateway import ScriptEntry, make_scripted_backend
 from logaudit.pipeline import DetectContext, _one_shot_findings, _one_shot_set, _vanilla_conclusion
 
@@ -32,8 +40,10 @@ def _sets() -> tuple[ExecutorResultSet, ExecutorResultSet]:
 
 
 def _subtask(backend, store, ledger):
-    return run_subtask("executor_a", WEBSITE_CHECK, (TOOL_UNAVAILABLE, None), store.users["UX"],
-                       backend, ledger=ledger, seed_hint=1)
+    user = store.users["UX"]
+    check = prepare_check(WEBSITE_CHECK, user, select_focus_day(user, WEBSITE_CHECK),
+                          (TOOL_UNAVAILABLE, None), DEFAULT_EXCERPT_BUDGET)
+    return run_subtask("executor_a", check, user, backend, ledger=ledger, seed_hint=1)
 
 
 def _rebuttal(backend, store, ledger):

@@ -3,19 +3,23 @@ from __future__ import annotations
 from datetime import date
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import entry, seal
+from logaudit.logstore import LogStore
 from logaudit.errors import InsufficientHistory, MalformedUrl, ParamMissing, UnknownList
 from logaudit.forge import builtin_tools
 from logaudit.logstore import ActivityType
-from logaudit.plans import parse_plan
+from logaudit.plans import SelectStage, parse_plan
 from logaudit.runtime import (
     ListDef,
     daily_counts,
     extract_domain,
     invoke,
+    select_entries,
 )
-from oracles import naive_plan_eval
+from oracles import naive_plan_eval, naive_select
 
 DENY = ListDef("untrusted_domains", "domain_deny", frozenset({"wikileaks.org"}))
 KEYWORDS = ListDef("disgruntled_keywords", "keyword", frozenset({"resign", "unfair"}))
@@ -223,3 +227,48 @@ def test_invoke_matches_naive_oracle_on_counts(burst_store):
     mine = invoke(spec, params, burst_store)
     theirs = naive_plan_eval(burst_store, plan, params)
     assert mine.values["n"] == theirs["n"] == 4
+
+
+# --- select: index-backed versus full scan ---
+
+_USERS = ("u1", "u2", "u3", "")
+_TYPES = (ActivityType.LOGON, ActivityType.HTTP_VISIT, ActivityType.FILE_OP)
+_DAYS = ("2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04", "{day}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(_USERS), st.sampled_from(_TYPES),
+                            st.integers(0, 3), st.integers(0, 23)), max_size=40),
+    sealed=st.booleans(),
+    types=st.lists(st.sampled_from(_TYPES), min_size=1, max_size=4),
+    user=st.one_of(
+        st.none(),
+        st.just("{user}"),
+        st.lists(st.sampled_from(("u1", "u2", "nobody", "", " u3 ")), min_size=1,
+                 max_size=3).map(",".join),
+    ),
+    user_param=st.lists(st.sampled_from(("u1", "u2", "u3", "nobody", "")), min_size=1,
+                        max_size=3).map(",".join),
+    day=st.one_of(st.none(), st.sampled_from(_DAYS)),
+    day_from=st.one_of(st.none(), st.sampled_from(_DAYS)),
+    day_to=st.one_of(st.none(), st.sampled_from(_DAYS)),
+    day_param=st.sampled_from(_DAYS[:-1]),
+)
+# A user bound to the empty string selects host-only entries, not everyone's.
+@example(rows=[("u1", ActivityType.LOGON, 0, 9), ("", ActivityType.LOGON, 0, 9)], sealed=True,
+         types=[ActivityType.LOGON], user="{user}", user_param="", day=None, day_from=None,
+         day_to=None, day_param="2024-01-01")
+def test_select_matches_naive_scan(rows, sealed, types, user, user_param,
+                                   day, day_from, day_to, day_param):
+    entries = [entry(f"E{i:02d}", u, t, day_offset=d, hour=h)
+               for i, (u, t, d, h) in enumerate(rows)]
+    if sealed:
+        store = seal(entries)
+    else:
+        store = LogStore()
+        store.add_entries(entries)
+    select = SelectStage(tuple(types), user=user, day=day, day_from=day_from, day_to=day_to)
+    params = {"user": user_param, "day": day_param}
+    got = select_entries(store, select, params)
+    assert [e.entry_id for e in got] == [e.entry_id for e in naive_select(store, select, params)]
