@@ -1,5 +1,5 @@
-"""Evaluation harness: the four detection metrics over labeled runs, the
-ablation variants, and report emission.
+"""Evaluation harness: the four detection metrics over labeled runs, and
+report emission.
 
 The positive class is malicious. Granularity is per user (a user is
 positive iff any of their entries is labeled malicious). Ratios with a zero
@@ -14,15 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .config import RunConfig
 from .errors import MissingLabel
-from .gateway import CostLedger, CostReport
+from .gateway import CostReport
 from .logstore import LABEL_MALICIOUS, LogStore
-from .pipeline import VARIANTS, context_from_config, detect_all
 
 logger = logging.getLogger(__name__)
-
-ABLATION_TAGS = tuple(VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -94,19 +90,6 @@ def evaluate(
 
 def user_labels(store: LogStore) -> dict[str, str]:
     return {user: store.user_label(user) for user in store.users}
-
-
-# ---------------------------------------------------------------------------
-# Variant runs
-# ---------------------------------------------------------------------------
-
-def run_variant(variant: str, config: RunConfig) -> MetricsReport:
-    """Config-driven variant run: the store, registry, lists, backend and
-    prompt templates a RunConfig describes, then detect and evaluate."""
-    ctx = context_from_config(config, CostLedger(), variant)
-    outcomes = detect_all(ctx, parallelism=config.parallelism)
-    predictions = {user: final for user, (final, _t) in outcomes.items()}
-    return evaluate(predictions, user_labels(ctx.store), variant)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .config import (
     load_templates,
     resolve_path,
 )
-from .debate import transcript_doc
+from .debate import conclusion_doc, transcript_doc
 from .decomposer import decompose, refine, validate_coverage
 from .errors import (
     AuditError,
@@ -145,14 +145,12 @@ def cmd_forge(config: RunConfig) -> int:
     lists = load_lists(config)
     backend = build_backend(config)
     templates = load_templates(config)
-    ledger = CostLedger()
+    ledger = CostLedger(config.rates)
 
     exemplars = sample_exemplars(store, k=config.exemplar_k, seed=config.seed_sampler)
-    subtasks = decompose(exemplars, backend, ledger=ledger, rates=config.rates,
-                         template=templates["decomposer"])
+    subtasks = decompose(exemplars, backend, ledger=ledger, template=templates["decomposer"])
     subtasks = refine(subtasks, backend, max_rounds=config.max_refine_rounds,
-                      ledger=ledger, rates=config.rates,
-                      template=templates["decomposer_refine"])
+                      ledger=ledger, template=templates["decomposer_refine"])
 
     coverage = validate_coverage(subtasks, store.activity_types())
     if not coverage.complete and not config.allow_partial_coverage:
@@ -171,7 +169,7 @@ def cmd_forge(config: RunConfig) -> int:
         cases = config.tool_tests.get(subtask.id, [])
         outcome = build_tool_for_subtask(
             subtask, examples, cases, store, backend,
-            lists=lists, ledger=ledger, rates=config.rates,
+            lists=lists, ledger=ledger,
             max_repair_attempts=config.max_repair_attempts, k_sigma=config.k_sigma,
             draft_template=templates["tool_builder"],
             repair_template=templates["tool_repair"],
@@ -201,7 +199,7 @@ def cmd_forge(config: RunConfig) -> int:
 
 
 def cmd_detect(config: RunConfig) -> int:
-    ledger = CostLedger()
+    ledger = CostLedger(config.rates)
     ctx = context_from_config(config, ledger, config.ablation)
     outcomes = detect_all(ctx, parallelism=config.parallelism)
 
@@ -209,14 +207,7 @@ def cmd_detect(config: RunConfig) -> int:
     transcripts_dir = outdir / "transcripts"
     users_doc = {}
     for user, (final, transcript) in sorted(outcomes.items()):
-        users_doc[user] = {
-            "verdict": final.verdict,
-            "anomalies": sorted(final.anomalies),
-            "basis": final.basis,
-            "rounds_used": final.rounds_used,
-            "consensus": final.consensus,
-            "correction": final.correction,
-        }
+        users_doc[user] = conclusion_doc(final)
         if transcript is not None:
             _write_json(transcripts_dir / f"{user}.json", transcript_doc(user, transcript))
     _write_json(outdir / "conclusions.json", {

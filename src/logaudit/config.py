@@ -97,13 +97,16 @@ class RunConfig:
 
 
 def _read_doc(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8")
     if path.suffix.lower() in (".yaml", ".yml"):
         import yaml
 
-        doc = yaml.safe_load(text)
+        load, unparseable = yaml.safe_load, yaml.YAMLError
     else:
-        doc = json.loads(text)
+        load, unparseable = json.loads, ValueError
+    try:
+        doc = load(path.read_text(encoding="utf-8"))
+    except unparseable as exc:
+        raise ConfigInvalid(f"{path}: unparseable config: {' '.join(str(exc).split())}") from exc
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"{path}: config root must be a mapping")
     return doc
@@ -134,21 +137,23 @@ def load_config(path: str | Path) -> RunConfig:
     if unknown:
         raise ConfigInvalid(f"{path}: unknown config keys {sorted(unknown)}")
 
-    dataset_doc = doc.get("dataset") or {}
+    dataset_doc = _mapping(path, "dataset", doc.get("dataset") or {})
     kind = dataset_doc.get("kind", "")
     if kind not in ("cert", "zeek"):
         raise ConfigInvalid(f"{path}: dataset.kind must be 'cert' or 'zeek', got {kind!r}")
+    labels = dataset_doc.get("labels")
     dataset = DatasetConfig(
         kind=kind,
-        paths={str(k): str(v) for k, v in (dataset_doc.get("paths") or {}).items()},
-        labels=dataset_doc.get("labels"),
+        paths={str(k): str(v) for k, v in
+               _mapping(path, "dataset.paths", dataset_doc.get("paths") or {}).items()},
+        labels=None if labels is None else _typed(path, "dataset.labels", labels, str),
     )
     if kind == "cert":
         bad = set(dataset.paths) - set(_CERT_SOURCES)
         if bad:
             raise ConfigInvalid(f"{path}: unknown CERT sources {sorted(bad)}")
 
-    backend_doc = doc.get("backend") or {}
+    backend_doc = _mapping(path, "backend", doc.get("backend") or {})
     backend_type = backend_doc.get("type", "")
     if backend_type not in ("scripted", "http"):
         raise ConfigInvalid(f"{path}: backend.type must be 'scripted' or 'http'")
@@ -165,7 +170,7 @@ def load_config(path: str | Path) -> RunConfig:
     if backend_type == "http" and not (backend.endpoint and backend.model):
         raise ConfigInvalid(f"{path}: http backend requires endpoint and model")
 
-    rates_doc = doc.get("rates") or {}
+    rates_doc = _mapping(path, "rates", doc.get("rates") or {})
     rates = RateTable(**{
         key: _typed(path, f"rates.{key}", rates_doc[key], float)
         for key in ("input_per_1k", "output_per_1k") if key in rates_doc
@@ -194,12 +199,13 @@ def load_config(path: str | Path) -> RunConfig:
                 expected=dict(_mapping(path, f"{key}.expected", case.get("expected", {}))),
             ))
 
-    templates = {str(k): str(v) for k, v in (doc.get("templates") or {}).items()}
+    templates = {str(k): str(v) for k, v in
+                 _mapping(path, "templates", doc.get("templates") or {}).items()}
     unknown_templates = set(templates) - set(DEFAULT_TEMPLATES)
     if unknown_templates:
         raise ConfigInvalid(f"{path}: unknown template names {sorted(unknown_templates)}")
 
-    seeds = doc.get("seeds") or {}
+    seeds = _mapping(path, "seeds", doc.get("seeds") or {})
     config = RunConfig(
         config_path=str(path),
         dataset=dataset,
@@ -260,24 +266,42 @@ def load_snapshot(config: RunConfig) -> LogStore:
 
 
 def load_script_file(path: str | Path) -> list[ScriptEntry]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigInvalid(f"{path}: unparseable script: {exc}") from exc
+    if not isinstance(doc, list):
+        raise ConfigInvalid(f"{path}: script must be a list of entries")
     entries = []
-    for item in doc:
+    for n, item in enumerate(doc):
+        item = _mapping(path, f"script[{n}]", item)
+        when = item.get("when")
+        if not isinstance(when, str) and not (
+            isinstance(when, list) and all(isinstance(part, str) for part in when)
+        ):
+            raise ConfigInvalid(f"{path}: script[{n}].when must be a string or a list of "
+                                f"strings, got {when!r}")
         entries.append(
             ScriptEntry(
-                when=item["when"] if isinstance(item["when"], str) else list(item["when"]),
-                response=item["response"],
+                when=when,
+                response=_typed(path, f"script[{n}].response", item.get("response"), str),
                 repeat=bool(item.get("repeat", False)),
             )
         )
     return entries
 
 
+def _existing_file(config: RunConfig, raw_path: str, what: str) -> Path:
+    path = resolve_path(config, raw_path)
+    if not path.is_file():
+        raise ConfigInvalid(f"{what} file not found: {path}")
+    return path
+
+
 def build_backend(config: RunConfig) -> Backend:
     if config.backend.type == "scripted":
-        script_path = resolve_path(config, config.backend.script or "")
-        if not script_path.exists():
-            raise ConfigInvalid(f"script file not found: {script_path}")
+        script_path = _existing_file(config, config.backend.script or "", "script")
         return ScriptedBackend(load_script_file(script_path), name=config.backend.name or "scripted")
     return HttpBackend(
         endpoint=config.backend.endpoint or "",
@@ -290,7 +314,7 @@ def build_backend(config: RunConfig) -> Backend:
 def load_lists(config: RunConfig) -> ListCatalog:
     catalog = {}
     for name, item in config.lists.items():
-        catalog[name] = load_list_file(name, item.kind, resolve_path(config, item.path))
+        catalog[name] = load_list_file(name, item.kind, _existing_file(config, item.path, "list"))
     return catalog
 
 
@@ -299,6 +323,6 @@ def load_templates(config: RunConfig) -> dict[str, PromptTemplate]:
     ``load_config`` has already checked the override names."""
     templates = dict(DEFAULT_TEMPLATES)
     for name, path in config.templates.items():
-        text = resolve_path(config, path).read_text(encoding="utf-8")
+        text = _existing_file(config, path, "template").read_text(encoding="utf-8")
         templates[name] = PromptTemplate.from_text(name, text)
     return templates

@@ -24,7 +24,7 @@ from .executor import (
     rebuild_results_from_anomalies,
     render_result_set,
 )
-from .gateway import Backend, CostLedger, PromptTemplate, RateTable
+from .gateway import Backend, CostLedger, PromptTemplate
 from .logstore import UserSequence
 from .prompts import EXECUTOR_MERGE, EXECUTOR_REBUTTAL
 
@@ -100,7 +100,6 @@ def rebut(
     *,
     user: UserSequence,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     template: PromptTemplate = EXECUTOR_REBUTTAL,
     seed_hint: int | None = None,
 ) -> ExecutorResultSet:
@@ -127,7 +126,7 @@ def rebut(
     parsed = ask(
         backend, template, variables, parse_decision_reply,
         stage="rebuttal", note=f"{executor_id}:r{new_round}",
-        ledger=ledger, rates=rates, seed_hint=seed_hint,
+        ledger=ledger, seed_hint=seed_hint,
     )
     if parsed is None:
         logger.warning("%s rebuttal unparseable twice; prior set carried forward", executor_id)
@@ -162,7 +161,6 @@ def merge_conclusion(
     rounds_used: int,
     consensus: bool,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     template: PromptTemplate = EXECUTOR_MERGE,
 ) -> FinalConclusion:
     """Ask executor A for the merged conclusion, then hold it to the
@@ -176,7 +174,7 @@ def merge_conclusion(
     }
     parsed = ask(
         backend, template, variables, parse_decision_reply,
-        stage="merge", note="merge", ledger=ledger, rates=rates,
+        stage="merge", note="merge", ledger=ledger,
     )
     if parsed is None:
         verdict, correction = apply_evidence_check(VERDICT_BENIGN, union)
@@ -214,7 +212,6 @@ def debate_loop(
     *,
     user: UserSequence,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     rebuttal_template: PromptTemplate = EXECUTOR_REBUTTAL,
     merge_template: PromptTemplate = EXECUTOR_MERGE,
 ) -> tuple[FinalConclusion, DebateTranscript]:
@@ -233,12 +230,12 @@ def debate_loop(
                 break
             a_new = rebut(
                 EXECUTOR_A, a_cur, b_cur, backend,
-                user=user, ledger=ledger, rates=rates,
+                user=user, ledger=ledger,
                 template=rebuttal_template, seed_hint=config.seed_a,
             )
             b_new = rebut(
                 EXECUTOR_B, b_cur, a_new, backend,
-                user=user, ledger=ledger, rates=rates,
+                user=user, ledger=ledger,
                 template=rebuttal_template, seed_hint=config.seed_b,
             )
             a_cur, b_cur = a_new, b_new
@@ -250,7 +247,7 @@ def debate_loop(
         final = merge_conclusion(
             a_cur, b_cur, backend,
             user=user, rounds_used=rounds_used, consensus=consensus,
-            ledger=ledger, rates=rates, template=merge_template,
+            ledger=ledger, template=merge_template,
         )
     except GatewayError as exc:
         logger.warning("backend failure mid-debate for %s: %s", user.user, exc)
@@ -292,6 +289,18 @@ def _result_set_doc(result_set: ExecutorResultSet) -> dict[str, object]:
     }
 
 
+def conclusion_doc(final: FinalConclusion) -> dict[str, object]:
+    """A conclusion as ``conclusions.json`` and the transcripts record it."""
+    return {
+        "verdict": final.verdict,
+        "anomalies": sorted(final.anomalies),
+        "basis": final.basis,
+        "rounds_used": final.rounds_used,
+        "consensus": final.consensus,
+        "correction": final.correction,
+    }
+
+
 def transcript_doc(user: str, transcript: DebateTranscript) -> dict[str, object]:
     final = transcript.final
     return {
@@ -305,15 +314,6 @@ def transcript_doc(user: str, transcript: DebateTranscript) -> dict[str, object]
             }
             for r in transcript.rounds
         ],
-        "final": None
-        if final is None
-        else {
-            "verdict": final.verdict,
-            "anomalies": sorted(final.anomalies),
-            "basis": final.basis,
-            "rounds_used": final.rounds_used,
-            "consensus": final.consensus,
-            "correction": final.correction,
-        },
+        "final": None if final is None else conclusion_doc(final),
         "error": transcript.error,
     }

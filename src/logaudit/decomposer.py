@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import UnparseableSubTaskList
-from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
+from .gateway import Backend, CostLedger, PromptTemplate, chat
 from .logstore import ActivityType, LogEntry
 from .prompts import DECOMPOSER, DECOMPOSER_REFINE
 
@@ -159,7 +159,6 @@ def decompose(
     backend: Backend,
     *,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     template: PromptTemplate = DECOMPOSER,
 ) -> SubTaskSet:
     """Ask the backend for the initial audit-check list."""
@@ -171,7 +170,6 @@ def decompose(
         {"exemplars": render_exemplars(exemplars)},
         stage="decompose",
         ledger=ledger,
-        rates=rates,
     )
     items = parse_subtask_items(completion.text)
     if not items:
@@ -186,7 +184,6 @@ def refine(
     max_rounds: int = DEFAULT_MAX_REFINE_ROUNDS,
     *,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     template: PromptTemplate = DECOMPOSER_REFINE,
 ) -> SubTaskSet:
     """Iteratively widen the set until a round adds nothing, the backend
@@ -200,7 +197,6 @@ def refine(
             {"current_subtasks": render_subtasks(SubTaskSet(subtasks, rounds))},
             stage="refine",
             ledger=ledger,
-            rates=rates,
         )
         rounds += 1
         if REFINE_SENTINEL in completion.text.strip().lower():

@@ -14,13 +14,13 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Callable, Collection, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .decomposer import SubTask
 from .errors import InsufficientHistory, MissingDecision, ResponseUnparseable
 from .forge import ToolSpec
-from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
-from .logstore import ActivityType, LogEntry, LogStore, UserSequence
+from .gateway import Backend, CostLedger, PromptTemplate, chat
+from .logstore import LogEntry, LogStore, UserSequence
 from .prompts import EXECUTOR_SUBTASK
 from .runtime import ListCatalog, ToolResult, invoke
 
@@ -188,7 +188,6 @@ def ask(
     stage: str,
     note: str,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     seed_hint: int | None = None,
     retry_variables: dict[str, object] | None = None,
 ) -> T | None:
@@ -201,8 +200,7 @@ def ask(
     for attempt_variables, attempt_note in attempts:
         completion, _ = chat(
             backend, template, attempt_variables,
-            stage=stage, ledger=ledger, rates=rates,
-            note=attempt_note, seed_hint=seed_hint,
+            stage=stage, ledger=ledger, note=attempt_note, seed_hint=seed_hint,
         )
         parsed = parse(completion.text)
         if parsed is not None:
@@ -214,22 +212,16 @@ def ask(
 # Per-check execution
 # ---------------------------------------------------------------------------
 
-def busiest_day(user: UserSequence, activity_types: Collection[ActivityType]) -> date | None:
-    """The user's busiest day for the given activity types (earliest on
-    ties), or None when no such activity exists."""
+def select_focus_day(user: UserSequence, subtask: SubTask) -> date | None:
+    """The day under audit: the user's busiest day for the check's activity
+    types (earliest on ties), or None when no such activity exists."""
     counts: dict[date, int] = {}
     for entry in user.entries:
-        if entry.activity in activity_types:
+        if entry.activity in subtask.activity_types:
             counts[entry.day] = counts.get(entry.day, 0) + 1
     if not counts:
         return None
     return max(sorted(counts), key=lambda d: counts[d])
-
-
-def select_focus_day(user: UserSequence, subtask: SubTask) -> date | None:
-    """The day under audit: the user's busiest day for the check's activity
-    types, or None when no such activity exists."""
-    return busiest_day(user, subtask.activity_types)
 
 
 def render_excerpt(entries: Sequence[LogEntry], budget: int) -> str:
@@ -331,7 +323,6 @@ def run_subtask(
     backend: Backend,
     *,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     template: PromptTemplate = EXECUTOR_SUBTASK,
     seed_hint: int | None = None,
 ) -> SubTaskResult:
@@ -369,7 +360,7 @@ def run_subtask(
     parsed = ask(
         backend, template, variables, _parse_subtask_reply,
         stage="subtask", note=f"{executor_id}:{subtask.id}",
-        ledger=ledger, rates=rates, seed_hint=seed_hint,
+        ledger=ledger, seed_hint=seed_hint,
         retry_variables={
             **variables,
             "subtask_description": subtask.description

@@ -30,7 +30,7 @@ from .errors import (
     ToolIrreparable,
     TransportError,
 )
-from .gateway import Backend, CostLedger, PromptTemplate, RateTable, chat
+from .gateway import Backend, CostLedger, PromptTemplate, chat
 from .logstore import ActivityType, LogEntry, LogStore
 from .plans import (
     AGG_FUNCS,
@@ -360,7 +360,6 @@ def build_tool_for_subtask(
     *,
     lists: ListCatalog | None = None,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     max_repair_attempts: int = DEFAULT_REPAIR_ATTEMPTS,
     k_sigma: float = DEFAULT_K_SIGMA,
     draft_template: PromptTemplate = TOOL_BUILDER,
@@ -407,7 +406,7 @@ def build_tool_for_subtask(
                 }
             completion, _ = chat(
                 backend, template, variables,
-                stage=stage, ledger=ledger, rates=rates, note=note,
+                stage=stage, ledger=ledger, note=note,
             )
             previous = completion.text
             try:

@@ -105,9 +105,11 @@ class Backend(Protocol):
 
 
 class CostLedger:
-    """Append-only sink of CostRecords; appends are atomic."""
+    """Append-only sink of CostRecords, priced at the run's ``rates``;
+    appends are atomic."""
 
-    def __init__(self) -> None:
+    def __init__(self, rates: RateTable | None = None) -> None:
+        self.rates = rates or RateTable()
         self._records: list[CostRecord] = []
         self._lock = threading.Lock()
 
@@ -118,6 +120,10 @@ class CostLedger:
     def records(self) -> list[CostRecord]:
         with self._lock:
             return list(self._records)
+
+    def fresh(self) -> "CostLedger":
+        """An empty ledger at the same rates."""
+        return CostLedger(self.rates)
 
     def __len__(self) -> int:
         with self._lock:
@@ -296,12 +302,12 @@ def chat(
     *,
     stage: str,
     ledger: CostLedger,
-    rates: RateTable | None = None,
     note: str = "",
     seed_hint: int | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[Completion, CostRecord]:
-    """Render, call the backend with transport retries, and record the cost."""
+    """Render, call the backend with transport retries, and record the cost
+    at the ledger's rates."""
     prompt = template.render(variables)
     request = ChatRequest(
         prompt=prompt,
@@ -309,8 +315,6 @@ def chat(
         stage=stage,
         seed_hint=seed_hint,
     )
-    rates = rates or RateTable()
-
     last_error: TransportError | None = None
     for attempt in range(RETRY_MAX_ATTEMPTS):
         try:
@@ -332,7 +336,7 @@ def chat(
         backend_name=backend.name,
         prompt_tokens=completion.prompt_tokens,
         completion_tokens=completion.completion_tokens,
-        dollars=rates.dollars(completion.prompt_tokens, completion.completion_tokens),
+        dollars=ledger.rates.dollars(completion.prompt_tokens, completion.completion_tokens),
         latency_ms=completion.latency_ms,
         stage=stage,
         note=note,

@@ -38,7 +38,6 @@ from .executor import (
     SubTaskResult,
     ask,
     bind_and_invoke,
-    busiest_day,
     parse_decision_reply,
     pin_to_evidence,
     prepare_check,
@@ -47,8 +46,8 @@ from .executor import (
     select_focus_day,
     synthesize,
 )
-from .forge import LoadedRegistry, ToolSpec, load_registry
-from .gateway import Backend, CostLedger, PromptTemplate, RateTable
+from .forge import ToolSpec, load_registry
+from .gateway import Backend, CostLedger, PromptTemplate
 from .logstore import LogStore, UserSequence
 from .prompts import DEFAULT_TEMPLATES
 from .runtime import ListCatalog, ToolResult
@@ -61,6 +60,8 @@ VARIANT_NO_COT = "no_cot"
 VARIANT_NO_DECOMP = "no_decomp"
 VARIANT_NO_TOOLS = "no_tools"
 VARIANT_NO_EMAD = "no_emad"
+
+NO_RELEVANT_ACTIVITY = "(no relevant activity)"
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,6 @@ class DetectContext:
     store: LogStore
     backend: Backend
     ledger: CostLedger
-    rates: RateTable | None = None
     lists: ListCatalog | None = None
     debate: DebateConfig = field(default_factory=DebateConfig)
     excerpt_budget: int = DEFAULT_EXCERPT_BUDGET
@@ -127,54 +127,27 @@ class DetectContext:
     templates: Mapping[str, PromptTemplate] = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
 
 
-def context_from_registry(
-    registry: LoadedRegistry,
-    store: LogStore,
-    backend: Backend,
-    ledger: CostLedger,
-    *,
-    rates: RateTable | None = None,
-    lists: ListCatalog | None = None,
-    debate: DebateConfig | None = None,
-    excerpt_budget: int = DEFAULT_EXCERPT_BUDGET,
-    variant: str = VARIANT_ORIGINAL,
-    templates: Mapping[str, PromptTemplate] | None = None,
-) -> DetectContext:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant tag {variant!r}; expected one of {sorted(VARIANTS)}")
-    tools = {s.id: registry.tool_for(s.id) for s in registry.subtasks.subtasks}
-    return DetectContext(
-        subtasks=registry.subtasks,
-        tools=tools,
-        store=store,
-        backend=backend,
-        ledger=ledger,
-        rates=rates,
-        lists=lists,
-        debate=debate or DebateConfig(),
-        excerpt_budget=excerpt_budget,
-        variant=VARIANTS[variant],
-        templates=dict(templates) if templates is not None else dict(DEFAULT_TEMPLATES),
-    )
-
-
 def context_from_config(config: RunConfig, ledger: CostLedger, variant: str) -> DetectContext:
-    """The context a run config describes: its store snapshot, its registry
-    (recorded test cases replayed), lists, backend, debate settings and
-    prompt templates (overrides applied)."""
+    """The context a run config describes under the named variant: its store
+    snapshot, its registry (recorded test cases replayed), lists, backend,
+    debate settings and prompt templates (overrides applied)."""
     store = load_snapshot(config)
     registry_path = resolve_path(config, config.registry_path)
     if not registry_path.exists():
         raise RegistryMissing(f"registry not found: {registry_path}; run forge first")
     lists = load_lists(config)
     registry = load_registry(registry_path, store=store, lists=lists)
-    return context_from_registry(
-        registry, store, build_backend(config), ledger,
-        rates=config.rates, lists=lists,
+    return DetectContext(
+        subtasks=registry.subtasks,
+        tools={s.id: registry.tool_for(s.id) for s in registry.subtasks.subtasks},
+        store=store,
+        backend=build_backend(config),
+        ledger=ledger,
+        lists=lists,
         debate=DebateConfig(n_debate=config.n_debate, seed_a=config.seed_executor_a,
                             seed_b=config.seed_executor_b),
         excerpt_budget=config.excerpt_budget,
-        variant=variant,
+        variant=VARIANTS[variant],
         templates=load_templates(config),
     )
 
@@ -183,42 +156,44 @@ def context_from_config(config: RunConfig, ledger: CostLedger, variant: str) -> 
 # Variant building blocks
 # ---------------------------------------------------------------------------
 
-def _prepared_check(ctx: DetectContext, subtask: SubTask, user: UserSequence) -> PreparedCheck:
-    """The check for this user, focused on the user's busiest day for the
-    check's activity types, with its tool's day bound to that focus day."""
-    focus = select_focus_day(user, subtask)
-    spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
-    if spec is None:
-        tool: tuple[str, ToolResult | None] = (TOOL_UNAVAILABLE, None)
-    else:
-        tool = bind_and_invoke(spec, user, focus, ctx.store, ctx.lists)
-    return prepare_check(subtask, user, focus, tool, ctx.excerpt_budget)
+def _prepared_checks(ctx: DetectContext, user: UserSequence) -> list[PreparedCheck]:
+    """Every check for this user, prepared once for both executors: focused
+    on the user's busiest day for the check's activity types, with its
+    tool's ``day`` bound to that day. Only the variants that judge checks
+    one by one read a check's excerpt, or a tool's output for a check with
+    no activity."""
+    one_by_one = ctx.variant.per_check_cot and ctx.variant.use_decomposition
+    checks = []
+    for subtask in ctx.subtasks.subtasks:
+        focus = select_focus_day(user, subtask)
+        spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
+        if spec is None:
+            tool: tuple[str, ToolResult | None] = (TOOL_UNAVAILABLE, None)
+        elif focus is None and not one_by_one:
+            tool = (NO_RELEVANT_ACTIVITY, None)
+        else:
+            tool = bind_and_invoke(spec, user, focus, ctx.store, ctx.lists)
+        if one_by_one:
+            checks.append(prepare_check(subtask, user, focus, tool, ctx.excerpt_budget))
+        else:
+            checks.append(PreparedCheck(subtask, focus, tool))
+    return checks
 
 
-def _invoke_for_user(
-    ctx: DetectContext, spec: ToolSpec, user: UserSequence
-) -> tuple[str, ToolResult | None]:
-    """Invoke one tool with the day bound to the user's busiest day for the
-    plan's activity types."""
-    focus = busiest_day(user, frozenset(spec.plan.select.activity_types))
-    if focus is None:
-        return f"[{spec.name}] (no relevant activity)", None
-    rendered, result = bind_and_invoke(spec, user, focus, ctx.store, ctx.lists)
-    return f"[{spec.name}] {rendered}", result
-
-
-def _combined_tool_result(ctx: DetectContext, user: UserSequence) -> tuple[str, ToolResult]:
-    """Invoke every registry tool for this user and fold the outputs."""
+def _combined_tool_result(
+    ctx: DetectContext, user: UserSequence, checks: list[PreparedCheck]
+) -> tuple[str, ToolResult]:
+    """Fold every registry tool's outcome for this user into one result."""
     rendered: list[str] = []
     evidence: list[str] = []
     any_suspicious = False
     any_signal = False
-    for subtask in ctx.subtasks.subtasks:
-        spec = ctx.tools.get(subtask.id)
+    for check in checks:
+        spec = ctx.tools.get(check.subtask.id)
         if spec is None:
             continue
-        line, result = _invoke_for_user(ctx, spec, user)
-        rendered.append(line)
+        text, result = check.tool
+        rendered.append(f"[{spec.name}] {text}")
         if result is not None and result.verdict_hint is not None:
             any_signal = True
             if result.verdict_hint == "suspicious":
@@ -246,18 +221,21 @@ def _generic_subtask(ctx: DetectContext) -> SubTask:
     )
 
 
-def _one_shot_findings(ctx: DetectContext, user: UserSequence) -> tuple[str, dict[str, tuple[str, ...]]]:
+def _one_shot_findings(
+    ctx: DetectContext, checks: list[PreparedCheck]
+) -> tuple[str, dict[str, tuple[str, ...]]]:
     """The no-CoT findings block, one line per check with its tool's output,
     and each tool's evidence; both executors read the same."""
     blocks = []
     per_tool_evidence: dict[str, tuple[str, ...]] = {}
-    for subtask in ctx.subtasks.subtasks:
+    for check in checks:
+        subtask = check.subtask
         spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
         line = f"- [{subtask.id}] {subtask.description}"
         if spec is not None:
-            text, result = _invoke_for_user(ctx, spec, user)
+            text, result = check.tool
             signal = result.verdict_hint if result is not None else None
-            line += f"\n    tool: {text} (signal: {signal or 'none'})"
+            line += f"\n    tool: [{spec.name}] {text} (signal: {signal or 'none'})"
             if result is not None:
                 per_tool_evidence[subtask.id] = result.evidence
         blocks.append(line)
@@ -279,7 +257,7 @@ def _one_shot_set(
     }
     parsed = ask(
         ctx.backend, ctx.templates["one_shot"], variables, parse_decision_reply,
-        stage="one-shot", note=executor_id, ledger=ctx.ledger, rates=ctx.rates, seed_hint=seed,
+        stage="one-shot", note=executor_id, ledger=ctx.ledger, seed_hint=seed,
     )
     if parsed is None:
         raise ResponseUnparseable(f"one-shot decision for {user.user!r} unparseable after re-prompt")
@@ -319,7 +297,7 @@ def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusi
     }
     parsed = ask(
         ctx.backend, ctx.templates["vanilla"], variables, parse_decision_reply,
-        stage="vanilla", note=user.user, ledger=ctx.ledger, rates=ctx.rates,
+        stage="vanilla", note=user.user, ledger=ctx.ledger,
     )
     if parsed is None:
         raise ResponseUnparseable(f"vanilla decision for {user.user!r} unparseable after re-prompt")
@@ -354,8 +332,9 @@ def detect_user(
     debate = ctx.debate if variant.use_debate else replace(ctx.debate, n_debate=0)
     seats = ((EXECUTOR_A, debate.seed_a), (EXECUTOR_B, debate.seed_b))
 
+    checks = _prepared_checks(ctx, user)
     if not variant.per_check_cot:
-        findings = _one_shot_findings(ctx, user)
+        findings = _one_shot_findings(ctx, checks)
         a0, b0 = (
             _one_shot_set(ctx, executor_id, user, seed, findings) for executor_id, seed in seats
         )
@@ -363,18 +342,16 @@ def detect_user(
         # Lines 2-3: each executor works through every check independently,
         # on the same prepared checks; its opening verdict is the fold of its
         # own evidence.
-        if variant.use_decomposition:
-            checks = [_prepared_check(ctx, s, user) for s in ctx.subtasks.subtasks]
-        else:
+        if not variant.use_decomposition:
             generic = _generic_subtask(ctx)
-            tool = _combined_tool_result(ctx, user) if variant.use_tools else (TOOL_UNAVAILABLE, None)
+            tool = (_combined_tool_result(ctx, user, checks) if variant.use_tools
+                    else (TOOL_UNAVAILABLE, None))
             focus = select_focus_day(user, generic)
             checks = [prepare_check(generic, user, focus, tool, ctx.excerpt_budget)]
         a0, b0 = (
             synthesize(executor_id, [
                 run_subtask(
-                    executor_id, check, user, ctx.backend,
-                    ledger=ctx.ledger, rates=ctx.rates,
+                    executor_id, check, user, ctx.backend, ledger=ctx.ledger,
                     template=ctx.templates["executor_subtask"], seed_hint=seed,
                 )
                 for check in checks
@@ -384,7 +361,7 @@ def detect_user(
 
     return debate_loop(
         a0, b0, ctx.backend, debate,
-        user=user, ledger=ctx.ledger, rates=ctx.rates,
+        user=user, ledger=ctx.ledger,
         rebuttal_template=ctx.templates["executor_rebuttal"],
         merge_template=ctx.templates["executor_merge"],
     )
@@ -402,7 +379,7 @@ def detect_all(
     users = sorted(ctx.store.users)
 
     def audit(user: str) -> tuple[tuple[FinalConclusion, DebateTranscript | None], CostLedger]:
-        own = replace(ctx, ledger=CostLedger())
+        own = replace(ctx, ledger=ctx.ledger.fresh())
         return detect_user(ctx.store.users[user], own), own.ledger
 
     if parallelism <= 1:

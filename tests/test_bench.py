@@ -15,9 +15,8 @@ from logaudit.bench import (
 )
 from logaudit.debate import FinalConclusion
 from logaudit.errors import MissingLabel
-from logaudit.gateway import CostLedger, CostRecord, cost_report
+from logaudit.gateway import CostRecord, cost_report
 from logaudit.logstore import ActivityType
-from logaudit.pipeline import context_from_registry
 from oracles import naive_metrics
 
 TOL = 1e-12
@@ -111,11 +110,6 @@ def test_user_labels_from_store():
     ])
     store.attach_labels({"B1": "malicious"})
     assert user_labels(store) == {"alice": "benign", "bob": "malicious"}
-
-
-def test_run_variant_rejects_unknown_tag(burst_store):
-    with pytest.raises(ValueError):
-        context_from_registry(None, burst_store, None, CostLedger(), variant="vanila")
 
 
 # --- reports ---

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from logaudit.cli import main
+from logaudit.gateway import RateTable
 from logaudit.synthetic import generate_demo
 
 
@@ -88,6 +89,19 @@ def test_costs_ledgers_written(completed_run: Path):
     assert {"backend_name", "prompt_tokens", "completion_tokens",
             "dollars", "latency_ms", "stage"} <= set(record)
     assert main(["cost-report", "--config", str(completed_run / "config.json")]) == 0
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_detect_ledger_is_priced_at_the_config_rates(completed_run: Path, parallelism):
+    config = completed_run / "config.json"
+    rates = RateTable(**json.loads(config.read_text())["rates"])
+    assert main(["detect", "--config", str(config), "--parallelism", parallelism]) == 0
+    records = [json.loads(line) for line in
+               (completed_run / "out" / "costs-detect.jsonl").read_text().splitlines()]
+    assert records and any(r["dollars"] for r in records)
+    for record in records:
+        assert record["dollars"] == rates.dollars(record["prompt_tokens"],
+                                                  record["completion_tokens"])
 
 
 def test_parallel_detect_writes_the_serial_ledger(completed_run: Path):
@@ -183,7 +197,16 @@ def test_mistyped_config_value_rejected(tmp_path, capsys, bad):
 @pytest.mark.parametrize("bad", [
     {"lists": {"x": {"kind": "keyword"}}},
     {"tool_tests": {"a": ["x"]}},
-], ids=["list-without-path", "test-case-not-a-mapping"])
+    {"dataset": ["x"]},
+    {"backend": ["x"]},
+    {"templates": ["x"]},
+    {"dataset": {"kind": "cert", "paths": ["x"]}},
+    {"seeds": ["sampler"]},
+    {"rates": [1]},
+    {"dataset": {"kind": "cert", "labels": 5}},
+], ids=["list-without-path", "test-case-not-a-mapping", "dataset-not-a-mapping",
+        "backend-not-a-mapping", "templates-not-a-mapping", "dataset-paths-not-a-mapping",
+        "seeds-not-a-mapping", "rates-not-a-mapping", "labels-not-a-string"])
 def test_malformed_config_entry_rejected(tmp_path, capsys, bad):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"dataset": {"kind": "cert"},
@@ -193,6 +216,27 @@ def test_malformed_config_entry_rejected(tmp_path, capsys, bad):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ConfigInvalid:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, text", [
+    ("config.json", '{"dataset": {"kind": "cert"},'),
+    ("config.yaml", "dataset: [cert,\n"),
+], ids=["json", "yaml"])
+def test_unparseable_config_rejected(tmp_path, capsys, name, text):
+    config_path = tmp_path / name
+    config_path.write_text(text)
+    assert main(["ingest", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigInvalid:") and err.count("\n") == 1
+
+
+def test_unknown_ablation_tag_rejected(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dataset": {"kind": "cert"},
+                                       "backend": {"type": "scripted", "script": "s.json"},
+                                       "ablation": "vanila"}))
+    assert main(["detect", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("ConfigInvalid: unknown ablation tag")
 
 
 def test_variant_flag_overrides_config(demo: Path, completed_run: Path, tmp_path):
@@ -342,6 +386,24 @@ def test_forge_manifest_records_builtin_fallbacks(demo: Path, completed_run: Pat
     assert manifest["fallbacks"]["check-websites"] == "no unit-test cases configured"
     assert manifest["fallbacks"]["check-logons"].startswith("ScriptExhausted: ")
     assert set(manifest["fallbacks"]) == {"check-logons", "check-websites"}
+
+
+@pytest.mark.parametrize("break_input", [
+    lambda doc, tmp: doc["lists"]["untrusted_domains"].update(path=str(tmp / "missing.txt")),
+    lambda doc, tmp: doc.update(templates={"executor_subtask": str(tmp / "missing.txt")}),
+    lambda doc, tmp: (tmp / "script.json").write_text('[{"response": "x"}]'),
+    lambda doc, tmp: (tmp / "script.json").write_text("[{"),
+], ids=["list-file-missing", "template-file-missing", "script-entry-without-when",
+        "script-not-json"])
+def test_unreadable_run_input_rejected(demo: Path, completed_run: Path, tmp_path, capsys,
+                                       break_input):
+    config_path = _config_copy(demo, completed_run, tmp_path, [])
+    config_doc = json.loads(config_path.read_text())
+    break_input(config_doc, tmp_path)
+    config_path.write_text(json.dumps(config_doc))
+    assert main(["forge", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigInvalid:") and err.count("\n") == 1
 
 
 def test_builtin_fallback_records_only_cases_it_passes(demo: Path, completed_run: Path, tmp_path):

@@ -3,19 +3,19 @@ from __future__ import annotations
 import json
 import pytest
 
-from conftest import evaluate_detection, simple_subtasks
+from conftest import entry, evaluate_detection, seal, simple_subtasks
 from logaudit import executor
-from logaudit.bench import run_variant
 from logaudit.cli import main as cli_main
-from logaudit.config import build_backend, load_config, load_lists, load_templates
+from logaudit.config import load_config, load_templates
 from logaudit.debate import DebateConfig
-from logaudit.forge import ToolSpec, builtin_tools, load_registry
+from logaudit.decomposer import SubTask, SubTaskSet
+from logaudit.forge import ToolSpec, builtin_tools
 from logaudit.gateway import CostLedger, ScriptEntry, make_scripted_backend
-from logaudit.logstore import load_store
+from logaudit.logstore import ActivityType
 from logaudit.pipeline import (
     VARIANTS,
     DetectContext,
-    context_from_registry,
+    context_from_config,
     detect_all,
     detect_user,
 )
@@ -31,20 +31,12 @@ def bundle(tmp_path_factory):
     config_path = root / "config.json"
     assert cli_main(["ingest", "--config", str(config_path)]) == 0
     assert cli_main(["forge", "--config", str(config_path)]) == 0
-    config = load_config(config_path)
-    store = load_store(root / "out" / "store.json")
-    lists = load_lists(config)
-    registry = load_registry(root / "out" / "registry.json", store=store, lists=lists)
-    return root, config, store, lists, registry
+    return root, load_config(config_path)
 
 
 def _run(bundle, tag):
-    _root, config, store, lists, registry = bundle
-    ctx = context_from_registry(
-        registry, store, build_backend(config), CostLedger(),
-        rates=config.rates, lists=lists, debate=DebateConfig(n_debate=config.n_debate),
-        excerpt_budget=config.excerpt_budget, variant=tag,
-    )
+    _root, config = bundle
+    ctx = context_from_config(config, CostLedger(), tag)
     metrics, predictions = evaluate_detection(ctx)
     return metrics, ctx.ledger, predictions
 
@@ -92,6 +84,40 @@ def test_each_tool_runs_once_per_user_and_params(bundle, monkeypatch, variant):
     assert calls and len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize("variant", ["original", "no_cot", "no_decomp"])
+def test_tool_day_binds_to_the_checks_busiest_day(monkeypatch, variant):
+    """UX logs on 3 times on 2024-01-05, but 2024-01-03 (1 logon, 4 logoffs)
+    is its busiest day for the check's types: every variant binds the
+    Logon tool's day to the check's busiest day."""
+    logon, logoff = ActivityType.LOGON, ActivityType.LOGOFF
+    day_types = [[logon, logoff], [logon, logoff], [logon] + [logoff] * 4,
+                 [logon, logoff], [logon] * 3]
+    store = seal([entry(f"S{day}-{n}", "UX", activity, day_offset=day, hour=8 + n)
+                  for day, types in enumerate(day_types) for n, activity in enumerate(types)])
+    check = SubTask(id="sessions", description="Compare logon sessions against the baseline.",
+                    activity_types=frozenset({logon, logoff}))
+    plan = parse_plan("select activity=Logon user={user} day={day}\naggregate func=count")
+    spec = ToolSpec(name="day-logons", subtask_id="sessions", plan=plan,
+                    params=free_params(plan), output_template="n={n}")
+    backend = make_scripted_backend([
+        ScriptEntry("[stage: subtask]", "Finding: fine\nSuspicious: no", repeat=True),
+        ScriptEntry("one_shot", "Basis of Judgment: fine\nDecision: Benign", repeat=True),
+        ScriptEntry("[stage: merge]", "Basis of Judgment: fine\nDecision: Benign", repeat=True),
+    ])
+    days = []
+    real = executor.invoke
+
+    def recording(spec, params, *args):
+        days.append(params["day"])
+        return real(spec, params, *args)
+
+    monkeypatch.setattr(executor, "invoke", recording)
+    ctx = DetectContext(SubTaskSet([check]), {"sessions": spec}, store, backend, CostLedger(),
+                        variant=VARIANTS[variant])
+    detect_user(store.users["UX"], ctx)
+    assert days == ["2024-01-03"]
+
+
 def test_no_decomp_single_generic_check(bundle):
     metrics, ledger, predictions = _run(bundle, "no_decomp")
     assert metrics.dr == 1.0
@@ -103,29 +129,14 @@ def test_no_decomp_single_generic_check(bundle):
 
 
 def test_parallel_detection_matches_serial(bundle):
-    _root, config, store, lists, registry = bundle
+    _root, config = bundle
 
     def conclusions(parallelism):
-        ledger = CostLedger()
-        ctx = context_from_registry(
-            registry, store, build_backend(config), ledger,
-            rates=config.rates, lists=lists,
-            debate=DebateConfig(n_debate=config.n_debate),
-            excerpt_budget=config.excerpt_budget,
-        )
+        ctx = context_from_config(config, CostLedger(), "original")
         outcomes = detect_all(ctx, parallelism=parallelism)
         return {u: (f.verdict, tuple(sorted(f.anomalies))) for u, (f, _t) in outcomes.items()}
 
     assert conclusions(1) == conclusions(4)
-
-
-def test_run_variant_from_config(bundle):
-    root, _config, store, _lists, _registry = bundle
-    config = load_config(root / "config.json")
-    metrics = run_variant("original", config)
-    assert metrics.variant == "original"
-    assert metrics.dr == 1.0
-    assert metrics.counts.tp == 2
 
 
 def _config_with_subtask_override(root, tmp_path, text: str):
@@ -169,7 +180,7 @@ def test_template_override_from_config(bundle, tmp_path):
     assert "OVERRIDDEN" in templates["executor_subtask"].system_text
 
 
-def test_run_variant_applies_template_overrides(bundle, tmp_path):
+def test_context_from_config_applies_template_overrides(bundle, tmp_path):
     # The demo script flags a check only on "Tool signal: suspicious"; a
     # subtask prompt that hides the signal must leave both insiders unflagged.
     root, *_ = bundle
@@ -181,7 +192,8 @@ def test_run_variant_applies_template_overrides(bundle, tmp_path):
         "Excerpt ({excerpt_count}):\n{activity_excerpt}\n"
         "Reply with Finding:/Suspicious:/Flagged: lines.\n",
     )
-    metrics = run_variant("original", load_config(config_path))
+    ctx = context_from_config(load_config(config_path), CostLedger(), "original")
+    metrics, _ = evaluate_detection(ctx)
     assert metrics.counts.tp == 0
     assert metrics.dr == 0.0
 

@@ -18,7 +18,13 @@ from logaudit.executor import (
     select_focus_day,
 )
 from logaudit.gateway import ScriptEntry, make_scripted_backend
-from logaudit.pipeline import DetectContext, _one_shot_findings, _one_shot_set, _vanilla_conclusion
+from logaudit.pipeline import (
+    DetectContext,
+    _one_shot_findings,
+    _one_shot_set,
+    _prepared_checks,
+    _vanilla_conclusion,
+)
 
 GARBLED = "mumble"
 DECISION = "Basis of Judgment: parsed on the second try\nFlagged: WEB-1\nDecision: Malicious"
@@ -66,7 +72,8 @@ def _context(backend, store, ledger) -> DetectContext:
 def _one_shot(backend, store, ledger):
     ctx = _context(backend, store, ledger)
     user = store.users["UX"]
-    return _one_shot_set(ctx, "executor_a", user, 1, _one_shot_findings(ctx, user))
+    findings = _one_shot_findings(ctx, _prepared_checks(ctx, user))
+    return _one_shot_set(ctx, "executor_a", user, 1, findings)
 
 
 def _vanilla(backend, store, ledger):
