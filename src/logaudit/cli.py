@@ -83,6 +83,13 @@ def _write_ledger(config: RunConfig, phase: str, ledger: CostLedger) -> Path:
     return path
 
 
+def _users_path(store_path: Path) -> Path:
+    """The per-user label map that ingest writes beside the snapshot, named
+    after it (``store.json`` -> ``store.users.json``) so that snapshots
+    sharing a directory keep their own; evaluate reads it, not the snapshot."""
+    return store_path.with_suffix(".users.json")
+
+
 def _read_ledgers(outdir: Path) -> list[CostRecord]:
     records: list[CostRecord] = []
     for path in sorted(outdir.glob("costs-*.jsonl")):
@@ -130,6 +137,11 @@ def cmd_ingest(config: RunConfig) -> int:
     store_path = resolve_path(config, config.store_path)
     store_path.parent.mkdir(parents=True, exist_ok=True)
     save_store(store, store_path)
+    users_path = _users_path(store_path)
+    if store.labels:
+        _write_json(users_path, bench.user_labels(store))
+    else:
+        users_path.unlink(missing_ok=True)
     _write_manifest(config, "ingest", {
         "entries": len(store.entries),
         "users": len(store.users),
@@ -199,11 +211,17 @@ def cmd_forge(config: RunConfig) -> int:
 
 
 def cmd_detect(config: RunConfig) -> int:
-    ledger = CostLedger(config.rates)
-    ctx = context_from_config(config, ledger, config.ablation)
-    outcomes = detect_all(ctx, parallelism=config.parallelism)
-
     outdir = resolve_path(config, config.output_dir)
+    ledger = CostLedger(config.rates)
+    try:
+        ctx = context_from_config(config, ledger, config.ablation)
+        outcomes = detect_all(ctx, parallelism=config.parallelism)
+    except AuditError:
+        # A failed detect leaves no earlier run's outputs for evaluate to score.
+        for name in ("conclusions.json", "costs-detect.jsonl", "manifest-detect.json"):
+            (outdir / name).unlink(missing_ok=True)
+        raise
+
     transcripts_dir = outdir / "transcripts"
     users_doc = {}
     for user, (final, transcript) in sorted(outcomes.items()):
@@ -223,11 +241,15 @@ def cmd_detect(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    store = load_snapshot(config)
-    if not store.labels:
+    store_path = resolve_path(config, config.store_path)
+    if not store_path.exists():
+        raise ConfigInvalid(f"store snapshot not found: {store_path}; run ingest first")
+    users_path = _users_path(store_path)
+    if not users_path.exists():
         raise LabelsMissing(
             "store has no ground-truth labels; set dataset.labels and re-run ingest"
         )
+    labels = json.loads(users_path.read_text(encoding="utf-8"))
     outdir = resolve_path(config, config.output_dir)
     conclusions_path = outdir / "conclusions.json"
     if not conclusions_path.exists():
@@ -235,8 +257,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     doc = json.loads(conclusions_path.read_text(encoding="utf-8"))
     predictions = {user: item["verdict"] for user, item in doc.get("users", {}).items()}
 
-    metrics = bench.evaluate(predictions, bench.user_labels(store),
-                             variant=doc.get("variant", config.ablation))
+    metrics = bench.evaluate(predictions, labels, variant=doc.get("variant", config.ablation))
     records = _read_ledgers(outdir)
     paths = bench.emit_report([metrics], cost_report(records), outdir)
     _write_manifest(config, "evaluate", {"users": len(predictions)})

@@ -12,11 +12,12 @@ import csv
 import json
 import logging
 import random
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateEntryId,
@@ -200,6 +201,15 @@ class LogStore:
         return LABEL_BENIGN
 
 
+def _readable(items: Iterable, path: Path) -> Iterator:
+    """Yield from a file reader; bytes that are not UTF-8, or CSV the csv
+    module refuses, fail the file with IngestFailed."""
+    try:
+        yield from items
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestFailed(f"{path}: unreadable input: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # CERT-style CSV parsing
 # ---------------------------------------------------------------------------
@@ -216,10 +226,19 @@ _CERT_REQUIRED = {
 }
 
 _CERT_TIME_FORMAT = "%m/%d/%Y %H:%M:%S"
+# The zero-padded ASCII shape of _CERT_TIME_FORMAT, read without strptime.
+_CERT_TIME = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
 
 
 def _parse_timestamp(raw: str) -> datetime:
     raw = raw.strip()
+    match = _CERT_TIME.fullmatch(raw)
+    if match:
+        month, day, year, hour, minute, second = map(int, match.groups())
+        try:
+            return datetime(year, month, day, hour, minute, second)
+        except ValueError:
+            pass  # a field out of range: the chain below raises its usual error
     try:
         return datetime.strptime(raw, _CERT_TIME_FORMAT)
     except ValueError:
@@ -289,7 +308,7 @@ def parse_cert_file(path: str | Path, source: str) -> ParsedFile:
     data_rows = 0
 
     with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _readable(csv.reader(handle), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -385,7 +404,7 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
     json_mode: bool | None = None
 
     with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in enumerate(_readable(handle, path), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
@@ -393,7 +412,10 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
                 json_mode = False
                 token, _, rest = line[1:].partition("\t")
                 if token == "separator" and rest:
-                    separator = rest.encode("utf-8").decode("unicode_escape")
+                    try:
+                        separator = rest.encode("utf-8").decode("unicode_escape")
+                    except UnicodeDecodeError:
+                        raise IngestFailed(f"{path}:{line_no}: bad #separator {rest!r}") from None
                 elif token == "fields":
                     fields = rest.split(separator) if rest else []
                 elif token == "path":
@@ -404,9 +426,11 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
 
             data_rows += 1
             if json_mode:
+                # json.loads raises ValueError for an integer past the digit
+                # limit and RecursionError for nesting past the stack.
                 try:
                     record = {str(k): str(v) for k, v in json.loads(line).items()}
-                except (json.JSONDecodeError, AttributeError):
+                except (ValueError, RecursionError, AttributeError):
                     errors.append(RowError(line_no, "unparseable JSON record"))
                     continue
             else:
@@ -570,22 +594,19 @@ def load_labels(path: str | Path) -> dict[str, str]:
     return labels
 
 
-STORE_FORMAT = "audit-store/1"
+STORE_FORMAT = "audit-store/2"
+
+_ACTIVITIES = {a.value: a for a in ActivityType}
 
 
 def save_store(store: LogStore, path: str | Path) -> None:
-    """Write a store snapshot as stable JSON."""
+    """Write a store snapshot as stable, compact JSON; each entry is the
+    row ``[id, ts, user, host, activity, payload]``."""
     doc = {
         "format": STORE_FORMAT,
         "entries": [
-            {
-                "id": e.entry_id,
-                "ts": e.timestamp.isoformat(),
-                "user": e.user,
-                "host": e.host,
-                "activity": e.activity.value,
-                "payload": dict(e.payload),
-            }
+            [e.entry_id, e.timestamp.isoformat(), e.user, e.host, e.activity.value,
+             dict(e.payload)]
             for e in store.entries
         ],
         "labels": store.labels,
@@ -594,25 +615,20 @@ def save_store(store: LogStore, path: str | Path) -> None:
             for s in store.source_manifest
         ],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_store(path: str | Path) -> LogStore:
     """Load a snapshot written by :func:`save_store`; returns a sealed store."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != STORE_FORMAT:
-        raise IngestFailed(f"{path}: not a store snapshot (format tag {doc.get('format')!r})")
+        raise IngestFailed(f"{path}: snapshot format {doc.get('format')!r} is not "
+                           f"{STORE_FORMAT!r}; re-run ingest")
     store = LogStore()
     store.add_entries(
-        LogEntry(
-            entry_id=row["id"],
-            timestamp=datetime.fromisoformat(row["ts"]),
-            user=row["user"],
-            host=row["host"],
-            activity=ActivityType(row["activity"]),
-            payload=row.get("payload", {}),
-        )
-        for row in doc["entries"]
+        LogEntry(entry_id, datetime.fromisoformat(ts), user, host, _ACTIVITIES[activity], payload)
+        for entry_id, ts, user, host, activity, payload in doc["entries"]
     )
     for item in doc.get("manifest", []):
         store.source_manifest.append(SourceFile(**item))

@@ -419,3 +419,87 @@ def test_builtin_fallback_records_only_cases_it_passes(demo: Path, completed_run
     fallback = tools["review-visited-website-content-for-threatening-builtin"]
     assert fallback["plan"][-1] == "lookup list=untrusted_domains field=url"
     assert fallback["test_cases"] == []
+
+
+def test_failed_detect_leaves_no_outputs_to_evaluate(demo: Path, completed_run: Path,
+                                                     tmp_path, capsys):
+    config_path = _config_copy(demo, completed_run, tmp_path,
+                               json.loads((demo / "script.json").read_text()))
+    config = str(config_path)
+    for phase in ("forge", "detect", "evaluate"):
+        assert main([phase, "--config", config]) == 0
+    # Without its subtask replies the next detect fails at the first audit.
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps([
+        item for item in json.loads((demo / "script.json").read_text())
+        if "[stage: subtask]" not in str(item["when"])]))
+    capsys.readouterr()
+    assert main(["detect", "--config", config]) == 1
+    assert capsys.readouterr().err.startswith("ScriptExhausted:")
+    out = tmp_path / "out"
+    for name in ("conclusions.json", "costs-detect.jsonl", "manifest-detect.json"):
+        assert not (out / name).exists()
+    assert main(["evaluate", "--config", config]) == 1
+    assert capsys.readouterr().err.startswith("ConfigInvalid: conclusions not found")
+
+
+def test_unlabelled_ingest_removes_the_label_map(demo: Path, tmp_path, capsys):
+    config_doc = json.loads((demo / "config.json").read_text())
+    config_doc["dataset"]["paths"] = {
+        kind: str(demo / "data" / f"{kind}.csv")
+        for kind in ("logon", "device", "http", "email", "file")
+    }
+    config_doc["dataset"]["labels"] = str(demo / "data" / "labels.csv")
+    config_doc["store_path"] = str(tmp_path / "store.json")
+    config_doc["output_dir"] = str(tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_doc))
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    labels = json.loads((tmp_path / "store.users.json").read_text())
+    assert len(labels) == 50
+    assert sorted(u for u, label in labels.items() if label == "malicious") == \
+        ["KEYL0001", "LEAK0001"]
+
+    del config_doc["dataset"]["labels"]
+    config_path.write_text(json.dumps(config_doc))
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    assert not (tmp_path / "store.users.json").exists()
+    assert main(["evaluate", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("LabelsMissing:")
+
+
+def test_old_snapshot_format_rejected(demo: Path, completed_run: Path, tmp_path, capsys):
+    old = {"format": "audit-store/1", "labels": {}, "manifest": [], "entries": [
+        {"id": "E1", "ts": "2024-01-02T09:00:00", "user": "u", "host": "h",
+         "activity": "Logon", "payload": {}}]}
+    (tmp_path / "store.json").write_text(json.dumps(old, indent=1))
+    config_path = _config_copy(demo, completed_run, tmp_path,
+                               json.loads((demo / "script.json").read_text()))
+    config_doc = json.loads(config_path.read_text())
+    config_doc["store_path"] = str(tmp_path / "store.json")
+    config_path.write_text(json.dumps(config_doc))
+    assert main(["forge", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IngestFailed:") and err.count("\n") == 1
+    assert "'audit-store/1'" in err and "re-run ingest" in err
+
+
+def test_evaluate_reads_no_snapshot(completed_run: Path, monkeypatch):
+    import logaudit.config
+    import logaudit.logstore
+
+    config = str(completed_run / "config.json")
+    out = completed_run / "out"
+    names = ("report.txt", "report.struct", "costs.struct")
+    assert main(["evaluate", "--config", config]) == 0
+    expected = {name: (out / name).read_bytes() for name in names}
+    for name in names:
+        (out / name).unlink()
+
+    def no_load(path):
+        raise AssertionError(f"evaluate loaded the snapshot {path}")
+
+    monkeypatch.setattr(logaudit.logstore, "load_store", no_load)
+    monkeypatch.setattr(logaudit.config, "load_store", no_load)
+    assert main(["evaluate", "--config", config]) == 0
+    assert {name: (out / name).read_bytes() for name in names} == expected

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
+import tempfile
 from datetime import datetime
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import entry, seal
@@ -16,8 +20,12 @@ from logaudit.errors import (
     StoreSealed,
 )
 from logaudit.logstore import (
+    CERT_SOURCES,
     ActivityType,
+    LogEntry,
     LogStore,
+    SourceFile,
+    _parse_timestamp,
     build_user_sequences,
     load_labels,
     load_store,
@@ -106,6 +114,70 @@ def test_cert_missing_header_column_fails(tmp_path):
         parse_cert_file(path, "logon")
 
 
+def _strptime_chain(raw: str) -> datetime:
+    """The CERT timestamp parse before its fixed-format fast path."""
+    raw = raw.strip()
+    try:
+        return datetime.strptime(raw, "%m/%d/%Y %H:%M:%S")
+    except ValueError:
+        pass
+    try:
+        return datetime.fromisoformat(raw)
+    except ValueError:
+        raise ValueError(f"unparseable timestamp {raw!r}")
+
+
+def _outcome(parse, raw: str) -> tuple:
+    try:
+        return ("ok", parse(raw))
+    except Exception as exc:  # the type and message must match too
+        return ("raised", type(exc), str(exc))
+
+
+_FIELDS = st.tuples(*[st.integers(0, 99)] * 2, st.integers(0, 9999), *[st.integers(0, 99)] * 3)
+_PADDED = st.one_of(st.datetimes().map(lambda d: f"{d:%m/%d}/{d.year:04d} {d:%H:%M:%S}"),
+                    _FIELDS.map(lambda f: "%02d/%02d/%04d %02d:%02d:%02d" % f))
+_UNPADDED = _FIELDS.map(lambda f: "%d/%d/%d %d:%d:%d" % f)
+_DIGITS = st.sampled_from(["\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"])
+_FOREIGN_DIGITS = st.tuples(_PADDED, _DIGITS).map(
+    lambda pair: pair[0].translate({ord(str(i)): pair[1][i] for i in range(10)}))
+_SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u3000"), max_size=2)
+
+
+@given(st.tuples(_SPACE, st.one_of(_PADDED, _UNPADDED, _FOREIGN_DIGITS, st.text(),
+                                   st.text(st.sampled_from("0123456789/: -T.")),
+                                   st.datetimes().map(datetime.isoformat)), _SPACE)
+       .map("".join))
+@example("12/31/2024 23:59:59")
+@example("12/31/2024 23:59:60")
+@example("02/30/2024 00:00:00")
+@example("13/01/2024 00:00:00")
+@example("01/02/0000 00:00:00")
+@example("\u0660\u0661/\u0660\u0662/\u0662\u0660\u0662\u0664 \u0660\u0663:\u0660\u0664:\u0660\u0665")
+@example("1/2/2024 3:04:05")
+@example("01/02/2024  03:04:05")
+@example("2024-01-02T03:04:05.123456")
+@settings(max_examples=400, deadline=None)
+def test_cert_timestamp_matches_the_strptime_chain(raw):
+    assert _outcome(_parse_timestamp, raw) == _outcome(_strptime_chain, raw)
+
+
+def test_cert_undecodable_byte_fails_the_file(tmp_path):
+    path = tmp_path / "logon.csv"
+    path.write_bytes(b"id,date,user,pc,activity\n{A1},01/02/2010 06:49:00,U\xff,PC-1,Logon\n")
+    with pytest.raises(IngestFailed, match=f"^{re.escape(str(path))}: unreadable input: 'utf-8' codec"):
+        parse_cert_file(path, "logon")
+
+
+def test_cert_oversized_field_fails_the_file(tmp_path):
+    path = tmp_path / "http.csv"
+    path.write_text("id,date,user,pc,url\n{A1},01/02/2010 06:49:00,U1,PC-1,"
+                    + "x" * 131_073 + "\n", encoding="utf-8")
+    with pytest.raises(IngestFailed, match=f"^{re.escape(str(path))}: unreadable input: field larger"):
+        parse_cert_file(path, "http")
+
+
 # --- Zeek parsing ---
 
 def test_zeek_row_count(data_dir):
@@ -163,6 +235,80 @@ def test_zeek_json_lines(tmp_path):
     assert parsed.entries[0].activity is ActivityType.ZEEK_NETWORK
     assert parsed.entries[0].payload["query"] == "example.com"
     assert parsed.entries[0].host == "10.0.0.9"
+
+
+@pytest.mark.parametrize("record", ["[" * 100_000, '{"ts": ' + "1" * 5_000 + "}"],
+                         ids=["nested-past-recursion-limit", "integer-past-digit-limit"])
+def test_zeek_json_record_json_refuses_is_a_malformed_row(tmp_path, record):
+    path = tmp_path / "dns.log"
+    rows = [f'{{"ts": "1563552513.{i}", "query": "q{i}"}}' for i in range(200)] + [record]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    parsed = parse_zeek_file(path)
+    assert (len(parsed.entries), parsed.source.rows) == (200, 201)
+    assert parsed.errors[0].reason == "unparseable JSON record"
+
+
+def test_zeek_undecodable_byte_fails_the_file(tmp_path):
+    path = tmp_path / "conn.log"
+    path.write_bytes(b"#fields\tts\tuser\n1563552513.0\tu\xff\n")
+    with pytest.raises(IngestFailed, match=f"^{re.escape(str(path))}: unreadable input: 'utf-8' codec"):
+        parse_zeek_file(path)
+
+
+def test_zeek_undecodable_separator_fails_the_file(tmp_path):
+    path = tmp_path / "conn.log"
+    path.write_text("#separator\t\\x\n#fields\tts\n1563552513.0\n", encoding="utf-8")
+    with pytest.raises(IngestFailed, match=r"conn.log:1: bad #separator"):
+        parse_zeek_file(path)
+
+
+# --- any input: IngestFailed at most, every row counted ---
+
+def _parse_bytes(directory: Path, parse, name: str, data: bytes):
+    path = directory / name
+    path.write_bytes(data)
+    # No tolerance for malformed rows: files with bad rows are counted too.
+    with mock.patch("logaudit.logstore.MALFORMED_ROW_TOLERANCE", 1.0):
+        try:
+            return parse(path)
+        except IngestFailed:
+            return None
+
+
+_CERT_HEADER = b"id,date,user,pc,activity,url,to,from,filename\n"
+_CERT_PIECES = [_CERT_HEADER,
+                b"{A1},01/02/2010 06:49:00,U1,PC-1,Logon,u,t,f,n\n",
+                b"{A2},2010-01-02T06:49:00,U2,PC-1,connect,u,t,f,n\r\n",
+                b",", b'"', b"\n", b"\r", b"Logoff", b"\xff", b"\x00", b"13/45/2010 99:00:00"]
+
+
+@given(st.sampled_from(CERT_SOURCES),
+       st.one_of(st.binary(),
+                 st.lists(st.sampled_from(_CERT_PIECES)).map(lambda p: _CERT_HEADER + b"".join(p))))
+@settings(max_examples=200, deadline=None)
+def test_cert_parser_raises_only_ingest_failed_and_counts_every_row(source, data):
+    with tempfile.TemporaryDirectory() as directory:
+        parsed = _parse_bytes(Path(directory), lambda p: parse_cert_file(p, source),
+                              f"{source}.csv", data)
+    if parsed is not None:
+        assert len(parsed.entries) + len(parsed.errors) == parsed.source.rows
+        assert parsed.source.malformed == len(parsed.errors)
+
+
+_ZEEK_PIECES = [b"#separator \\x09\n", b"#separator\t\\x\n", b"#separator\t,\n",
+                b"#fields\tts\tuser\tid.orig_h\n", b"#path\tkerberos\n",
+                b"1563552513.2\tu1\t10.0.0.9\n", b'{"ts": "1563552513.2", "user": "u"}\n',
+                b"[1]\n", b"{", b"\t", b"\n", b"-", b"nan", b"1e300", b"\xff", b"#"]
+
+
+@given(st.one_of(st.binary(), st.lists(st.sampled_from(_ZEEK_PIECES)).map(b"".join)))
+@settings(max_examples=200, deadline=None)
+def test_zeek_parser_raises_only_ingest_failed_and_counts_every_row(data):
+    with tempfile.TemporaryDirectory() as directory:
+        parsed = _parse_bytes(Path(directory), parse_zeek_file, "conn.log", data)
+    if parsed is not None:
+        assert len(parsed.entries) + len(parsed.errors) == parsed.source.rows
+        assert parsed.source.malformed == len(parsed.errors)
 
 
 # --- sequences ---
@@ -345,16 +491,48 @@ def test_load_labels_bad_value(tmp_path):
         load_labels(path)
 
 
-def test_store_snapshot_round_trip(tmp_path, data_dir):
+_TEXT = st.text(max_size=8)
+
+
+@st.composite
+def _stores(draw) -> LogStore:
+    rows = draw(st.lists(
+        st.tuples(st.text(min_size=1, max_size=8), st.datetimes(), _TEXT, _TEXT,
+                  st.sampled_from(ActivityType), st.dictionaries(_TEXT, _TEXT, max_size=3)),
+        max_size=12, unique_by=lambda row: row[0]))
     store = LogStore()
-    store.add_parsed(parse_cert_file(data_dir / "cert_logon.csv", "logon"))
-    store.add_parsed(parse_cert_file(data_dir / "cert_http.csv", "http"))
+    store.add_entries(LogEntry(*row) for row in rows)
+    store.source_manifest = draw(st.lists(st.builds(
+        SourceFile, _TEXT, _TEXT, st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3))
     build_user_sequences(store)
-    store.attach_labels({"{H7F8-G9H0I1J2-0002DDDD}": "malicious"})
-    path = tmp_path / "store.json"
-    save_store(store, path)
-    loaded = load_store(path)
-    assert [e.entry_id for e in loaded.entries] == [e.entry_id for e in store.entries]
+    labelled = draw(st.lists(st.sampled_from([row[0] for row in rows]), unique=True)
+                    if rows else st.just([]))
+    store.attach_labels({i: draw(st.sampled_from(["benign", "malicious"])) for i in labelled})
+    return store
+
+
+def _fields(store: LogStore) -> list[tuple]:
+    return [(e.entry_id, e.timestamp, e.user, e.host, e.activity, dict(e.payload))
+            for e in store.entries]
+
+
+@given(_stores())
+@example(build_user_sequences(LogStore()))
+@example(seal([LogEntry("E1", datetime(2024, 1, 2, 3, 4, 5, 678901), "\u00fc", "",
+                        ActivityType.HTTP_VISIT, {"url": "", "note": "\u2603"})]))
+@settings(max_examples=100, deadline=None)
+def test_store_snapshot_round_trip(store):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "store.json"
+        save_store(store, path)
+        written = path.read_bytes()
+        loaded = load_store(path)
+        save_store(loaded, path)
+        assert path.read_bytes() == written
+    assert loaded.sealed
+    assert _fields(loaded) == _fields(store)
     assert loaded.labels == store.labels
-    assert loaded.users.keys() == store.users.keys()
-    assert loaded.entry("{X1D9-S0ES98JV-5357PWMI}").payload == {}
+    assert loaded.source_manifest == store.source_manifest
+    assert {u: [e.entry_id for e in seq.entries] for u, seq in loaded.users.items()} == \
+        {u: [e.entry_id for e in seq.entries] for u, seq in store.users.items()}
+    assert loaded.index == store.index
