@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import shutil
 import sys
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .errors import (
 from .forge import REGISTRY_FORMAT, build_tool_for_subtask, save_registry
 from .gateway import CostLedger, CostRecord, cost_report
 from .logstore import (
-    LogStore,
     build_user_sequences,
     load_labels,
     parse_cert_file,
@@ -104,8 +104,9 @@ def _read_ledgers(outdir: Path) -> list[CostRecord]:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(config: RunConfig) -> int:
-    store = LogStore()
     dataset = config.dataset
+    entries = []
+    manifest = []
     for source, raw_path in sorted(dataset.paths.items()):
         path = resolve_path(config, raw_path)
         if not path.exists():
@@ -117,17 +118,15 @@ def cmd_ingest(config: RunConfig) -> int:
         # Record the path as the config writes it, so a snapshot does not
         # depend on where the dataset was checked out.
         parsed.source.path = raw_path
-        store.add_parsed(parsed)
+        entries.extend(parsed.entries)
+        manifest.append(parsed.source)
         logger.info("ingested %s: %d entries, %d malformed", path, len(parsed.entries),
                     len(parsed.errors))
-    build_user_sequences(store)
-    if dataset.labels:
-        labels_path = resolve_path(config, dataset.labels)
-        if not labels_path.exists():
-            raise LabelsMissing(f"ground-truth file not found: {labels_path}")
-        store.attach_labels(load_labels(labels_path))
+    labels = load_labels(resolve_path(config, dataset.labels)) if dataset.labels else None
+    store = build_user_sequences(entries, labels, manifest)
+    if labels is not None:
         # Class-imbalance control: keep every malicious entry and at most
-        # `undersample_cap` benign ones in the sealed snapshot.
+        # `undersample_cap` benign ones in the snapshot.
         view = undersample_benign(store, cap=config.undersample_cap,
                                   seed=config.seed_sampler)
         if view is not store:
@@ -222,7 +221,10 @@ def cmd_detect(config: RunConfig) -> int:
             (outdir / name).unlink(missing_ok=True)
         raise
 
+    # This run's transcripts replace every earlier run's, even where it writes none.
     transcripts_dir = outdir / "transcripts"
+    if transcripts_dir.exists():
+        shutil.rmtree(transcripts_dir)
     users_doc = {}
     for user, (final, transcript) in sorted(outcomes.items()):
         users_doc[user] = conclusion_doc(final)

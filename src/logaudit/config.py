@@ -18,6 +18,7 @@ from .executor import DEFAULT_EXCERPT_BUDGET
 from .forge import DEFAULT_REPAIR_ATTEMPTS, ToolTestCase
 from .gateway import Backend, HttpBackend, PromptTemplate, RateTable, ScriptEntry, ScriptedBackend
 from .logstore import (
+    CERT_SOURCES,
     DEFAULT_EXEMPLARS_PER_TYPE,
     DEFAULT_SEED,
     DEFAULT_UNDERSAMPLE_CAP,
@@ -27,8 +28,6 @@ from .logstore import (
 from .plans import DEFAULT_K_SIGMA
 from .prompts import DEFAULT_TEMPLATES
 from .runtime import LIST_KINDS, ListCatalog, load_list_file
-
-_CERT_SOURCES = ("logon", "device", "http", "email", "file")
 
 # Top-level keys that set one RunConfig field each, with their types; an
 # absent key leaves the field's default.
@@ -149,7 +148,7 @@ def load_config(path: str | Path) -> RunConfig:
         labels=None if labels is None else _typed(path, "dataset.labels", labels, str),
     )
     if kind == "cert":
-        bad = set(dataset.paths) - set(_CERT_SOURCES)
+        bad = set(dataset.paths) - set(CERT_SOURCES)
         if bad:
             raise ConfigInvalid(f"{path}: unknown CERT sources {sorted(bad)}")
 
@@ -258,7 +257,7 @@ def resolve_path(config: RunConfig, path: str) -> Path:
 
 
 def load_snapshot(config: RunConfig) -> LogStore:
-    """The sealed store snapshot that ``ingest`` wrote."""
+    """The store snapshot that ``ingest`` wrote."""
     path = resolve_path(config, config.store_path)
     if not path.exists():
         raise ConfigInvalid(f"store snapshot not found: {path}; run ingest first")

@@ -23,10 +23,6 @@ class DuplicateEntryId(AuditError):
     """Two ingested rows share an entry id."""
 
 
-class StoreSealed(AuditError):
-    """Mutation attempted on a sealed store."""
-
-
 class LabelsMissing(AuditError):
     """Operation requires ground-truth labels and the store has none."""
 

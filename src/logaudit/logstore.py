@@ -2,8 +2,8 @@
 
 Ingests CERT-style CSV logs and Zeek-style TSV logs into one LogEntry shape,
 indexes them per user, and provides the seeded exemplar sampling and benign
-under-sampling the rest of the pipeline builds on. A store is mutable during
-ingestion and immutable ("sealed") once user sequences are built.
+under-sampling the rest of the pipeline builds on. A store is built whole, in
+one pass, by :func:`build_user_sequences` and never mutated afterwards.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -19,13 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (
-    DuplicateEntryId,
-    IngestFailed,
-    LabelsInvalid,
-    LabelsMissing,
-    StoreSealed,
-)
+from .errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 
 logger = logging.getLogger(__name__)
 
@@ -109,80 +104,41 @@ class ParsedFile:
 
 @dataclass
 class UserSequence:
-    """All entries of one user, in ascending time order."""
+    """All entries of one user, in ascending time order; never empty."""
 
     user: str
     entries: list[LogEntry]
 
-    def day_range(self) -> tuple[date, date] | None:
-        if not self.entries:
-            return None
+    def day_range(self) -> tuple[date, date]:
         return self.entries[0].day, self.entries[-1].day
 
 
+@dataclass(frozen=True, eq=False)
 class LogStore:
-    """Time-ordered set of all activity records across users."""
+    """All activity records across users, built by :func:`build_user_sequences`."""
 
-    def __init__(self) -> None:
-        self.entries: list[LogEntry] = []
-        self.users: dict[str, UserSequence] = {}
-        # Store positions per (user, activity), ascending; built at seal.
-        # Host-only entries are indexed under the empty user.
-        self.index: dict[tuple[str, ActivityType], list[int]] = {}
-        self.labels: dict[str, str] = {}
-        self.source_manifest: list[SourceFile] = []
-        self._by_id: dict[str, LogEntry] = {}
-        self._sealed = False
-
-    # -- ingestion --
-
-    def add_parsed(self, parsed: ParsedFile) -> None:
-        self.add_entries(parsed.entries, parsed.source)
-
-    def add_entries(self, entries: Iterable[LogEntry], source: SourceFile | None = None) -> None:
-        if self._sealed:
-            raise StoreSealed("store is sealed; no mutation after build_user_sequences")
-        for entry in entries:
-            if entry.entry_id in self._by_id:
-                raise DuplicateEntryId(f"duplicate entry id {entry.entry_id!r}")
-            self._by_id[entry.entry_id] = entry
-            self.entries.append(entry)
-        if source is not None:
-            self.source_manifest.append(source)
-
-    def attach_labels(self, labels: Mapping[str, str]) -> None:
-        """Attach ground-truth labels; every id must exist in the store."""
-        for entry_id, label in labels.items():
-            if entry_id not in self._by_id:
-                raise LabelsInvalid(f"label references unknown entry id {entry_id!r}")
-            if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
-                raise LabelsInvalid(f"bad label {label!r} for {entry_id!r}")
-        self.labels.update(labels)
-
-    # -- lookups --
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    def has_entry(self, entry_id: str) -> bool:
-        return entry_id in self._by_id
-
-    def entry(self, entry_id: str) -> LogEntry:
-        return self._by_id[entry_id]
+    entries: list[LogEntry]
+    users: dict[str, UserSequence]
+    # Store positions per (user, activity), ascending. Host-only entries are
+    # indexed under the empty user.
+    index: dict[tuple[str, ActivityType], list[int]]
+    labels: dict[str, str]
+    source_manifest: list[SourceFile]
 
     def entries_of(
-        self, users: Iterable[str], activities: Iterable[ActivityType]
+        self, users: Iterable[str] | None, activities: Iterable[ActivityType]
     ) -> list[LogEntry]:
-        """The sealed store's entries of any of the users and activity
-        types, in store order, read from the seal's index."""
+        """The entries of any of the users (``None``: every user, host-only
+        entries included) and activity types, in store order."""
+        if users is None:
+            users = {user for user, _ in self.index}
         keys = [(user, activity) for user in set(users) for activity in set(activities)]
         lists = [self.index[key] for key in keys if key in self.index]
         positions = lists[0] if len(lists) == 1 else sorted(i for part in lists for i in part)
         return [self.entries[i] for i in positions]
 
     def activity_types(self) -> set[ActivityType]:
-        return {e.activity for e in self.entries}
+        return {activity for _, activity in self.index}
 
     def is_malicious(self, entry_id: str) -> bool:
         return self.labels.get(entry_id) == LABEL_MALICIOUS
@@ -489,27 +445,40 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
 # Sequences, sampling, under-sampling
 # ---------------------------------------------------------------------------
 
-def build_user_sequences(store: LogStore) -> LogStore:
-    """Populate per-user sequences and the (user, activity) index, and seal
-    the store.
+def build_user_sequences(
+    entries: Iterable[LogEntry],
+    labels: Mapping[str, str] | None = None,
+    manifest: Iterable[SourceFile] = (),
+) -> LogStore:
+    """The store of these entries, in this order: the only way to make one.
 
-    The sort is stable: entries with equal timestamps keep ingest order.
-    Entries without a user (host-only records) stay in the store and in the
-    index but are not attributed to any sequence.
+    One pass builds the (user, activity) index and the per-user sequences,
+    sorted stably by time; host-only entries are indexed but in no sequence.
+    A repeated id raises DuplicateEntryId, and a label for an unknown id or
+    of an unknown value raises LabelsInvalid.
     """
+    entries = list(entries)
+    ids: set[str] = set()
     grouped: dict[str, list[LogEntry]] = {}
     index: dict[tuple[str, ActivityType], list[int]] = {}
-    for position, entry in enumerate(store.entries):
+    for position, entry in enumerate(entries):
+        if entry.entry_id in ids:
+            raise DuplicateEntryId(f"duplicate entry id {entry.entry_id!r}")
+        ids.add(entry.entry_id)
         index.setdefault((entry.user, entry.activity), []).append(position)
         if entry.user:
             grouped.setdefault(entry.user, []).append(entry)
-    store.users = {
-        user: UserSequence(user=user, entries=sorted(entries, key=lambda e: e.timestamp))
-        for user, entries in grouped.items()
+    labels = dict(labels or {})
+    for entry_id, label in labels.items():
+        if entry_id not in ids:
+            raise LabelsInvalid(f"label references unknown entry id {entry_id!r}")
+        if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
+            raise LabelsInvalid(f"bad label {label!r} for {entry_id!r}")
+    users = {
+        user: UserSequence(user=user, entries=sorted(seq, key=lambda e: e.timestamp))
+        for user, seq in grouped.items()
     }
-    store.index = index
-    store._sealed = True
-    return store
+    return LogStore(entries, users, index, labels, list(manifest))
 
 
 def sample_exemplars(
@@ -522,12 +491,9 @@ def sample_exemplars(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    by_type: dict[ActivityType, list[LogEntry]] = {}
-    for entry in store.entries:
-        by_type.setdefault(entry.activity, []).append(entry)
     exemplars: dict[ActivityType, list[LogEntry]] = {}
-    for activity in sorted(by_type, key=lambda a: a.value):
-        pool = by_type[activity]
+    for activity in sorted(store.activity_types(), key=lambda a: a.value):
+        pool = store.entries_of(None, [activity])
         rng = random.Random(f"{seed}:{activity.value}")
         if len(pool) <= k:
             exemplars[activity] = list(pool)
@@ -542,9 +508,8 @@ def undersample_benign(
 ) -> LogStore:
     """Return a view keeping all malicious entries and at most ``cap`` benign.
 
-    Entries without an explicit label count as benign. The underlying store
-    is never modified; when the benign count is already within the cap the
-    store itself is returned.
+    Entries without an explicit label count as benign. When the benign
+    count is already within the cap the store itself is returned.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -557,17 +522,13 @@ def undersample_benign(
 
     rng = random.Random(seed)
     kept = set(rng.sample(benign_idx, cap))
-    view = LogStore()
     selected = [
         e for i, e in enumerate(store.entries)
         if i in kept or store.is_malicious(e.entry_id)
     ]
-    view.add_entries(selected)
-    view.attach_labels({i: lab for i, lab in store.labels.items() if view.has_entry(i)})
-    view.source_manifest = list(store.source_manifest)
-    if store.sealed:
-        build_user_sequences(view)
-    return view
+    ids = {e.entry_id for e in selected}
+    labels = {i: lab for i, lab in store.labels.items() if i in ids}
+    return build_user_sequences(selected, labels, store.source_manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +538,8 @@ def undersample_benign(
 def load_labels(path: str | Path) -> dict[str, str]:
     """Read a two-column ``entry_id,label`` ground-truth file."""
     path = Path(path)
+    if not path.exists():
+        raise LabelsMissing(f"ground-truth file not found: {path}")
     labels: dict[str, str] = {}
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -616,23 +579,30 @@ def save_store(store: LogStore, path: str | Path) -> None:
         ],
     }
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    # Renamed over the snapshot, so an interrupted write leaves the old one whole.
+    partial = Path(f"{path}.partial")
+    try:
+        partial.write_text(text + "\n", encoding="utf-8")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_store(path: str | Path) -> LogStore:
-    """Load a snapshot written by :func:`save_store`; returns a sealed store."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != STORE_FORMAT:
-        raise IngestFailed(f"{path}: snapshot format {doc.get('format')!r} is not "
-                           f"{STORE_FORMAT!r}; re-run ingest")
-    store = LogStore()
-    store.add_entries(
-        LogEntry(entry_id, datetime.fromisoformat(ts), user, host, _ACTIVITIES[activity], payload)
-        for entry_id, ts, user, host, activity, payload in doc["entries"]
-    )
-    for item in doc.get("manifest", []):
-        store.source_manifest.append(SourceFile(**item))
-    build_user_sequences(store)
-    if doc.get("labels"):
-        store.attach_labels(doc["labels"])
-    return store
+    """Load a snapshot written by :func:`save_store`. A snapshot that does
+    not decode into that shape fails with IngestFailed."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if doc.get("format") != STORE_FORMAT:
+            raise IngestFailed(f"{path}: snapshot format {doc.get('format')!r} is not "
+                               f"{STORE_FORMAT!r}; re-run ingest")
+        entries = [
+            LogEntry(entry_id, datetime.fromisoformat(ts), user, host, _ACTIVITIES[activity],
+                     payload)
+            for entry_id, ts, user, host, activity, payload in doc["entries"]
+        ]
+        manifest = [SourceFile(**item) for item in doc.get("manifest", [])]
+        return build_user_sequences(entries, doc.get("labels"), manifest)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IngestFailed(f"{path}: damaged snapshot ({type(exc).__name__}: {exc}); "
+                           "re-run ingest") from None

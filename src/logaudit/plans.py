@@ -36,7 +36,7 @@ PAYLOAD_FIELDS: dict[ActivityType, frozenset[str] | None] = {
     ActivityType.ZEEK_ANOMALY: None,
 }
 
-_PARAM_RE = re.compile(r"^\{(\w+)\}$")
+PARAM_RE = re.compile(r"^\{(\w+)\}$")
 
 PREDICATES = ("equals", "contains", "matches_glob", "in_list", "numeric_cmp")
 NUMERIC_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
@@ -344,13 +344,13 @@ def free_params(plan: QueryPlan) -> tuple[tuple[str, str], ...]:
     for key in ("user", "day", "day_from", "day_to"):
         value = getattr(select, key)
         if value is not None:
-            match = _PARAM_RE.match(value)
+            match = PARAM_RE.match(value)
             if match:
                 name = match.group(1)
                 params[name] = _SEMANTIC_TYPES.get(name, "string")
     for stage in plan.stages:
         if isinstance(stage, FilterStage) and isinstance(stage.value, str):
-            match = _PARAM_RE.match(stage.value)
+            match = PARAM_RE.match(stage.value)
             if match:
                 name = match.group(1)
                 params[name] = _SEMANTIC_TYPES.get(name, "string")

@@ -1,4 +1,4 @@
-"""Query-plan interpreter over a sealed log store.
+"""Query-plan interpreter over an immutable log store.
 
 This is where tools get the global context a prompt window cannot hold:
 full-history baselines, per-day rates, and allow/deny list lookups. All
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import fnmatch
 import logging
-import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -22,6 +21,7 @@ from .errors import InsufficientHistory, MalformedUrl, ParamMissing, UnknownList
 from .logstore import LogEntry, LogStore
 from .plans import (
     AGG_FUNCS,
+    PARAM_RE,
     AggregateStage,
     BaselineCompareStage,
     FilterStage,
@@ -45,8 +45,6 @@ ASSESS_NORMAL = "within normal range"
 # Cap on ids kept as comparator evidence and on rendered group summaries.
 EVIDENCE_CAP = 200
 GROUP_SUMMARY_CAP = 8
-
-_PARAM_RE = re.compile(r"^\{(\w+)\}$")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +138,7 @@ def _as_float(value: object) -> float | None:
 def apply_filter(entries: list[LogEntry], filt: FilterStage, params: Mapping[str, str]) -> list[LogEntry]:
     value = filt.value
     if isinstance(value, str):
-        match = _PARAM_RE.match(value)
+        match = PARAM_RE.match(value)
         if match:
             name = match.group(1)
             if name not in params:
@@ -179,7 +177,7 @@ def apply_filter(entries: list[LogEntry], filt: FilterStage, params: Mapping[str
 def _bind(raw: str | None, params: Mapping[str, str], *, required_by: str) -> str | None:
     if raw is None:
         return None
-    match = _PARAM_RE.match(raw)
+    match = PARAM_RE.match(raw)
     if not match:
         return raw
     name = match.group(1)
@@ -189,23 +187,16 @@ def _bind(raw: str | None, params: Mapping[str, str], *, required_by: str) -> st
 
 
 def select_entries(store: LogStore, select: SelectStage, params: Mapping[str, str]) -> list[LogEntry]:
-    """The select stage's entries, in store order. A user-bound select on a
-    sealed store reads the seal's (user, activity) index; an unbound one
-    scans. A user value may be a comma list of user ids."""
-    wanted = set(select.activity_types)
+    """The select stage's entries, in store order, read from the store's
+    (user, activity) index. A user value may be a comma list of user ids;
+    with no user, every user's entries and host-only ones are selected."""
     user = _bind(select.user, params, required_by="select")
     day = _bind(select.day, params, required_by="select")
     day_from = _bind(select.day_from, params, required_by="select")
     day_to = _bind(select.day_to, params, required_by="select")
 
     users = {u.strip() for u in user.split(",")} if user is not None else None
-    if users is not None and store.sealed:
-        candidates = store.entries_of(users, wanted)
-    else:
-        candidates = [
-            e for e in store.entries
-            if e.activity in wanted and (users is None or e.user in users)
-        ]
+    candidates = store.entries_of(users, select.activity_types)
     if day is None and day_from is None and day_to is None:
         return candidates
 
@@ -315,11 +306,9 @@ def _baseline_over_selection(
     """Per-day history series for the filtered selection, excluding the
     audited day, zero-filled over the user's active span."""
     sequence = store.users.get(user)
-    if sequence is None or not sequence.entries:
+    if sequence is None:
         raise InsufficientHistory(f"user {user!r} has no history in the store")
-    span = sequence.day_range()
-    assert span is not None
-    counts = daily_counts(selection, span)
+    counts = daily_counts(selection, sequence.day_range())
     current_entries = [e for e in selection if e.day == audit_day]
     history = [counts[d] for d in sorted(counts) if d != audit_day]
     if not history:

@@ -39,10 +39,8 @@ def entry(
     )
 
 
-def seal(entries: list[LogEntry]) -> LogStore:
-    store = LogStore()
-    store.add_entries(entries)
-    return build_user_sequences(store)
+def seal(entries: list[LogEntry], labels: dict[str, str] | None = None) -> LogStore:
+    return build_user_sequences(entries, labels)
 
 
 def logon_series(user: str, counts: list[int], prefix: str = "L") -> list[LogEntry]:

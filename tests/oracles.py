@@ -43,6 +43,35 @@ def _bind(value, params):
     return value
 
 
+def naive_has_duplicate_ids(entries: list[LogEntry]) -> bool:
+    return any(e.entry_id == f.entry_id for i, e in enumerate(entries) for f in entries[:i])
+
+
+def naive_sequences(entries: list[LogEntry]) -> dict[str, list[str]]:
+    """Each user's entry ids in time order, ties in list order; host-only
+    entries belong to no user."""
+    out: dict[str, list[str]] = {}
+    for user in {e.user for e in entries if e.user}:
+        mine = [(e.timestamp, i, e.entry_id) for i, e in enumerate(entries) if e.user == user]
+        out[user] = [entry_id for _, _, entry_id in sorted(mine)]
+    return out
+
+
+def naive_index(entries: list[LogEntry]) -> dict:
+    """(user, activity) -> list positions of that pair's entries."""
+    return {
+        (u, a): [i for i, e in enumerate(entries) if (e.user, e.activity) == (u, a)]
+        for u, a in {(e.user, e.activity) for e in entries}
+    }
+
+
+def naive_entries_of(entries: list[LogEntry], users, types) -> list[LogEntry]:
+    """The entries of the activity types, of the users or, when None, of
+    every user and host-only ones, in list order."""
+    return [e for e in entries
+            if e.activity in types and (users is None or e.user in users)]
+
+
 def naive_select(store: LogStore, select: SelectStage, params) -> list[LogEntry]:
     out = []
     user = _bind(select.user, params)

@@ -321,9 +321,8 @@ def test_criterion_07_undersampling():
     entries += [entry(f"M{i:04d}", "insider", ActivityType.HTTP_VISIT,
                       day_offset=i % 28, hour=i % 24, url="http://wikileaks.org/x")
                 for i in range(100)]
-    store = seal(entries)
-    store.attach_labels({e.entry_id: ("malicious" if e.entry_id.startswith("M") else "benign")
-                         for e in store.entries})
+    store = seal(entries, {e.entry_id: ("malicious" if e.entry_id.startswith("M") else "benign")
+                           for e in entries})
     view = undersample_benign(store, cap=20_000, seed=42)
     malicious = [e for e in view.entries if view.is_malicious(e.entry_id)]
     benign = [e for e in view.entries if not view.is_malicious(e.entry_id)]

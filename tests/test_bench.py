@@ -107,8 +107,7 @@ def test_user_labels_from_store():
     store = seal([
         entry("A1", "alice", ActivityType.LOGON),
         entry("B1", "bob", ActivityType.LOGON),
-    ])
-    store.attach_labels({"B1": "malicious"})
+    ], {"B1": "malicious"})
     assert user_labels(store) == {"alice": "benign", "bob": "malicious"}
 
 

@@ -503,3 +503,72 @@ def test_evaluate_reads_no_snapshot(completed_run: Path, monkeypatch):
     monkeypatch.setattr(logaudit.config, "load_store", no_load)
     assert main(["evaluate", "--config", config]) == 0
     assert {name: (out / name).read_bytes() for name in names} == expected
+
+
+@pytest.mark.parametrize("phase, text", [
+    ("forge", "{"),
+    ("detect", json.dumps({"format": "audit-store/2", "labels": {}, "manifest": [],
+                           "entries": [["E1", "2024-01-02T09:00:00", "u", "h", "Logon"]]})),
+], ids=["not-json", "row-of-five-fields"])
+def test_damaged_snapshot_rejected(demo: Path, completed_run: Path, tmp_path, capsys,
+                                   phase, text):
+    (tmp_path / "store.json").write_text(text)
+    config_path = _config_copy(demo, completed_run, tmp_path,
+                               json.loads((demo / "script.json").read_text()))
+    config_doc = json.loads(config_path.read_text())
+    config_doc["store_path"] = str(tmp_path / "store.json")
+    config_doc["registry_path"] = str(completed_run / "out" / "registry.json")
+    config_path.write_text(json.dumps(config_doc))
+    assert main([phase, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IngestFailed:") and err.count("\n") == 1
+    assert "damaged snapshot" in err and "re-run ingest" in err
+
+
+def test_ingest_rejects_an_id_shared_by_two_files(tmp_path, capsys):
+    generate_demo(tmp_path)
+    data = tmp_path / "data"
+    first_id = (data / "logon.csv").read_text().splitlines()[1].split(",")[0]
+    lines = (data / "device.csv").read_text().splitlines(keepends=True)
+    lines[1] = first_id + lines[1][lines[1].index(","):]
+    (data / "device.csv").write_text("".join(lines))
+    assert main(["ingest", "--config", str(tmp_path / "config.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("DuplicateEntryId:") and err.count("\n") == 1
+    assert first_id in err
+
+
+def test_detect_replaces_the_previous_transcripts(demo: Path, completed_run: Path, tmp_path):
+    config_path = _config_copy(demo, completed_run, tmp_path,
+                               json.loads((demo / "script.json").read_text()))
+    config = str(config_path)
+    for phase in ("forge", "detect"):
+        assert main([phase, "--config", config]) == 0
+    transcripts = tmp_path / "out" / "transcripts"
+    assert len(list(transcripts.glob("*.json"))) == 50
+    assert main(["detect", "--config", config, "--variant", "vanilla"]) == 0
+    assert not transcripts.exists()
+
+
+def test_detect_interrupted_by_a_non_audit_error_keeps_every_output(
+        demo: Path, completed_run: Path, tmp_path, monkeypatch):
+    import logaudit.pipeline
+
+    config_path = _config_copy(demo, completed_run, tmp_path,
+                               json.loads((demo / "script.json").read_text()))
+    config = str(config_path)
+    for phase in ("forge", "detect"):
+        assert main([phase, "--config", config]) == 0
+    out = tmp_path / "out"
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(user, ctx):
+        raise Interrupted
+
+    monkeypatch.setattr(logaudit.pipeline, "detect_user", interrupt)
+    with pytest.raises(Interrupted):
+        main(["detect", "--config", config, "--variant", "vanilla"])
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before

@@ -1,19 +1,27 @@
-"""Golden-output gate: the demo's forge outputs and, for every variant, its
-conclusions, detect ledger and transcripts are pinned by content hash
-(first 16 hex digits of SHA-256). A refactor must leave them unchanged; a
-change that means to alter them updates the pins and says why."""
+"""Golden-output gate: the demo's store snapshot, its forge outputs and, for
+every variant, its conclusions, detect ledger and transcripts are pinned by
+content hash (first 16 hex digits of SHA-256). A refactor must leave them
+unchanged; a change that means to alter them updates the pins and says why."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 from pathlib import Path
 
 import pytest
 
 from logaudit.cli import main as cli_main
 from logaudit.synthetic import generate_demo
+
+SNAPSHOT = {
+    "store.json": "306bca0506365cea",
+    "store.users.json": "9bb9643a9361ffb1",
+}
+
+# The demo ingested with undersample_cap 1000: every malicious entry and
+# 1,000 benign ones, 1,008 rows.
+UNDERSAMPLED_STORE = "3adf57fba4d66ac8"
 
 FORGE = {
     "registry.json": "903022c09ae00acf",
@@ -87,6 +95,21 @@ def _repair_script(script: list[dict]) -> list[dict]:
     ]
 
 
+def test_snapshot_is_golden(demo):
+    _config, out = demo
+    assert {name: _digest(out / name) for name in SNAPSHOT} == SNAPSHOT
+
+
+def test_undersampled_snapshot_is_golden(tmp_path):
+    generate_demo(tmp_path)
+    config = tmp_path / "config.json"
+    doc = json.loads(config.read_text())
+    doc["undersample_cap"] = 1000
+    config.write_text(json.dumps(doc))
+    assert cli_main(["ingest", "--config", str(config)]) == 0
+    assert _digest(tmp_path / "out" / "store.json") == UNDERSAMPLED_STORE
+
+
 def test_forge_outputs_are_golden(demo):
     _config, out = demo
     assert {name: _digest(out / name) for name in FORGE} == FORGE
@@ -95,7 +118,6 @@ def test_forge_outputs_are_golden(demo):
 @pytest.mark.parametrize("variant", sorted(DETECT))
 def test_detect_outputs_are_golden(demo, variant):
     config, out = demo
-    shutil.rmtree(out / "transcripts", ignore_errors=True)
     assert cli_main(["detect", "--config", str(config), "--variant", variant]) == 0
     outputs = (
         _digest(out / "conclusions.json"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 import tempfile
@@ -12,13 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import entry, seal
-from logaudit.errors import (
-    DuplicateEntryId,
-    IngestFailed,
-    LabelsInvalid,
-    LabelsMissing,
-    StoreSealed,
-)
+from logaudit.errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 from logaudit.logstore import (
     CERT_SOURCES,
     ActivityType,
@@ -35,6 +30,7 @@ from logaudit.logstore import (
     save_store,
     undersample_benign,
 )
+from oracles import naive_entries_of, naive_has_duplicate_ids, naive_index, naive_sequences
 
 
 # --- CERT parsing ---
@@ -374,17 +370,44 @@ def test_seal_index_holds_every_entry_once():
     assert any(user == "" for user, _ in store.index)  # host-only entries are indexed
 
 
-def test_sealed_store_rejects_mutation():
+def test_store_is_frozen():
     store = seal([entry("E1", "u", ActivityType.LOGON)])
-    with pytest.raises(StoreSealed):
-        store.add_entries([entry("E2", "u", ActivityType.LOGON)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        store.labels = {"E1": "malicious"}
 
 
 def test_duplicate_entry_id_rejected():
-    store = LogStore()
-    store.add_entries([entry("E1", "u", ActivityType.LOGON)])
     with pytest.raises(DuplicateEntryId):
-        store.add_entries([entry("E1", "u", ActivityType.LOGOFF)])
+        seal([entry("E1", "u", ActivityType.LOGON), entry("E1", "u", ActivityType.LOGOFF)])
+
+
+_BUILDER_TYPES = (ActivityType.LOGON, ActivityType.HTTP_VISIT, ActivityType.ZEEK_NETWORK)
+
+
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(("u1", "u2", "")),
+                            st.sampled_from(_BUILDER_TYPES), st.integers(0, 2)),
+                  max_size=10),
+    users=st.lists(st.sampled_from(("u1", "u2", "", "nobody")), max_size=3),
+    types=st.lists(st.sampled_from(_BUILDER_TYPES), min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_builder_matches_naive_oracle(rows, users, types):
+    # Few hours, so that equal timestamps are common; few ids, so are repeats.
+    entries = [entry(f"E{n}", user, activity, hour=hour) for n, user, activity, hour in rows]
+    if naive_has_duplicate_ids(entries):
+        with pytest.raises(DuplicateEntryId):
+            build_user_sequences(entries)
+        return
+    store = build_user_sequences(entries)
+    assert {u: [e.entry_id for e in seq.entries] for u, seq in store.users.items()} == \
+        naive_sequences(entries)
+    assert store.index == naive_index(entries)
+    assert store.activity_types() == {e.activity for e in entries}
+    assert [e.entry_id for e in store.entries_of(users or None, types)] == \
+        [e.entry_id for e in naive_entries_of(entries, users or None, types)]
+    with pytest.raises(LabelsInvalid):
+        build_user_sequences(entries, {"unknown": "malicious"})
 
 
 # --- sampling ---
@@ -428,11 +451,8 @@ def _labeled_store(n_benign: int, n_malicious: int) -> LogStore:
                for i in range(n_benign)]
     entries += [entry(f"M{i:05d}", "u2", ActivityType.HTTP_VISIT, hour=i % 24,
                       url="http://wikileaks.org/x") for i in range(n_malicious)]
-    store = seal(entries)
-    labels = {e.entry_id: ("malicious" if e.entry_id.startswith("M") else "benign")
-              for e in store.entries}
-    store.attach_labels(labels)
-    return store
+    return seal(entries, {e.entry_id: ("malicious" if e.entry_id.startswith("M") else "benign")
+                          for e in entries})
 
 
 def test_undersample_keeps_all_malicious():
@@ -470,18 +490,18 @@ def test_undersample_deterministic():
 # --- labels and snapshots ---
 
 def test_load_labels_and_attach(tmp_path):
-    store = seal([entry("E1", "u", ActivityType.LOGON)])
     path = tmp_path / "labels.csv"
     path.write_text("entry_id,label\nE1,malicious\n", encoding="utf-8")
-    store.attach_labels(load_labels(path))
+    store = seal([entry("E1", "u", ActivityType.LOGON)], load_labels(path))
     assert store.is_malicious("E1")
     assert store.user_label("u") == "malicious"
 
 
-def test_attach_labels_unknown_id(tmp_path):
-    store = seal([entry("E1", "u", ActivityType.LOGON)])
+@pytest.mark.parametrize("labels", [{"NOPE": "malicious"}, {"E1": "suspicious"}],
+                         ids=["unknown-id", "bad-value"])
+def test_builder_rejects_bad_labels(labels):
     with pytest.raises(LabelsInvalid):
-        store.attach_labels({"NOPE": "malicious"})
+        seal([entry("E1", "u", ActivityType.LOGON)], labels)
 
 
 def test_load_labels_bad_value(tmp_path):
@@ -500,15 +520,12 @@ def _stores(draw) -> LogStore:
         st.tuples(st.text(min_size=1, max_size=8), st.datetimes(), _TEXT, _TEXT,
                   st.sampled_from(ActivityType), st.dictionaries(_TEXT, _TEXT, max_size=3)),
         max_size=12, unique_by=lambda row: row[0]))
-    store = LogStore()
-    store.add_entries(LogEntry(*row) for row in rows)
-    store.source_manifest = draw(st.lists(st.builds(
+    manifest = draw(st.lists(st.builds(
         SourceFile, _TEXT, _TEXT, st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3))
-    build_user_sequences(store)
     labelled = draw(st.lists(st.sampled_from([row[0] for row in rows]), unique=True)
                     if rows else st.just([]))
-    store.attach_labels({i: draw(st.sampled_from(["benign", "malicious"])) for i in labelled})
-    return store
+    labels = {i: draw(st.sampled_from(["benign", "malicious"])) for i in labelled}
+    return build_user_sequences([LogEntry(*row) for row in rows], labels, manifest)
 
 
 def _fields(store: LogStore) -> list[tuple]:
@@ -517,7 +534,7 @@ def _fields(store: LogStore) -> list[tuple]:
 
 
 @given(_stores())
-@example(build_user_sequences(LogStore()))
+@example(build_user_sequences([]))
 @example(seal([LogEntry("E1", datetime(2024, 1, 2, 3, 4, 5, 678901), "\u00fc", "",
                         ActivityType.HTTP_VISIT, {"url": "", "note": "\u2603"})]))
 @settings(max_examples=100, deadline=None)
@@ -529,10 +546,27 @@ def test_store_snapshot_round_trip(store):
         loaded = load_store(path)
         save_store(loaded, path)
         assert path.read_bytes() == written
-    assert loaded.sealed
     assert _fields(loaded) == _fields(store)
     assert loaded.labels == store.labels
     assert loaded.source_manifest == store.source_manifest
     assert {u: [e.entry_id for e in seq.entries] for u, seq in loaded.users.items()} == \
         {u: [e.entry_id for e in seq.entries] for u, seq in store.users.items()}
     assert loaded.index == store.index
+
+
+def test_interrupted_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    path = tmp_path / "store.json"
+    save_store(seal([entry("E1", "u", ActivityType.LOGON)]), path)
+    before = path.read_bytes()
+    write_text = Path.write_text
+
+    def interrupted(self, text, *args, **kwargs):
+        write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    with pytest.raises(OSError):
+        save_store(seal([entry("E2", "u", ActivityType.LOGOFF)]), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

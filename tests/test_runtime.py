@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import entry, seal
-from logaudit.logstore import LogStore
 from logaudit.errors import InsufficientHistory, MalformedUrl, ParamMissing, UnknownList
 from logaudit.forge import builtin_tools
 from logaudit.logstore import ActivityType
@@ -240,7 +239,6 @@ _DAYS = ("2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04", "{day}")
 @given(
     rows=st.lists(st.tuples(st.sampled_from(_USERS), st.sampled_from(_TYPES),
                             st.integers(0, 3), st.integers(0, 23)), max_size=40),
-    sealed=st.booleans(),
     types=st.lists(st.sampled_from(_TYPES), min_size=1, max_size=4),
     user=st.one_of(
         st.none(),
@@ -256,18 +254,13 @@ _DAYS = ("2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04", "{day}")
     day_param=st.sampled_from(_DAYS[:-1]),
 )
 # A user bound to the empty string selects host-only entries, not everyone's.
-@example(rows=[("u1", ActivityType.LOGON, 0, 9), ("", ActivityType.LOGON, 0, 9)], sealed=True,
+@example(rows=[("u1", ActivityType.LOGON, 0, 9), ("", ActivityType.LOGON, 0, 9)],
          types=[ActivityType.LOGON], user="{user}", user_param="", day=None, day_from=None,
          day_to=None, day_param="2024-01-01")
-def test_select_matches_naive_scan(rows, sealed, types, user, user_param,
+def test_select_matches_naive_scan(rows, types, user, user_param,
                                    day, day_from, day_to, day_param):
-    entries = [entry(f"E{i:02d}", u, t, day_offset=d, hour=h)
-               for i, (u, t, d, h) in enumerate(rows)]
-    if sealed:
-        store = seal(entries)
-    else:
-        store = LogStore()
-        store.add_entries(entries)
+    store = seal([entry(f"E{i:02d}", u, t, day_offset=d, hour=h)
+                  for i, (u, t, d, h) in enumerate(rows)])
     select = SelectStage(tuple(types), user=user, day=day, day_from=day_from, day_to=day_to)
     params = {"user": user_param, "day": day_param}
     got = select_entries(store, select, params)
