@@ -6,7 +6,6 @@ with one machine-parseable ``Category: detail`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import shutil
@@ -79,7 +78,7 @@ def _write_ledger(config: RunConfig, phase: str, ledger: CostLedger) -> Path:
     path = outdir / f"costs-{phase}.jsonl"
     with path.open("w", encoding="utf-8") as handle:
         for record in ledger.records():
-            handle.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
+            handle.write(json.dumps(vars(record), sort_keys=True) + "\n")
     return path
 
 
@@ -186,7 +185,7 @@ def cmd_forge(config: RunConfig) -> int:
             repair_template=templates["tool_repair"],
         )
         if outcome.used_builtin:
-            fallbacks[subtask.id] = outcome.error or "no unit-test cases configured"
+            fallbacks[subtask.id] = outcome.error
         if outcome.spec is None:
             unservable.append(subtask.id)
             logger.warning("sub-task %s is unservable: %s", subtask.id, outcome.error)

@@ -73,14 +73,6 @@ class PlanInvalid(AuditError):
     """Plan parsed but violates a structural invariant."""
 
 
-class InvalidTestCases(AuditError):
-    """Unit testing requires at least one supplied case."""
-
-
-class LifecycleError(AuditError):
-    """Tool status transition out of order (draft -> tested -> decorated)."""
-
-
 class ToolIrreparable(AuditError):
     """Repair budget exhausted without a passing tool."""
 

@@ -1,10 +1,11 @@
-"""Tool builder: drafts query plans from examples, unit-tests them with
-error-feedback repair, decorates the survivors, and persists everything in a
-reusable registry.
+"""Tool builder: drafts query plans from examples, builds each parsed plan
+into a finished tool (params, doc, labelled output template, cases), and
+persists the tools in a reusable registry.
 
-Lifecycle is strictly draft -> tested -> decorated; nothing regresses.
-Built-in fallback tools cover six canonical checks so the pipeline keeps
-working when generation fails.
+One rule decides what is served: a tool is served only if it passes every
+one of its check's unit-test cases. Drafts get error-feedback repairs; when
+none passes, one of six built-in tools is served in its place under the same
+rule, and otherwise the check is unservable.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .decomposer import SubTask, SubTaskSet
 from .errors import (
     AuditError,
     BackendUnreachable,
-    InvalidTestCases,
-    LifecycleError,
     PlanInvalid,
     PlanParseError,
     RegistryCorrupt,
@@ -50,11 +49,9 @@ from .runtime import ListCatalog, invoke
 
 logger = logging.getLogger(__name__)
 
-STATUS_DRAFT = "draft"
-STATUS_TESTED = "tested"
+# Every tool in a registry file carries this status; any other is corrupt.
 STATUS_DECORATED = "decorated"
 
-REQUIRED_INVOCATIONS = 3
 DEFAULT_REPAIR_ATTEMPTS = 3
 REGISTRY_FORMAT = "audit-registry/1"
 
@@ -67,9 +64,9 @@ class ToolTestCase:
     expected: dict[str, object]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolSpec:
-    """A validated, reusable log-analysis tool."""
+    """A reusable log-analysis tool, built whole."""
 
     name: str
     subtask_id: str
@@ -77,29 +74,8 @@ class ToolSpec:
     doc: str = ""
     params: tuple[tuple[str, str], ...] = ()
     output_template: str = ""
-    status: str = STATUS_DRAFT
     builtin: bool = False
     test_cases: tuple[ToolTestCase, ...] = ()
-
-
-@dataclass
-class TestReport:
-    failures: list[str]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def _advance(spec: ToolSpec, new_status: str) -> None:
-    allowed = {
-        (STATUS_DRAFT, STATUS_TESTED),
-        (STATUS_TESTED, STATUS_DECORATED),
-        (STATUS_DECORATED, STATUS_DECORATED),
-    }
-    if (spec.status, new_status) not in allowed:
-        raise LifecycleError(f"cannot move tool {spec.name!r} from {spec.status} to {new_status}")
-    spec.status = new_status
 
 
 def template_placeholders(template: str) -> set[str]:
@@ -113,7 +89,7 @@ def validate_template(template: str, plan: QueryPlan) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Drafting and unit testing
+# Drafted tools and unit testing
 # ---------------------------------------------------------------------------
 
 def _render_log_examples(entries: Sequence[LogEntry]) -> str:
@@ -127,15 +103,6 @@ def _render_log_examples(entries: Sequence[LogEntry]) -> str:
     return "\n".join(lines)
 
 
-def _spec_from_plan(subtask_id: str, plan: QueryPlan) -> ToolSpec:
-    return ToolSpec(
-        name=f"{subtask_id}-tool",
-        subtask_id=subtask_id,
-        plan=plan,
-        params=free_params(plan),
-    )
-
-
 def _values_match(expected: object, actual: object) -> bool:
     try:
         return abs(float(expected) - float(actual)) <= NUMERIC_TOLERANCE  # type: ignore[arg-type]
@@ -143,20 +110,11 @@ def _values_match(expected: object, actual: object) -> bool:
         return str(expected).strip() == str(actual).strip()
 
 
-def _pad_cases(cases: Sequence[ToolTestCase]) -> list[ToolTestCase]:
-    if not cases:
-        raise InvalidTestCases("unit testing requires at least one case")
-    padded = list(cases)
-    while len(padded) < REQUIRED_INVOCATIONS:
-        padded.append(padded[len(padded) % len(cases)])
-    return padded[:REQUIRED_INVOCATIONS]
-
-
-def _case_failures(
+def unit_test_tool(
     spec: ToolSpec,
     store: LogStore,
     cases: Sequence[ToolTestCase],
-    lists: ListCatalog | None,
+    lists: ListCatalog | None = None,
 ) -> list[str]:
     """Invoke the tool once per case and describe every case whose run
     fails or whose values differ from the expected ones."""
@@ -177,33 +135,12 @@ def _case_failures(
     return failures
 
 
-def unit_test_tool(
-    spec: ToolSpec,
-    fixtures: LogStore,
-    cases: Sequence[ToolTestCase],
-    lists: ListCatalog | None = None,
-) -> TestReport:
-    """Run the three invocation tests; on pass the spec advances to tested."""
-    if spec.status != STATUS_DRAFT:
-        raise LifecycleError(f"unit testing requires a draft spec, got {spec.status!r}")
-    report = TestReport(failures=_case_failures(spec, fixtures, _pad_cases(cases), lists))
-    if report.passed:
-        _advance(spec, STATUS_TESTED)
-        spec.test_cases = tuple(ToolTestCase(dict(c.params), dict(c.expected)) for c in cases)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Decoration
-# ---------------------------------------------------------------------------
-
 def _types_phrase(plan: QueryPlan) -> str:
     return "/".join(t.value for t in plan.select.activity_types)
 
 
-def _decorated_template(spec: ToolSpec) -> str:
-    plan = spec.plan
-    param_names = {name for name, _ in spec.params}
+def _labelled_template(plan: QueryPlan, params: tuple[tuple[str, str], ...]) -> str:
+    param_names = {name for name, _ in params}
     prefix = "User {user}: " if "user" in param_names else ""
     comparator = plan.comparator()
     if isinstance(comparator, BaselineCompareStage):
@@ -231,20 +168,21 @@ def _decorated_template(spec: ToolSpec) -> str:
     return prefix + "{n} " + _types_phrase(plan) + " entries matched this check."
 
 
-def decorate_tool(spec: ToolSpec, subtask: SubTask | None = None) -> ToolSpec:
-    """Populate documentation and restructure the output into a labeled
-    sentence; idempotent on already-decorated specs."""
-    if spec.status == STATUS_DECORATED:
-        return spec
-    if spec.status != STATUS_TESTED:
-        raise LifecycleError(f"decoration requires a tested spec, got {spec.status!r}")
-    template = _decorated_template(spec)
-    validate_template(template, spec.plan)
-    description = subtask.description if subtask else spec.subtask_id.replace("-", " ")
-    spec.doc = f"{description.rstrip('.')}. This tool {plan_summary(spec.plan)}"
-    spec.output_template = template
-    _advance(spec, STATUS_DECORATED)
-    return spec
+def drafted_tool(subtask: SubTask, plan: QueryPlan, cases: Sequence[ToolTestCase]) -> ToolSpec:
+    """The finished tool for a parsed plan: its params, a doc from the check's
+    description, a labelled output sentence, and the cases it must pass."""
+    params = free_params(plan)
+    template = _labelled_template(plan, params)
+    validate_template(template, plan)
+    return ToolSpec(
+        name=f"{subtask.id}-tool",
+        subtask_id=subtask.id,
+        plan=plan,
+        doc=f"{subtask.description.rstrip('.')}. This tool {plan_summary(plan)}",
+        params=params,
+        output_template=template,
+        test_cases=tuple(cases),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +202,6 @@ def _builtin(name: str, doc: str, plan_text: str, output_template: str) -> ToolS
         doc=doc,
         params=free_params(plan),
         output_template=output_template,
-        status=STATUS_DECORATED,
         builtin=True,
     )
 
@@ -319,10 +256,7 @@ def match_builtin(subtask: SubTask, k_sigma: float = DEFAULT_K_SIGMA) -> ToolSpe
     types = subtask.activity_types
 
     def pick(name: str) -> ToolSpec:
-        clone = replace(tools[name])
-        clone.subtask_id = subtask.id
-        clone.name = f"{subtask.id}-builtin"
-        return clone
+        return replace(tools[name], name=f"{subtask.id}-builtin", subtask_id=subtask.id)
 
     if ActivityType.HTTP_VISIT in types:
         if any(w in text for w in ("download", "executable", "payload")):
@@ -341,14 +275,20 @@ def match_builtin(subtask: SubTask, k_sigma: float = DEFAULT_K_SIGMA) -> ToolSpe
 
 
 # ---------------------------------------------------------------------------
-# Orchestration: draft -> test -> repair -> decorate (with builtin fallback)
+# Orchestration: draft -> test -> repair (with builtin fallback)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ForgeOutcome:
+    """The tool served for one check, None if the check is unservable, and
+    why no drafted tool was served."""
+
     spec: ToolSpec | None
-    used_builtin: bool
     error: str | None = None
+
+    @property
+    def used_builtin(self) -> bool:
+        return self.spec is not None and self.spec.builtin
 
 
 def build_tool_for_subtask(
@@ -365,82 +305,72 @@ def build_tool_for_subtask(
     draft_template: PromptTemplate = TOOL_BUILDER,
     repair_template: PromptTemplate = TOOL_REPAIR,
 ) -> ForgeOutcome:
-    """Full lifecycle for one sub-task: ask for a plan (the draft, then up to
-    ``max_repair_attempts`` repairs that show the previous plan and its
-    errors), parse it, unit-test it, and decorate the first plan that passes.
+    """Serve one check a tool that passes every one of its cases: ask for a
+    plan (the draft, then up to ``max_repair_attempts`` repairs that show the
+    previous plan and its errors), build each parsed plan into a tool, and
+    serve the first that passes.
 
-    Falls back to a built-in (or marks the sub-task unservable) when the
-    repair budget runs out or the backend fails; the built-in keeps the
-    configured cases only if it passes them all. A template missing a
+    When no draft passes, the backend fails, or the check has no cases or no
+    log examples to draft from, the check's built-in is served if it passes
+    the cases, and otherwise the check is unservable. A template missing a
     variable is a configuration error and still aborts."""
-    outcome = ForgeOutcome(spec=None, used_builtin=False)
     if not cases:
-        logger.warning("no unit-test cases configured for %s; using builtin fallback", subtask.id)
-        outcome.spec = match_builtin(subtask, k_sigma)
-        outcome.used_builtin = outcome.spec is not None
-        outcome.error = None if outcome.spec else "no test cases and no builtin"
-        return outcome
-    if not log_examples:
-        raise InvalidTestCases("drafting requires at least one log example")
-
-    fields = known_fields(subtask.activity_types)
-    template, stage, note = draft_template, "tool-draft", subtask.id
-    variables: dict[str, object] = {
-        "subtask_description": subtask.description,
-        "activity_types": ", ".join(sorted(t.value for t in subtask.activity_types)),
-        "schema_fields": ", ".join(sorted(fields)) if fields else "(open schema)",
-        "log_examples": _render_log_examples(log_examples),
-        "result_examples": "\n".join(
-            "  " + (", ".join(f"{k}={v}" for k, v in sorted(case.expected.items())) or "(empty)")
-            for case in cases
-        ),
-    }
-    try:
-        for attempt in range(max_repair_attempts + 1):
-            if attempt:
-                template, stage, note = repair_template, "tool-repair", f"{subtask.id}#{attempt}"
-                variables = {
-                    "subtask_description": subtask.description,
-                    "previous_plan": previous or "(no parseable plan)",
-                    "errors": "\n".join(f"  - {e}" for e in errors) or "  - (unspecified failure)",
-                }
-            completion, _ = chat(
-                backend, template, variables,
-                stage=stage, ledger=ledger, note=note,
+        cause = "no unit-test cases configured"
+    elif not log_examples:
+        cause = "no log examples of the check's activity types"
+    else:
+        fields = known_fields(subtask.activity_types)
+        template, stage, note = draft_template, "tool-draft", subtask.id
+        variables: dict[str, object] = {
+            "subtask_description": subtask.description,
+            "activity_types": ", ".join(sorted(t.value for t in subtask.activity_types)),
+            "schema_fields": ", ".join(sorted(fields)) if fields else "(open schema)",
+            "log_examples": _render_log_examples(log_examples),
+            "result_examples": "\n".join(
+                "  " + (", ".join(f"{k}={v}" for k, v in sorted(case.expected.items())) or "(empty)")
+                for case in cases
+            ),
+        }
+        try:
+            for attempt in range(max_repair_attempts + 1):
+                if attempt:
+                    template, stage, note = repair_template, "tool-repair", f"{subtask.id}#{attempt}"
+                    variables = {
+                        "subtask_description": subtask.description,
+                        "previous_plan": previous or "(no parseable plan)",
+                        "errors": "\n".join(f"  - {e}" for e in errors) or "  - (unspecified failure)",
+                    }
+                completion, _ = chat(
+                    backend, template, variables,
+                    stage=stage, ledger=ledger, note=note,
+                )
+                previous = completion.text
+                try:
+                    plan = parse_plan(completion.text)
+                except (PlanParseError, PlanInvalid) as exc:
+                    errors = [f"{exc.category}: {exc}"]
+                    logger.info("%s attempt %d failed to parse: %s", subtask.id, attempt, exc)
+                    continue
+                spec = drafted_tool(subtask, plan, cases)
+                errors = unit_test_tool(spec, fixtures, cases, lists)
+                if not errors:
+                    return ForgeOutcome(spec)
+                previous = render_plan(plan)
+                logger.info("%s attempt %d failed its tests", subtask.id, attempt)
+            failure: AuditError = ToolIrreparable(
+                f"tool {subtask.id + '-tool'!r} still failing after {max_repair_attempts} repair attempts"
             )
-            previous = completion.text
-            try:
-                plan = parse_plan(completion.text)
-            except (PlanParseError, PlanInvalid) as exc:
-                errors = [f"{exc.category}: {exc}"]
-                logger.info("%s attempt %d failed to parse: %s", subtask.id, attempt, exc)
-                continue
-            spec = _spec_from_plan(subtask.id, plan)
-            report = unit_test_tool(spec, fixtures, cases, lists)
-            if report.passed:
-                outcome.spec = decorate_tool(spec, subtask)
-                return outcome
-            errors = report.failures
-            previous = render_plan(plan)
-            logger.info("%s attempt %d failed its tests", subtask.id, attempt)
-        cause: AuditError = ToolIrreparable(
-            f"tool {subtask.id + '-tool'!r} still failing after {max_repair_attempts} repair attempts"
-        )
-    except (TransportError, BackendUnreachable, ScriptExhausted) as exc:
-        cause = exc
+        except (TransportError, BackendUnreachable, ScriptExhausted) as exc:
+            failure = exc
+        cause = f"{failure.category}: {failure}"
     logger.warning("%s; falling back to builtin for %s", cause, subtask.id)
     fallback = match_builtin(subtask, k_sigma)
-    if fallback is not None:
-        failures = _case_failures(fallback, fixtures, cases, lists)
-        if failures:
-            logger.warning("builtin %s fails the cases for %s, so it records none: %s",
-                           fallback.name, subtask.id, failures[0])
-        else:
-            fallback.test_cases = tuple(cases)
-        outcome.spec = fallback
-        outcome.used_builtin = True
-    outcome.error = f"{cause.category}: {cause}"
-    return outcome
+    if fallback is None:
+        return ForgeOutcome(None, cause)
+    failures = unit_test_tool(fallback, fixtures, cases, lists)
+    if failures:
+        return ForgeOutcome(None, f"{cause}; builtin {fallback.name!r} fails a case: {failures[0]}")
+    return ForgeOutcome(replace(fallback, test_cases=tuple(cases)), cause)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +394,7 @@ def _tool_doc(spec: ToolSpec) -> dict[str, object]:
         "params": [list(p) for p in spec.params],
         "plan": render_plan(spec.plan).splitlines(),
         "output_template": spec.output_template,
-        "status": spec.status,
+        "status": STATUS_DECORATED,
         "builtin": spec.builtin,
         "test_cases": [
             {"params": dict(c.params), "expected": dict(c.expected)} for c in spec.test_cases
@@ -473,10 +403,7 @@ def _tool_doc(spec: ToolSpec) -> dict[str, object]:
 
 
 def save_registry(specs: Sequence[ToolSpec], subtasks: SubTaskSet, path: str | Path) -> None:
-    """Write the registry; only decorated specs may be saved."""
-    for spec in specs:
-        if spec.status != STATUS_DECORATED:
-            raise LifecycleError(f"refusing to save non-decorated spec {spec.name!r}")
+    """Write the registry."""
     doc = {
         "format": REGISTRY_FORMAT,
         "subtasks": {
@@ -558,7 +485,6 @@ def load_registry(
             doc=item.get("doc", ""),
             params=tuple(tuple(p) for p in item.get("params", [])),
             output_template=item.get("output_template", ""),
-            status=STATUS_DECORATED,
             builtin=bool(item.get("builtin", False)),
             test_cases=tuple(
                 ToolTestCase(params=dict(c["params"]), expected=dict(c["expected"]))
@@ -566,7 +492,7 @@ def load_registry(
             ),
         )
         if not spec.doc:
-            raise RegistryCorrupt(f"{path}: decorated tool {spec.name!r} has empty doc")
+            raise RegistryCorrupt(f"{path}: tool {spec.name!r} has empty doc")
         if spec.params != free_params(plan):
             raise RegistryCorrupt(f"{path}: tool {spec.name!r} params do not cover the plan")
         try:
@@ -584,7 +510,7 @@ def load_registry(
                     f"{sorted(t.value for t in missing)}"
                 )
             else:
-                failures = _case_failures(spec, store, spec.test_cases, lists)
+                failures = unit_test_tool(spec, store, spec.test_cases, lists)
                 if failures:
                     raise RegistryCorrupt(f"{path}: tool {spec.name!r} fails a recorded case: {failures[0]}")
         tools.append(spec)

@@ -232,6 +232,32 @@ def naive_plan_eval(store: LogStore, plan: QueryPlan, params: dict, lists=None) 
     return values
 
 
+def naive_forge(replies, cases, store: LogStore, builtin: QueryPlan | None,
+                max_repair_attempts: int):
+    """Expected outcome of forging one check, from the serving rule alone: a
+    tool is served only if it passes every case. ``replies`` are the
+    backend's answers in ask order: a QueryPlan (a reply that parses), a str
+    (text that does not) or None (no reply left). A check with no cases asks
+    nothing. Returns (served, asks): the served plan, "builtin", or None; and
+    the number of completions the forge records."""
+
+    def passes(plan: QueryPlan) -> bool:
+        return all(naive_plan_eval(store, plan, case.params).get(key) == value
+                   for case in cases for key, value in case.expected.items())
+
+    asks = 0
+    if cases:
+        for reply in replies[:1 + max_repair_attempts]:
+            if reply is None:
+                break
+            asks += 1
+            if isinstance(reply, QueryPlan) and passes(reply):
+                return reply, asks
+    if builtin is not None and passes(builtin):
+        return "builtin", asks
+    return None, asks
+
+
 class NaiveScript:
     """Linear first-match replay of a script: each request takes the first
     unconsumed entry whose every ``when`` part equals the template name or

@@ -17,13 +17,12 @@ from logaudit.cli import main as cli_main
 from logaudit.config import load_config
 from logaudit.debate import DebateConfig, merge_conclusion, rebut
 from logaudit.decomposer import SubTask, SubTaskSet
-from logaudit.errors import LifecycleError
 from logaudit.executor import ExecutorResultSet, SubTaskResult
 from logaudit.forge import (
     ToolSpec,
     ToolTestCase,
     build_tool_for_subtask,
-    decorate_tool,
+    drafted_tool,
     load_registry,
     save_registry,
     unit_test_tool,
@@ -93,7 +92,7 @@ def test_criterion_01_end_to_end_scenario_suite(demo_root: Path):
 def _spec_for(plan_text: str) -> ToolSpec:
     plan = parse_plan(plan_text)
     return ToolSpec(name="t", subtask_id="s", plan=plan, params=free_params(plan),
-                    status="decorated", doc="equivalence suite tool")
+                    doc="equivalence suite tool")
 
 
 ORACLE_PLANS: list[tuple[str, dict[str, str]]] = [
@@ -333,19 +332,13 @@ def test_criterion_07_undersampling():
 
 
 def test_criterion_08_registry_lifecycle(burst_store, ledger, tmp_path):
-    """draft->tested->decorated enforced; three failed repairs fall back to
-    the built-in tool; save/load round-trips losslessly."""
+    """Three failed repairs fall back to the built-in tool, which is served
+    because it passes the check's cases; save/load round-trips losslessly.
+    The draft->tested->decorated status checks went with the status: a tool
+    is built whole, and test_forge's property test pins that the forge
+    serves only tools that pass their cases."""
     plan = parse_plan("select activity=Logon user={user} day={day}\naggregate func=count")
     cases = [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4})]
-
-    draft = ToolSpec(name="t", subtask_id="logon-baseline", plan=plan, params=free_params(plan))
-    with pytest.raises(LifecycleError):
-        decorate_tool(draft)  # cannot skip testing
-    report = unit_test_tool(draft, burst_store, cases)
-    assert report.passed and draft.status == "tested"
-    with pytest.raises(LifecycleError):
-        unit_test_tool(draft, burst_store, cases)  # no regression to draft
-
     subtask = SubTask("logon-baseline", "Check logon frequency against history.",
                       frozenset({ActivityType.LOGON}))
     bad_plan = "select activity=HttpVisit\nfilter field=urll predicate=contains value=x"
@@ -358,21 +351,20 @@ def test_criterion_08_registry_lifecycle(burst_store, ledger, tmp_path):
         backend, ledger=ledger,
     )
     assert outcome.used_builtin
-    assert outcome.spec.status == "decorated"
     assert outcome.spec.subtask_id == "logon-baseline"
+    assert unit_test_tool(outcome.spec, burst_store, cases) == []
     repair_calls = [r for r in ledger.records() if r.stage == "tool-repair"]
     assert len(repair_calls) == 3
 
-    decorated = decorate_tool(draft, subtask)
+    drafted = drafted_tool(subtask, plan, cases)
     path = tmp_path / "registry.json"
-    save_registry([decorated, outcome.spec],
+    save_registry([drafted, outcome.spec],
                   SubTaskSet(subtasks=[subtask], rounds=0), path)
-    loaded = load_registry(path)
+    loaded = load_registry(path, store=burst_store)
     by_name = {t.name: t for t in loaded.tools}
-    assert by_name[decorated.name].plan == decorated.plan
-    assert by_name[decorated.name].output_template == decorated.output_template
-    assert by_name[outcome.spec.name].builtin
-    _report(8, "lifecycle enforced; ToolIrreparable falls back to builtin; "
+    assert by_name[drafted.name] == drafted
+    assert by_name[outcome.spec.name] == outcome.spec
+    _report(8, "ToolIrreparable falls back to a builtin that passes the cases; "
                "registry round-trip lossless")
 
 

@@ -363,20 +363,21 @@ def _config_copy(demo: Path, completed_run: Path, tmp_path: Path, script: list[d
 
 
 def test_forge_manifest_records_builtin_fallbacks(demo: Path, completed_run: Path, tmp_path):
-    # The logon draft fails its unit test and the script has no repair
-    # entry, so the repair call fails; the website check has no test cases.
+    # The logon draft counts every day, so it fails its unit test, and the
+    # script has no repair entry, so the repair call fails; the built-in
+    # passes the case and is served. The website check has no test cases.
     script = [
         {"when": "[stage: decompose]",
          "response": "1. Check logons. (types: Logon, Logoff)\n"
                      "2. Check websites. (types: HttpVisit)"},
         {"when": "[stage: refine]", "response": "nothing further"},
         {"when": "[stage: tool-draft]",
-         "response": "select activity=Logon user={user} day={day}\naggregate func=count"},
+         "response": "select activity=Logon user={user}\naggregate func=count"},
     ]
     config_path = _config_copy(demo, completed_run, tmp_path, script)
     config_doc = json.loads(config_path.read_text())
     config_doc["tool_tests"] = {"check-logons": [
-        {"params": {"user": "B0001", "day": "2024-03-01"}, "expected": {"n": 999}},
+        {"params": {"user": "B0001", "day": "2024-03-06"}, "expected": {"n": 2}},
     ]}
     config_path.write_text(json.dumps(config_doc))
 
@@ -408,17 +409,43 @@ def test_unreadable_run_input_rejected(demo: Path, completed_run: Path, tmp_path
 
 def test_builtin_fallback_records_only_cases_it_passes(demo: Path, completed_run: Path, tmp_path):
     # Without its draft entry the threatening-content check falls back to
-    # the url_legitimacy built-in, which does not pass that check's cases:
-    # recording them would make every later detect reject the registry.
+    # the url_legitimacy built-in, a domain lookup that fails that check's
+    # content cases, so the check is unservable rather than served a tool
+    # that measures something else.
     script = [item for item in json.loads((demo / "script.json").read_text())
               if item["when"] != ["[stage: tool-draft]", "website content for threatening"]]
     config_path = _config_copy(demo, completed_run, tmp_path, script)
     assert main(["forge", "--config", str(config_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest-forge.json").read_text())
+    assert manifest["unservable"] == ["review-visited-website-content-for-threatening"]
+    assert manifest["tools"] == 6 and manifest["fallbacks"] == {}
+    tools = json.loads((tmp_path / "registry.json").read_text())["tools"]
+    assert all(t["subtask_id"] != "review-visited-website-content-for-threatening"
+               for t in tools)
     assert main(["detect", "--config", str(config_path)]) == 0
-    tools = {t["name"]: t for t in json.loads((tmp_path / "registry.json").read_text())["tools"]}
-    fallback = tools["review-visited-website-content-for-threatening-builtin"]
-    assert fallback["plan"][-1] == "lookup list=untrusted_domains field=url"
-    assert fallback["test_cases"] == []
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    row = json.loads((tmp_path / "out" / "report.struct").read_text())["metrics"][0]
+    assert (row["prec"], row["dr"], row["acc"]) == (1.0, 1.0, 1.0)
+
+
+def test_check_without_log_examples_is_unservable(demo: Path, completed_run: Path, tmp_path):
+    # The store holds no ZeekAuth entries, so the kerberos check has no
+    # examples to draft from; with a case configured and no built-in it is
+    # unservable, and the other seven checks keep their tools.
+    script = json.loads((demo / "script.json").read_text())
+    decompose = next(item for item in script if item["when"] == "[stage: decompose]")
+    decompose["response"] += "\n8. Inspect kerberos authentication anomalies. (types: ZeekAuth)"
+    config_path = _config_copy(demo, completed_run, tmp_path, script)
+    config_doc = json.loads(config_path.read_text())
+    config_doc["tool_tests"]["inspect-kerberos-authentication-anomalies"] = [
+        {"params": {"user": "B0001"}, "expected": {"n": 0}},
+    ]
+    config_path.write_text(json.dumps(config_doc))
+    assert main(["forge", "--config", str(config_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest-forge.json").read_text())
+    assert manifest["unservable"] == ["inspect-kerberos-authentication-anomalies"]
+    assert manifest["tools"] == 7
+    assert len(json.loads((tmp_path / "registry.json").read_text())["tools"]) == 7
 
 
 def test_failed_detect_leaves_no_outputs_to_evaluate(demo: Path, completed_run: Path,

@@ -3,31 +3,31 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import entry, seal
+from conftest import entry, logon_series, seal
 from logaudit import forge
 from logaudit.decomposer import SubTask, SubTaskSet
 from logaudit.errors import (
-    InvalidTestCases,
-    LifecycleError,
     MissingPlaceholder,
     RegistryCorrupt,
     TemplateMismatch,
 )
 from logaudit.forge import (
     ToolTestCase,
-    ToolSpec,
     build_tool_for_subtask,
     builtin_tools,
-    decorate_tool,
+    drafted_tool,
     load_registry,
     match_builtin,
     save_registry,
     unit_test_tool,
 )
-from logaudit.gateway import PromptTemplate, ScriptEntry, make_scripted_backend
+from logaudit.gateway import CostLedger, PromptTemplate, ScriptEntry, make_scripted_backend
 from logaudit.logstore import ActivityType
 from logaudit.plans import parse_plan
+from oracles import naive_forge
 
 LOGON_SUBTASK = SubTask(
     id="logon-baseline",
@@ -91,7 +91,7 @@ def test_build_tool_decorates_a_passing_draft(fixture_store, ledger):
     outcome = _build(backend, fixture_store, ledger, cases)
     spec = outcome.spec
     assert not outcome.used_builtin and outcome.error is None
-    assert spec.status == "decorated"
+    assert not spec.builtin and spec.test_cases == tuple(cases)
     assert spec.plan == parse_plan(GOOD_PLAN)
     assert spec.params == (("day", "date"), ("user", "principal"))
     assert spec.subtask_id == "logon-baseline"
@@ -130,62 +130,37 @@ def test_build_tool_repair_prompt_shows_the_failing_plan_and_its_tests(fixture_s
     assert not _build(backend, fixture_store, ledger).used_builtin
 
 
-def test_build_tool_requires_log_examples(fixture_store, ledger):
+def test_build_tool_without_log_examples_falls_back(fixture_store, ledger):
+    # Nothing to draft from: no chat call, and the built-in is served
+    # because it passes the cases.
     backend = make_scripted_backend([("tool_builder", GOOD_PLAN)])
-    with pytest.raises(InvalidTestCases):
-        build_tool_for_subtask(LOGON_SUBTASK, [], _count_cases(), fixture_store, backend,
-                               ledger=ledger)
+    outcome = build_tool_for_subtask(LOGON_SUBTASK, [], _count_cases(), fixture_store, backend,
+                                     ledger=ledger)
     assert len(ledger) == 0
+    assert outcome.used_builtin
+    assert outcome.error == "no log examples of the check's activity types"
+    assert outcome.spec.test_cases == tuple(_count_cases())
 
 
 # --- unit testing ---
 
-def _draft(plan_text: str) -> ToolSpec:
-    plan = parse_plan(plan_text)
-    from logaudit.plans import free_params
-
-    return ToolSpec(name="logon-baseline-tool", subtask_id="logon-baseline", plan=plan,
-                    params=free_params(plan))
+def _drafted(plan_text: str, cases=()) -> forge.ToolSpec:
+    return drafted_tool(LOGON_SUBTASK, parse_plan(plan_text), cases)
 
 
 def test_unit_test_passes_on_brute_force_counts(fixture_store, invocations):
-    spec = _draft(COUNT_PLAN)
-    report = unit_test_tool(spec, fixture_store, _count_cases())
-    assert report.passed
-    assert spec.status == "tested"
-    assert len(invocations) == 3
+    spec = _drafted(COUNT_PLAN, _count_cases())
     assert spec.test_cases == tuple(_count_cases())
+    assert unit_test_tool(spec, fixture_store, spec.test_cases) == []
+    assert len(invocations) == 3
 
 
 def test_unit_test_records_mismatch(fixture_store):
-    spec = _draft(COUNT_PLAN)
     cases = [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 5})]
-    report = unit_test_tool(spec, fixture_store, cases)
-    assert not report.passed
-    assert spec.status == "draft"
-    assert "expected 5" in report.failures[0]
-    assert "got 4" in report.failures[0]
-
-
-def test_unit_test_zero_cases_rejected(fixture_store):
-    with pytest.raises(InvalidTestCases):
-        unit_test_tool(_draft(COUNT_PLAN), fixture_store, [])
-
-
-def test_unit_test_pads_to_three_invocations(fixture_store, invocations):
-    spec = _draft(COUNT_PLAN)
-    report = unit_test_tool(spec, fixture_store,
-                            [ToolTestCase(params={"user": "UX", "day": "2024-01-05"},
-                                      expected={"n": 4})])
-    assert len(invocations) == 3
-    assert report.passed
-
-
-def test_unit_test_requires_draft_status(fixture_store):
-    spec = _draft(COUNT_PLAN)
-    unit_test_tool(spec, fixture_store, _count_cases())
-    with pytest.raises(LifecycleError):
-        unit_test_tool(spec, fixture_store, _count_cases())
+    failures = unit_test_tool(_drafted(COUNT_PLAN), fixture_store, cases)
+    assert len(failures) == 1
+    assert "expected 5" in failures[0]
+    assert "got 4" in failures[0]
 
 
 # --- repair ---
@@ -197,7 +172,6 @@ def test_repair_fixes_bad_field_on_first_attempt(fixture_store, ledger):
     ])
     outcome = _build(backend, fixture_store, ledger)
     assert not outcome.used_builtin
-    assert outcome.spec.status == "decorated"
     assert outcome.spec.plan == parse_plan(COUNT_PLAN)
     assert outcome.spec.test_cases == tuple(_count_cases())
     assert [r.note for r in ledger.records()] == ["logon-baseline", "logon-baseline#1"]
@@ -220,11 +194,8 @@ def test_repair_exhausts_attempts(fixture_store, ledger):
 # --- decoration ---
 
 def test_decorate_produces_labeled_sentence(fixture_store):
-    spec = _draft(GOOD_PLAN)
-    cases = [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4})]
-    unit_test_tool(spec, fixture_store, cases)
-    decorated = decorate_tool(spec, LOGON_SUBTASK)
-    assert decorated.status == "decorated"
+    decorated = _drafted(GOOD_PLAN)
+    assert decorated.name == "logon-baseline-tool"
     assert decorated.doc.startswith("Compare daily logon counts")
     assert "{assessment}" in decorated.output_template
     assert "{mu}" in decorated.output_template
@@ -242,21 +213,6 @@ def test_decorate_rejects_template_with_foreign_placeholder(fixture_store):
         validate_template("User {user} on host {host}: {n}", plan)
 
 
-def test_decorate_twice_is_idempotent(fixture_store):
-    spec = _draft(COUNT_PLAN)
-    unit_test_tool(spec, fixture_store, _count_cases())
-    decorated = decorate_tool(spec, LOGON_SUBTASK)
-    template = decorated.output_template
-    again = decorate_tool(decorated, LOGON_SUBTASK)
-    assert again is decorated
-    assert again.output_template == template
-
-
-def test_decorate_requires_tested(fixture_store):
-    with pytest.raises(LifecycleError):
-        decorate_tool(_draft(COUNT_PLAN), LOGON_SUBTASK)
-
-
 # --- builtins ---
 
 def test_builtins_are_decorated_and_valid():
@@ -266,9 +222,8 @@ def test_builtins_are_decorated_and_valid():
         "url_legitimacy", "email_keywords", "executable_download",
     }
     for spec in tools.values():
-        assert spec.status == "decorated"
         assert spec.builtin
-        assert spec.doc
+        assert spec.doc and spec.output_template
 
 
 def test_match_builtin_keyword_routing():
@@ -306,21 +261,39 @@ def test_build_tool_falls_back_to_builtin(fixture_store, ledger):
     assert outcome.used_builtin
     assert outcome.spec is not None
     assert outcome.spec.subtask_id == "logon-baseline"
-    assert outcome.spec.status == "decorated"
     assert outcome.error is not None
     # The built-in passes the configured cases, so it records them.
     assert outcome.spec.test_cases == tuple(_count_cases())
 
 
 def test_builtin_fallback_records_no_case_it_fails(fixture_store, ledger):
+    # A built-in that fails one of the check's cases is not served: the
+    # check is unservable, and the error names the cause and the failing case.
     backend = make_scripted_backend([ScriptEntry("tool_builder", BAD_FIELD_PLAN)])
     cases = _count_cases() + [
         ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 5}),
     ]
     outcome = _build(backend, fixture_store, ledger, cases)
-    assert outcome.used_builtin
+    assert outcome.spec is None and not outcome.used_builtin
     assert outcome.error.startswith("ScriptExhausted: ")
-    assert outcome.spec.test_cases == ()
+    assert "builtin 'logon-baseline-builtin' fails a case" in outcome.error
+    assert "n: expected 5, got 4" in outcome.error
+
+
+def test_check_without_cases_takes_its_builtin_untested(fixture_store, ledger):
+    backend = make_scripted_backend([("tool_builder", GOOD_PLAN)])
+    outcome = _build(backend, fixture_store, ledger, cases=[])
+    assert len(ledger) == 0
+    assert outcome.used_builtin and outcome.spec.test_cases == ()
+    assert outcome.error == "no unit-test cases configured"
+
+
+def test_check_without_a_builtin_is_unservable(fixture_store, ledger):
+    zeek = SubTask("z", "Inspect kerberos anomalies.", frozenset({ActivityType.ZEEK_AUTH}))
+    outcome = build_tool_for_subtask(zeek, [], _count_cases(), fixture_store,
+                                     make_scripted_backend([]), ledger=ledger)
+    assert outcome.spec is None and not outcome.used_builtin
+    assert outcome.error == "no log examples of the check's activity types"
 
 
 def test_build_tool_falls_back_when_the_backend_fails(fixture_store, ledger):
@@ -350,11 +323,8 @@ def test_build_tool_aborts_on_a_template_error(fixture_store, ledger):
 # --- registry ---
 
 def _decorated_specs(fixture_store):
-    spec = _draft(GOOD_PLAN)
-    unit_test_tool(spec, fixture_store,
-                   [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4})])
-    decorate_tool(spec, LOGON_SUBTASK)
-    return [spec]
+    cases = [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4})]
+    return [_drafted(GOOD_PLAN, cases)]
 
 
 def _subtask_set():
@@ -381,12 +351,6 @@ def test_registry_round_trip(tmp_path, fixture_store):
     second = tmp_path / "registry2.json"
     save_registry(loaded.tools, loaded.subtasks, second)
     assert path.read_bytes() == second.read_bytes()
-
-
-def test_registry_rejects_non_decorated_on_save(tmp_path, fixture_store):
-    spec = _draft(COUNT_PLAN)
-    with pytest.raises(LifecycleError):
-        save_registry([spec], _subtask_set(), tmp_path / "r.json")
 
 
 def test_registry_draft_status_is_corrupt(tmp_path, fixture_store):
@@ -428,3 +392,65 @@ def test_registry_verifies_cases_against_store(tmp_path, fixture_store):
     save_registry(_decorated_specs(fixture_store), _subtask_set(), path)
     loaded = load_registry(path, store=fixture_store)
     assert loaded.warnings == []
+
+
+# --- the serving rule, against a naive oracle ---
+
+# UX logs on [1, 2, 1, 2, 4] times a day and logs off twice on day 2; UY
+# logs on twice a day. The passing plan counts logons and logoffs on the
+# audited day, so it passes every pool case; the failing plan counts every
+# day's logons and fails each. The built-in counts only logons, so it fails
+# the case that counts UX's logoffs.
+_RULE_STORE = seal(
+    logon_series("UX", [1, 2, 1, 2, 4], prefix="X") + logon_series("UY", [2] * 5, prefix="Y")
+    + [entry(f"O{i}", "UX", ActivityType.LOGOFF, day_offset=1, hour=18, minute=i)
+       for i in range(2)]
+)
+_RULE_SUBTASK = SubTask("logons", "Compare daily logon counts against the user's baseline.",
+                        frozenset({ActivityType.LOGON, ActivityType.LOGOFF}))
+_RULE_REPLIES = {
+    "pass": "select activity=Logon,Logoff user={user} day={day}\naggregate func=count",
+    "fail": "select activity=Logon user={user}\naggregate func=count",
+    "garbled": "I would count the logons.",
+}
+_RULE_POOL = [
+    ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4}),
+    ToolTestCase(params={"user": "UY", "day": "2024-01-03"}, expected={"n": 2}),
+    ToolTestCase(params={"user": "UX", "day": "2024-01-02"}, expected={"n": 4}),
+]
+
+
+@given(
+    replies=st.lists(st.sampled_from(["pass", "fail", "garbled", "end"]), max_size=4),
+    cases=st.lists(st.sampled_from(_RULE_POOL), max_size=3),
+    max_repair_attempts=st.integers(1, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_forge_serves_only_tools_that_pass(replies, cases, max_repair_attempts):
+    script = []
+    for kind in replies:
+        if kind == "end":
+            break
+        script.append(ScriptEntry("tool_repair" if script else "tool_builder",
+                                  _RULE_REPLIES[kind]))
+    ledger = CostLedger()
+    outcome = build_tool_for_subtask(
+        _RULE_SUBTASK, [entry("L1", "UX", ActivityType.LOGON)], cases, _RULE_STORE,
+        make_scripted_backend(script), ledger=ledger, max_repair_attempts=max_repair_attempts,
+    )
+
+    oracle_replies = [None if kind == "end" else
+                      parse_plan(_RULE_REPLIES[kind]) if kind != "garbled" else _RULE_REPLIES[kind]
+                      for kind in replies]
+    builtin = match_builtin(_RULE_SUBTASK)
+    served, asks = naive_forge(oracle_replies, cases, _RULE_STORE, builtin.plan,
+                               max_repair_attempts)
+    assert (outcome.spec is None) == (served is None)
+    assert outcome.used_builtin == (served == "builtin")
+    assert sum(1 for r in ledger.records() if r.stage in ("tool-draft", "tool-repair")) == asks
+    if outcome.spec is not None:
+        assert outcome.spec.builtin == (served == "builtin")
+        if not outcome.spec.builtin:
+            assert outcome.spec.plan == served
+        assert unit_test_tool(outcome.spec, _RULE_STORE, cases) == []
+        assert outcome.spec.test_cases == tuple(cases)

@@ -221,7 +221,7 @@ def test_invoke_matches_naive_oracle_on_counts(burst_store):
     from logaudit.plans import free_params
 
     spec = ToolSpec(name="t", subtask_id="s", plan=plan, params=free_params(plan),
-                    status="decorated", doc="count logons")
+                    doc="count logons")
     params = {"user": "UX", "day": "2024-01-05"}
     mine = invoke(spec, params, burst_store)
     theirs = naive_plan_eval(burst_store, plan, params)
