@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 
 from .debate import DEFAULT_DEBATE_ROUNDS, DEFAULT_SEED_A, DEFAULT_SEED_B
@@ -192,9 +193,16 @@ def load_config(path: str | Path) -> RunConfig:
         for n, case in enumerate(cases):
             key = f"tool_tests.{subtask_id}[{n}]"
             case = _mapping(path, key, case)
-            params = _mapping(path, f"{key}.params", case.get("params", {}))
+            params = {str(k): str(v) for k, v in
+                      _mapping(path, f"{key}.params", case.get("params", {})).items()}
+            if "day" in params:
+                try:
+                    date.fromisoformat(params["day"])
+                except ValueError:
+                    raise ConfigInvalid(f"{path}: {key}.params.day must be an ISO date, "
+                                        f"got {params['day']!r}") from None
             tool_tests[subtask_id].append(ToolTestCase(
-                params={str(k): str(v) for k, v in params.items()},
+                params=params,
                 expected=dict(_mapping(path, f"{key}.expected", case.get("expected", {}))),
             ))
 

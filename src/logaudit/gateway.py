@@ -7,11 +7,14 @@ the run ledger; no call path may bypass it.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import string
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -98,7 +101,12 @@ class ChatRequest:
 
 
 class Backend(Protocol):
+    """A completion source. ``order_free`` is true when a reply depends on
+    the request alone, not on which calls came before it, so independent
+    calls may be made concurrently."""
+
     name: str
+    order_free: bool
 
     def complete(self, request: ChatRequest) -> Completion:
         ...
@@ -116,6 +124,10 @@ class CostLedger:
     def append(self, record: CostRecord) -> None:
         with self._lock:
             self._records.append(record)
+
+    def extend(self, records: Sequence[CostRecord]) -> None:
+        with self._lock:
+            self._records.extend(records)
 
     def records(self) -> list[CostRecord]:
         with self._lock:
@@ -165,7 +177,12 @@ class ScriptedBackend:
     Entries are grouped by their first ``when`` part (None for an empty
     ``when``), so a call tests each distinct first part once and scans only
     the groups it matches.
+
+    Not order-free: two identical prompts get different replies by the
+    order in which they arrive.
     """
+
+    order_free = False
 
     def __init__(self, entries: Sequence[ScriptEntry], name: str = "scripted") -> None:
         self.name = name
@@ -221,13 +238,56 @@ def make_scripted_backend(
 # HTTP backend (OpenAI-compatible chat completions)
 # ---------------------------------------------------------------------------
 
+class HttpReply:
+    """The parts of an HTTP reply that :class:`HttpBackend` reads."""
+
+    def __init__(self, status_code: int, body: bytes) -> None:
+        self.status_code = status_code
+        self.body = body
+
+    @property
+    def text(self) -> str:
+        return self.body.decode("utf-8", "replace")
+
+    def json(self) -> object:
+        return json.loads(self.body)
+
+
+def urllib_post(opener: urllib.request.OpenerDirector) -> Callable[..., HttpReply]:
+    """A ``post(url, json=, headers=, timeout=)`` over one urllib opener.
+    An HTTP error status is returned as a reply, not raised."""
+    dumps = json.dumps  # the ``json`` parameter hides the module inside ``post``
+
+    def post(url: str, json: object, headers: dict[str, str], timeout: float) -> HttpReply:
+        data = dumps(json).encode("utf-8")
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+        try:
+            with opener.open(request, timeout=timeout) as response:
+                return HttpReply(response.status, response.read())
+        except urllib.error.HTTPError as err:
+            with err:
+                return HttpReply(err.code, err.read())
+
+    return post
+
+
 class HttpBackend:
     """POSTs to an OpenAI-compatible chat-completions endpoint.
 
     The bearer token is read from ``api_key_env`` at call time. Temperature
     is fixed at 0 for reproducibility. 5xx and transport failures raise
-    TransportError (retryable); other HTTP errors raise GatewayError.
+    TransportError (retryable); other HTTP errors and replies that are not
+    a completion raise GatewayError.
+
+    Requests go through one ``urllib.request`` opener, built with the
+    backend, which honours ``HTTP_PROXY``/``HTTPS_PROXY`` and ``NO_PROXY``.
+    ``post`` replaces the transport (tests).
+
+    Order-free: with temperature 0 and a fixed seed, the reply depends on
+    the prompt alone.
     """
+
+    order_free = True
 
     def __init__(
         self,
@@ -243,11 +303,7 @@ class HttpBackend:
         self.api_key_env = api_key_env
         self.name = name or model
         self.timeout = timeout
-        if post is None:
-            import requests
-
-            post = requests.post
-        self._post = post
+        self._post = post or urllib_post(urllib.request.build_opener())
 
     def complete(self, request: ChatRequest) -> Completion:
         body: dict[str, object] = {
@@ -275,14 +331,18 @@ class HttpBackend:
         if status >= 400:
             raise GatewayError(f"{self.name}: HTTP {status}: {getattr(response, 'text', '')[:200]}")
 
-        payload = response.json()
+        # Anything but {"choices": [{"message": {"content": str}}], "usage":
+        # {numeric counts}} (usage optional) is a malformed payload.
         try:
+            payload = response.json()
             text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}")
+            usage = payload.get("usage") or {}
+            prompt_tokens = int(usage.get("prompt_tokens", whitespace_tokens(request.prompt)))
+            completion_tokens = int(usage.get("completion_tokens", whitespace_tokens(text)))
+        except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
             raise GatewayError(f"{self.name}: malformed completion payload") from exc
-        usage = payload.get("usage") or {}
-        prompt_tokens = int(usage.get("prompt_tokens", whitespace_tokens(request.prompt)))
-        completion_tokens = int(usage.get("completion_tokens", whitespace_tokens(text)))
         return Completion(
             text=text,
             prompt_tokens=prompt_tokens,

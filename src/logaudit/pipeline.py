@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .config import (
     RunConfig,
@@ -53,6 +53,8 @@ from .prompts import DEFAULT_TEMPLATES
 from .runtime import ListCatalog, ToolResult
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 VARIANT_ORIGINAL = "original"
 VARIANT_VANILLA = "vanilla"
@@ -319,11 +321,32 @@ def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusi
 # Per-user detection
 # ---------------------------------------------------------------------------
 
+def _opening(ctx: DetectContext, job: Callable[..., T], args: Sequence[tuple]) -> list[T]:
+    """Run a user's independent opening jobs, ``job(ledger, *a)`` for each
+    ``a`` in ``args``, and return their results in order.
+
+    On an order-free backend they run at once, each against a ledger of its
+    own whose records are appended in job order; if any job raises, the
+    first failing job's error is raised, as a serial run would. Otherwise
+    they run one by one on this thread against the context's ledger.
+    """
+    if not ctx.backend.order_free or len(args) < 2:
+        return [job(ctx.ledger, *a) for a in args]
+    ledgers = [ctx.ledger.fresh() for _ in args]
+    with ThreadPoolExecutor(max_workers=len(args)) as pool:
+        results = list(pool.map(lambda ledger, a: job(ledger, *a), ledgers, args))
+    for ledger in ledgers:
+        ctx.ledger.extend(ledger.records())
+    return results
+
+
 def detect_user(
     user: UserSequence, ctx: DetectContext
 ) -> tuple[FinalConclusion, DebateTranscript | None]:
     """Audit one user under the context's variant configuration: build the
-    two executors' opening sets the variant's way, then debate and merge."""
+    two executors' opening sets the variant's way (their independent
+    backend calls at once when the backend is order-free), then debate and
+    merge."""
     variant = ctx.variant
 
     if variant.agentless:
@@ -335,9 +358,8 @@ def detect_user(
     checks = _prepared_checks(ctx, user)
     if not variant.per_check_cot:
         findings = _one_shot_findings(ctx, checks)
-        a0, b0 = (
-            _one_shot_set(ctx, executor_id, user, seed, findings) for executor_id, seed in seats
-        )
+        a0, b0 = _opening(ctx, lambda ledger, executor_id, seed: _one_shot_set(
+            replace(ctx, ledger=ledger), executor_id, user, seed, findings), seats)
     else:
         # Lines 2-3: each executor works through every check independently,
         # on the same prepared checks; its opening verdict is the fold of its
@@ -348,16 +370,13 @@ def detect_user(
                     else (TOOL_UNAVAILABLE, None))
             focus = select_focus_day(user, generic)
             checks = [prepare_check(generic, user, focus, tool, ctx.excerpt_budget)]
-        a0, b0 = (
-            synthesize(executor_id, [
-                run_subtask(
-                    executor_id, check, user, ctx.backend, ledger=ctx.ledger,
-                    template=ctx.templates["executor_subtask"], seed_hint=seed,
-                )
-                for check in checks
-            ])
-            for executor_id, seed in seats
-        )
+        template = ctx.templates["executor_subtask"]
+        results = _opening(ctx, lambda ledger, executor_id, seed, check: run_subtask(
+            executor_id, check, user, ctx.backend, ledger=ledger,
+            template=template, seed_hint=seed,
+        ), [(executor_id, seed, check) for executor_id, seed in seats for check in checks])
+        n = len(checks)
+        a0, b0 = synthesize(EXECUTOR_A, results[:n]), synthesize(EXECUTOR_B, results[n:])
 
     return debate_loop(
         a0, b0, ctx.backend, debate,
@@ -389,7 +408,6 @@ def detect_all(
             runs = list(pool.map(audit, users))
     results: dict[str, tuple[FinalConclusion, DebateTranscript | None]] = {}
     for user, (outcome, ledger) in zip(users, runs):
-        for record in ledger.records():
-            ctx.ledger.append(record)
+        ctx.ledger.extend(ledger.records())
         results[user] = outcome
     return results

@@ -204,9 +204,11 @@ def test_mistyped_config_value_rejected(tmp_path, capsys, bad):
     {"seeds": ["sampler"]},
     {"rates": [1]},
     {"dataset": {"kind": "cert", "labels": 5}},
+    {"tool_tests": {"a": [{"params": {"day": "2024-13-01"}}]}},
 ], ids=["list-without-path", "test-case-not-a-mapping", "dataset-not-a-mapping",
         "backend-not-a-mapping", "templates-not-a-mapping", "dataset-paths-not-a-mapping",
-        "seeds-not-a-mapping", "rates-not-a-mapping", "labels-not-a-string"])
+        "seeds-not-a-mapping", "rates-not-a-mapping", "labels-not-a-string",
+        "test-case-day-not-a-date"])
 def test_malformed_config_entry_rejected(tmp_path, capsys, bad):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"dataset": {"kind": "cert"},

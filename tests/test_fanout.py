@@ -1,0 +1,170 @@
+"""Opening audits fanned out on an order-free backend must give what a serial
+run of the same backend gives: the same conclusions, transcripts and ledger
+sequence, and, when a reply cannot be parsed, the same error."""
+
+from __future__ import annotations
+
+import json
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from logaudit import gateway
+from logaudit.cli import main
+from logaudit.config import load_config
+from logaudit.decomposer import slugify
+from logaudit.gateway import HttpBackend, HttpReply
+from logaudit.synthetic import CHECKS, generate_demo
+
+VARIANTS = ["original", "no_tools", "no_emad", "no_decomp", "no_cot"]
+DISPUTED = "LEAK0001"  # executor B misses this insider's evidence, so they debate
+GARBLED = "KEYL0001"
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory) -> Path:
+    """The demo, ingested and forged, with a copy of its config on the HTTP
+    backend; each run writes to its own output directory."""
+    root = tmp_path_factory.mktemp("fanout-demo")
+    generate_demo(root)
+    config = str(root / "config.json")
+    assert main(["ingest", "--config", config]) == 0
+    assert main(["forge", "--config", config]) == 0
+    return root
+
+
+class PromptTransport:
+    """An order-free ``post``: each reply depends on the prompt and the seed
+    alone. It sleeps ``delay`` seconds per call and records the peak number
+    of calls in flight. ``garble`` holds (seed, user, text, delay) entries:
+    a call with that seed whose prompt names both the user and the text
+    gets, after a further ``delay`` seconds, a reply that never parses."""
+
+    def __init__(self, seed_b: int, delay: float = 0.0, garble=()) -> None:
+        self.seed_b = seed_b
+        self.delay = delay
+        self.garble = garble
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def reply(self, prompt: str, seed: int | None) -> str:
+        for garbled_seed, user, text, delay in self.garble:
+            if seed == garbled_seed and user in prompt and text in prompt:
+                time.sleep(delay)
+                return "no structure here"
+        missed = seed == self.seed_b and DISPUTED in prompt
+        if "[stage: subtask]" in prompt:
+            flag = "Tool signal: suspicious" in prompt and not missed
+            return f"Finding: judged from the tool.\nSuspicious: {'yes' if flag else 'no'}"
+        if "[stage: one-shot]" in prompt:
+            flag = "(signal: suspicious)" in prompt and not missed
+        else:  # rebuttal and merge
+            flag = "verdict: malicious" in prompt
+        return f"Basis of Judgment: judged.\nDecision: {'Malicious' if flag else 'Benign'}"
+
+    def post(self, url, json, headers, timeout) -> HttpReply:
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay)
+            text = self.reply(json["messages"][-1]["content"], json.get("seed"))
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+        return HttpReply(200, _completion_body(text))
+
+
+def _completion_body(text: str) -> bytes:
+    # Outside ``post``, whose ``json`` parameter hides the module.
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode("utf-8")
+
+
+def _detect(demo: Path, monkeypatch, capsys, variant: str, *, fan_out: bool,
+            transport: PromptTransport) -> tuple[int, str, Path]:
+    """One CLI detect of ``variant`` over ``transport``; the backend keeps
+    its order-free flag only when ``fan_out``."""
+    name = f"{variant}-{'fan' if fan_out else 'serial'}"
+    doc = json.loads((demo / "config.json").read_text())
+    doc["backend"] = {"type": "http", "endpoint": "http://llm.test/v1", "model": "m"}
+    doc["output_dir"] = f"out-{name}"
+    doc["store_path"] = "out/store.json"
+    doc["registry_path"] = "out/registry.json"
+    config_path = demo / f"{name}.json"
+    config_path.write_text(json.dumps(doc))
+    monkeypatch.setattr(gateway, "urllib_post", lambda _opener: transport.post)
+    monkeypatch.setattr(HttpBackend, "order_free", fan_out)
+    capsys.readouterr()
+    code = main(["detect", "--config", str(config_path), "--variant", variant])
+    return code, capsys.readouterr().err, demo / f"out-{name}"
+
+
+def _outputs(outdir: Path) -> tuple[bytes, dict[str, bytes], list[tuple]]:
+    transcripts = outdir / "transcripts"
+    ledger = [json.loads(line) for line in (outdir / "costs-detect.jsonl").read_text().splitlines()]
+    return (
+        (outdir / "conclusions.json").read_bytes(),
+        {p.name: p.read_bytes() for p in sorted(transcripts.glob("*.json"))}
+        if transcripts.exists() else {},
+        [(r["stage"], r["note"], r["prompt_tokens"], r["completion_tokens"]) for r in ledger],
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fanned_out_opening_matches_a_serial_run(demo, monkeypatch, capsys, variant):
+    seed_b = load_config(demo / "config.json").seed_executor_b
+    serial = PromptTransport(seed_b)
+    code, err, serial_out = _detect(demo, monkeypatch, capsys, variant, fan_out=False,
+                                    transport=serial)
+    assert code == 0, err
+    fanned = PromptTransport(seed_b, delay=0.002)
+    # Switch threads often, so a record appended out of order would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        code, err, fan_out = _detect(demo, monkeypatch, capsys, variant, fan_out=True,
+                                     transport=fanned)
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0, err
+
+    assert serial.peak == 1
+    assert fanned.peak > 1
+    conclusions, transcripts, ledger = _outputs(fan_out)
+    assert (conclusions, transcripts, ledger) == _outputs(serial_out)
+    # Without tools nothing is flagged, so nothing is disputed.
+    tools = variant != "no_tools"
+    assert any(stage == "rebuttal" for stage, *_ in ledger) == (tools and variant != "no_emad")
+    users = json.loads(conclusions)["users"]
+    assert sorted(u for u, c in users.items() if c["verdict"] == "malicious") == (
+        [GARBLED, DISPUTED] if tools else [])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fanned_out_opening_raises_the_serial_error(demo, monkeypatch, capsys, variant):
+    """Executor A's email check (its sixth) and executor B's first check
+    never parse for one user: both runs fail on A's, the first failing job
+    in job order, although A's replies come last."""
+    config = load_config(demo / "config.json")
+    seed_a, seed_b = config.seed_executor_a, config.seed_executor_b
+    first, later = CHECKS[0][0], CHECKS[5][0]
+    garble = ((seed_a, GARBLED, later, 0.03), (seed_b, GARBLED, first, 0.0),
+              # the single-check and one-step variants have no per-check text
+              (seed_a, GARBLED, "[stage: one-shot]", 0.03),
+              (seed_b, GARBLED, "[stage: one-shot]", 0.0),
+              (seed_a, GARBLED, "Audit all of this user's activity", 0.0))
+    errors = []
+    for fan_out in (False, True):
+        transport = PromptTransport(seed_b, garble=garble)
+        code, err, _out = _detect(demo, monkeypatch, capsys, variant, fan_out=fan_out,
+                                  transport=transport)
+        assert code == 1
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("ResponseUnparseable:")
+    if variant in ("original", "no_tools", "no_emad"):
+        assert f"check {slugify(later)}:" in errors[0]

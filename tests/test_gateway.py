@@ -1,11 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logaudit
+from logaudit.cli import main
 from logaudit.errors import (
     BackendUnreachable,
     GatewayError,
@@ -14,6 +24,7 @@ from logaudit.errors import (
     TransportError,
 )
 from logaudit.gateway import (
+    RETRY_MAX_ATTEMPTS,
     ChatRequest,
     Completion,
     CostLedger,
@@ -26,6 +37,7 @@ from logaudit.gateway import (
     cost_report,
     make_scripted_backend,
 )
+from logaudit.synthetic import build_script, generate_demo
 from oracles import NaiveScript
 
 TEMPLATE = PromptTemplate.from_text("executor_subtask", "audit {user} for {subtask}")
@@ -323,3 +335,187 @@ def test_http_backend_token_fallback_when_usage_missing():
     completion = backend.complete(_request(prompt="a b"))
     assert completion.prompt_tokens == 2
     assert completion.completion_tokens == 3
+
+
+class UndecodableResponse(FakeResponse):
+    def json(self):
+        return json.loads("<html>busy</html>")
+
+
+@pytest.mark.parametrize("response", [
+    UndecodableResponse(),
+    FakeResponse(payload=["not", "an", "object"]),
+    FakeResponse(payload={"choices": []}),
+    FakeResponse(payload={"choices": [{"message": {"content": None}}]}),
+    FakeResponse(payload={"choices": [{"message": {"content": "ok"}}], "usage": "many"}),
+    FakeResponse(payload={"choices": [{"message": {"content": "ok"}}], "usage": [1, 2]}),
+    FakeResponse(payload={"choices": [{"message": {"content": "ok"}}],
+                          "usage": {"prompt_tokens": "many", "completion_tokens": 1}}),
+    FakeResponse(payload={"choices": [{"message": {"content": "ok"}}],
+                          "usage": {"prompt_tokens": 1, "completion_tokens": None}}),
+    FakeResponse(payload={"choices": [{"message": {"content": "ok"}}],
+                          "usage": {"prompt_tokens": float("inf")}}),
+], ids=["body-not-json", "payload-not-an-object", "no-choice", "content-not-text",
+        "usage-text", "usage-list", "prompt-tokens-text", "completion-tokens-null",
+        "prompt-tokens-infinite"])
+def test_http_backend_malformed_payload_is_a_gateway_error(response):
+    backend = HttpBackend("http://x", "m", post=lambda *a, **k: response)
+    with pytest.raises(GatewayError, match="malformed completion payload$") as excinfo:
+        backend.complete(_request())
+    assert not isinstance(excinfo.value, TransportError)
+
+
+def test_backends_declare_whether_replies_depend_on_call_order():
+    assert HttpBackend("http://x", "m", post=lambda *a, **k: None).order_free
+    assert not make_scripted_backend([]).order_free
+
+
+# --- HTTP backend over the standard-library transport ---
+
+_PROXY_VARS = ("HTTP_PROXY", "http_proxy", "HTTPS_PROXY", "https_proxy",
+               "ALL_PROXY", "all_proxy", "NO_PROXY", "no_proxy")
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """``/ok`` echoes the prompt as a completion, ``/busy`` answers 503 and
+    ``/denied`` 401; every POST is counted per path."""
+
+    def do_POST(self):  # noqa: N802 (http.server naming)
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.hits[self.path] = self.server.hits.get(self.path, 0) + 1
+        prompt = request["messages"][-1]["content"]
+        if self.path == "/ok":
+            status, body = 200, json.dumps({
+                "choices": [{"message": {"role": "assistant", "content": f"echo: {prompt}"}}],
+                "usage": {"prompt_tokens": 5, "completion_tokens": 2},
+            })
+        elif self.path == "/busy":
+            status, body = 503, "try later"
+        else:
+            status, body = 401, "invalid api key"
+        data = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@contextmanager
+def _serving(handler):
+    """A server for ``handler`` on a free 127.0.0.1 port, in a thread."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield httpd, f"http://127.0.0.1:{httpd.server_address[1]}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def server(monkeypatch):
+    """A local chat-completions server; proxy variables are cleared so calls
+    go to it directly unless a test sets them."""
+    for name in _PROXY_VARS:
+        monkeypatch.delenv(name, raising=False)
+    with _serving(_Handler) as (httpd, url):
+        httpd.hits = {}
+        yield httpd, url
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_http_transport_200_gives_a_completion(server):
+    _httpd, url = server
+    completion = HttpBackend(f"{url}/ok", "m").complete(_request(prompt="judge this"))
+    assert completion.text == "echo: judge this"
+    assert (completion.prompt_tokens, completion.completion_tokens) == (5, 2)
+    assert completion.latency_ms > 0
+
+
+def test_http_transport_503_is_retried_then_unreachable(server):
+    httpd, url = server
+    backend = HttpBackend(f"{url}/busy", "m")
+    with pytest.raises(TransportError, match="HTTP 503"):
+        backend.complete(_request())
+    with pytest.raises(BackendUnreachable):
+        chat(backend, TEMPLATE, {"user": "u", "subtask": "s"}, stage="subtask",
+             ledger=CostLedger(), sleep=lambda _s: None)
+    assert httpd.hits["/busy"] == 1 + RETRY_MAX_ATTEMPTS
+
+
+def test_http_transport_401_is_a_gateway_error_with_the_body(server):
+    _httpd, url = server
+    with pytest.raises(GatewayError, match="HTTP 401: invalid api key") as excinfo:
+        HttpBackend(f"{url}/denied", "m").complete(_request())
+    assert not isinstance(excinfo.value, TransportError)
+
+
+def test_http_transport_closed_port_is_retryable(server):
+    with pytest.raises(TransportError):
+        HttpBackend(f"http://127.0.0.1:{_closed_port()}/ok", "m").complete(_request())
+
+
+def test_http_transport_honours_proxy_and_no_proxy(server, monkeypatch):
+    _httpd, url = server
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_closed_port()}")
+    # The proxy is used: it is dead, so the call fails...
+    with pytest.raises(TransportError):
+        HttpBackend(f"{url}/ok", "m").complete(_request())
+    # ...unless NO_PROXY lists the host.
+    monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+    assert HttpBackend(f"{url}/ok", "m").complete(_request(prompt="hi")).text == "echo: hi"
+
+
+def test_http_detect_never_imports_requests(tmp_path):
+    """A whole detect over HTTP, in a fresh interpreter, against a local
+    server that answers from the demo script (whose detect entries all
+    repeat, so every reply depends on the prompt alone)."""
+    generate_demo(tmp_path)
+    config_path = tmp_path / "config.json"
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    assert main(["forge", "--config", str(config_path)]) == 0
+    script = make_scripted_backend([ScriptEntry(**entry) for entry in build_script()])
+
+    class DemoHandler(BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            prompt = request["messages"][-1]["content"]
+            text = script.complete(ChatRequest(prompt, "", "")).text
+            data = json.dumps({"choices": [{"message": {"content": text}}]}).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, format, *args):
+            pass
+
+    with _serving(DemoHandler) as (_httpd, url):
+        doc = json.loads(config_path.read_text())
+        doc["backend"] = {"type": "http", "model": "m", "endpoint": f"{url}/v1"}
+        http_config = tmp_path / "http.json"
+        http_config.write_text(json.dumps(doc))
+        env = {k: v for k, v in os.environ.items() if k not in _PROXY_VARS}
+        src = str(Path(logaudit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        code = ("import sys, logaudit\n"
+                "from logaudit.cli import main\n"
+                "status = main(['detect', '--config', sys.argv[1]])\n"
+                "print(status, 'requests' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code, str(http_config)], env=env,
+                             capture_output=True, text=True, timeout=120)
+    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
+    conclusions = json.loads((tmp_path / "out" / "conclusions.json").read_text())
+    assert sorted(u for u, c in conclusions["users"].items()
+                  if c["verdict"] == "malicious") == ["KEYL0001", "LEAK0001"]
