@@ -210,6 +210,7 @@ def cmd_forge(config: RunConfig) -> int:
 
 def cmd_detect(config: RunConfig) -> int:
     outdir = resolve_path(config, config.output_dir)
+    transcripts_dir = outdir / "transcripts"
     ledger = CostLedger(config.rates)
     try:
         ctx = context_from_config(config, ledger, config.ablation)
@@ -218,10 +219,11 @@ def cmd_detect(config: RunConfig) -> int:
         # A failed detect leaves no earlier run's outputs for evaluate to score.
         for name in ("conclusions.json", "costs-detect.jsonl", "manifest-detect.json"):
             (outdir / name).unlink(missing_ok=True)
+        if transcripts_dir.exists():
+            shutil.rmtree(transcripts_dir)
         raise
 
     # This run's transcripts replace every earlier run's, even where it writes none.
-    transcripts_dir = outdir / "transcripts"
     if transcripts_dir.exists():
         shutil.rmtree(transcripts_dir)
     users_doc = {}
@@ -319,15 +321,11 @@ def main(argv: list[str] | None = None) -> int:
         format="[%(levelname)s] %(name)s: %(message)s",
     )
     try:
-        config = load_config(args.config)
-        if args.variant:
-            config.ablation = args.variant
-        if args.allow_partial_coverage:
-            config.allow_partial_coverage = True
-        if args.parallelism is not None:
-            config.parallelism = args.parallelism
-        if args.seed is not None:
-            config.seed_sampler = args.seed
+        overrides = {"ablation": args.variant, "parallelism": args.parallelism,
+                     "seed_sampler": args.seed,
+                     "allow_partial_coverage": args.allow_partial_coverage or None}
+        config = load_config(args.config,
+                             {k: v for k, v in overrides.items() if v is not None})
         if config.ablation not in VARIANTS:
             raise ConfigInvalid(f"unknown ablation tag {config.ablation!r}")
         return _COMMANDS[args.command](config)

@@ -127,7 +127,9 @@ def _mapping(path: Path, key: str, value: object) -> dict:
     return value
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    """The run config in ``path``, with ``overrides`` (RunConfig field ->
+    value) replacing what the file sets, and every range checked after."""
     path = Path(path)
     if not path.exists():
         raise ConfigInvalid(f"config file not found: {path}")
@@ -222,10 +224,13 @@ def load_config(path: str | Path) -> RunConfig:
         tool_tests=tool_tests,
         templates=templates,
         raw=doc,
-        **{key: _typed(path, key, doc[key], kind)
-           for key, kind in _SCALAR_KEYS.items() if key in doc},
-        **{name: _typed(path, f"seeds.{key}", seeds[key], int)
-           for key, name in _SEED_KEYS.items() if key in seeds},
+        **{
+            **{key: _typed(path, key, doc[key], kind)
+               for key, kind in _SCALAR_KEYS.items() if key in doc},
+            **{name: _typed(path, f"seeds.{key}", seeds[key], int)
+               for key, name in _SEED_KEYS.items() if key in seeds},
+            **(overrides or {}),
+        },
     )
     _validate_ranges(config)
     return config

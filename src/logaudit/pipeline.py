@@ -321,20 +321,23 @@ def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusi
 # Per-user detection
 # ---------------------------------------------------------------------------
 
-def _opening(ctx: DetectContext, job: Callable[..., T], args: Sequence[tuple]) -> list[T]:
-    """Run a user's independent opening jobs, ``job(ledger, *a)`` for each
-    ``a`` in ``args``, and return their results in order.
+def _in_order(
+    ctx: DetectContext, jobs: Sequence[Callable[[CostLedger], T]], workers: int
+) -> list[T]:
+    """Run each ``job(ledger)`` and return the results in job order, with the
+    context's ledger holding the records a serial run would, in its order.
 
-    On an order-free backend they run at once, each against a ledger of its
-    own whose records are appended in job order; if any job raises, the
-    first failing job's error is raised, as a serial run would. Otherwise
-    they run one by one on this thread against the context's ledger.
+    On an order-free backend up to ``workers`` jobs run at once, each against
+    a ledger of its own whose records are appended in job order; if any job
+    raises, the first failing job's error is raised, as a serial run would.
+    Otherwise the jobs run one by one on this thread against the context's
+    ledger.
     """
-    if not ctx.backend.order_free or len(args) < 2:
-        return [job(ctx.ledger, *a) for a in args]
-    ledgers = [ctx.ledger.fresh() for _ in args]
-    with ThreadPoolExecutor(max_workers=len(args)) as pool:
-        results = list(pool.map(lambda ledger, a: job(ledger, *a), ledgers, args))
+    if not ctx.backend.order_free or workers < 2 or len(jobs) < 2:
+        return [job(ctx.ledger) for job in jobs]
+    ledgers = [ctx.ledger.fresh() for _ in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda job, ledger: job(ledger), jobs, ledgers))
     for ledger in ledgers:
         ctx.ledger.extend(ledger.records())
     return results
@@ -358,8 +361,9 @@ def detect_user(
     checks = _prepared_checks(ctx, user)
     if not variant.per_check_cot:
         findings = _one_shot_findings(ctx, checks)
-        a0, b0 = _opening(ctx, lambda ledger, executor_id, seed: _one_shot_set(
-            replace(ctx, ledger=ledger), executor_id, user, seed, findings), seats)
+        jobs = [lambda ledger, e=executor_id, s=seed: _one_shot_set(
+            replace(ctx, ledger=ledger), e, user, s, findings) for executor_id, seed in seats]
+        a0, b0 = _in_order(ctx, jobs, len(jobs))
     else:
         # Lines 2-3: each executor works through every check independently,
         # on the same prepared checks; its opening verdict is the fold of its
@@ -371,10 +375,10 @@ def detect_user(
             focus = select_focus_day(user, generic)
             checks = [prepare_check(generic, user, focus, tool, ctx.excerpt_budget)]
         template = ctx.templates["executor_subtask"]
-        results = _opening(ctx, lambda ledger, executor_id, seed, check: run_subtask(
-            executor_id, check, user, ctx.backend, ledger=ledger,
-            template=template, seed_hint=seed,
-        ), [(executor_id, seed, check) for executor_id, seed in seats for check in checks])
+        jobs = [lambda ledger, e=executor_id, s=seed, c=check: run_subtask(
+            e, c, user, ctx.backend, ledger=ledger, template=template, seed_hint=s,
+        ) for executor_id, seed in seats for check in checks]
+        results = _in_order(ctx, jobs, len(jobs))
         n = len(checks)
         a0, b0 = synthesize(EXECUTOR_A, results[:n]), synthesize(EXECUTOR_B, results[n:])
 
@@ -389,25 +393,10 @@ def detect_user(
 def detect_all(
     ctx: DetectContext, parallelism: int = 1
 ) -> dict[str, tuple[FinalConclusion, DebateTranscript | None]]:
-    """Audit every user in the store; distinct users may run in parallel.
-
-    Each user is audited against a ledger of its own, and the records are
-    appended to the context's ledger in user order, so the ledger is the
-    same whatever the parallelism.
-    """
+    """Audit every user in the store, up to ``parallelism`` at once when the
+    backend is order-free; the ledger is the same either way."""
     users = sorted(ctx.store.users)
-
-    def audit(user: str) -> tuple[tuple[FinalConclusion, DebateTranscript | None], CostLedger]:
-        own = replace(ctx, ledger=ctx.ledger.fresh())
-        return detect_user(ctx.store.users[user], own), own.ledger
-
-    if parallelism <= 1:
-        runs = [audit(user) for user in users]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            runs = list(pool.map(audit, users))
-    results: dict[str, tuple[FinalConclusion, DebateTranscript | None]] = {}
-    for user, (outcome, ledger) in zip(users, runs):
-        ctx.ledger.extend(ledger.records())
-        results[user] = outcome
-    return results
+    # ``detect_user`` is looked up when each job runs, so a patched one is used.
+    jobs = [lambda ledger, u=user: detect_user(ctx.store.users[u], replace(ctx, ledger=ledger))
+            for user in users]
+    return dict(zip(users, _in_order(ctx, jobs, parallelism)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,13 +105,34 @@ def test_detect_ledger_is_priced_at_the_config_rates(completed_run: Path, parall
                                                   record["completion_tokens"])
 
 
-def test_parallel_detect_writes_the_serial_ledger(completed_run: Path):
-    out = completed_run / "out"
-    serial = (out / "costs-detect.jsonl").read_bytes()
-    config = str(completed_run / "config.json")
-    for _ in range(3):
-        assert main(["detect", "--config", config, "--parallelism", "4"]) == 0
-        assert (out / "costs-detect.jsonl").read_bytes() == serial
+def test_parallel_detect_writes_the_serial_ledger(demo: Path, completed_run: Path, tmp_path):
+    # Single-use merge replies put first: the scripted backend hands them out
+    # in call order, so only users audited one by one get the same ones in
+    # every run.
+    merges = [{"when": "[stage: merge]",
+               "response": f"Basis of Judgment: merge reply {n}.\nDecision: Benign"}
+              for n in range(40)]
+    config = str(_config_copy(demo, completed_run, tmp_path,
+                              merges + json.loads((demo / "script.json").read_text())))
+    assert main(["forge", "--config", config]) == 0
+    out = tmp_path / "out"
+
+    def detect(parallelism: str) -> dict[str, bytes]:
+        assert main(["detect", "--config", config, "--parallelism", parallelism]) == 0
+        paths = [out / "conclusions.json", out / "costs-detect.jsonl",
+                 *sorted((out / "transcripts").glob("*.json"))]
+        return {str(p.relative_to(out)): p.read_bytes() for p in paths}
+
+    serial = detect("1")
+    assert len(serial) == 52
+    # Switch threads often, so calls made out of order would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            assert detect("4") == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_forge_is_idempotent(completed_run: Path):
@@ -176,19 +198,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ConfigInvalid:")
 
 
-@pytest.mark.parametrize("bad", [
-    {"n_debate": "three"},
-    {"n_debate": 2.7},
-    {"allow_partial_coverage": "false"},
-    {"seeds": {"sampler": "x"}},
-    {"rates": {"input_per_1k": "abc"}},
-], ids=["int-as-text", "int-as-float", "bool-as-text", "seed-as-text", "rate-as-text"])
-def test_mistyped_config_value_rejected(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad, flags", [
+    ({"n_debate": "three"}, []),
+    ({"n_debate": 2.7}, []),
+    ({"allow_partial_coverage": "false"}, []),
+    ({"seeds": {"sampler": "x"}}, []),
+    ({"rates": {"input_per_1k": "abc"}}, []),
+    # A command-line override meets the same range check as the file.
+    ({}, ["--parallelism", "0"]),
+], ids=["int-as-text", "int-as-float", "bool-as-text", "seed-as-text", "rate-as-text",
+        "parallelism-flag-out-of-range"])
+def test_mistyped_config_value_rejected(tmp_path, capsys, bad, flags):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"dataset": {"kind": "cert"},
                                        "backend": {"type": "scripted", "script": "s.json"},
                                        **bad}))
-    code = main(["ingest", "--config", str(config_path)])
+    code = main(["ingest", "--config", str(config_path), *flags])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ConfigInvalid:") and err.count("\n") == 1
@@ -466,7 +491,8 @@ def test_failed_detect_leaves_no_outputs_to_evaluate(demo: Path, completed_run: 
     assert main(["detect", "--config", config]) == 1
     assert capsys.readouterr().err.startswith("ScriptExhausted:")
     out = tmp_path / "out"
-    for name in ("conclusions.json", "costs-detect.jsonl", "manifest-detect.json"):
+    for name in ("conclusions.json", "costs-detect.jsonl", "manifest-detect.json",
+                 "transcripts"):
         assert not (out / name).exists()
     assert main(["evaluate", "--config", config]) == 1
     assert capsys.readouterr().err.startswith("ConfigInvalid: conclusions not found")

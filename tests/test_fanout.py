@@ -85,10 +85,11 @@ def _completion_body(text: str) -> bytes:
 
 
 def _detect(demo: Path, monkeypatch, capsys, variant: str, *, fan_out: bool,
-            transport: PromptTransport) -> tuple[int, str, Path]:
-    """One CLI detect of ``variant`` over ``transport``; the backend keeps
-    its order-free flag only when ``fan_out``."""
-    name = f"{variant}-{'fan' if fan_out else 'serial'}"
+            transport: PromptTransport, parallelism: int = 1) -> tuple[int, str, Path]:
+    """One CLI detect of ``variant`` over ``transport`` with up to
+    ``parallelism`` users at once; the backend keeps its order-free flag
+    only when ``fan_out``."""
+    name = f"{variant}-{'fan' if fan_out else 'serial'}-{parallelism}"
     doc = json.loads((demo / "config.json").read_text())
     doc["backend"] = {"type": "http", "endpoint": "http://llm.test/v1", "model": "m"}
     doc["output_dir"] = f"out-{name}"
@@ -99,7 +100,8 @@ def _detect(demo: Path, monkeypatch, capsys, variant: str, *, fan_out: bool,
     monkeypatch.setattr(gateway, "urllib_post", lambda _opener: transport.post)
     monkeypatch.setattr(HttpBackend, "order_free", fan_out)
     capsys.readouterr()
-    code = main(["detect", "--config", str(config_path), "--variant", variant])
+    code = main(["detect", "--config", str(config_path), "--variant", variant,
+                 "--parallelism", str(parallelism)])
     return code, capsys.readouterr().err, demo / f"out-{name}"
 
 
@@ -114,12 +116,18 @@ def _outputs(outdir: Path) -> tuple[bytes, dict[str, bytes], list[tuple]]:
     )
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_fanned_out_opening_matches_a_serial_run(demo, monkeypatch, capsys, variant):
+@pytest.mark.parametrize("variant, parallelism", [
+    pytest.param(variant, parallelism,
+                 id=variant if parallelism == 1 else f"{variant}-parallelism-{parallelism}")
+    for parallelism in (1, 2) for variant in VARIANTS])
+def test_fanned_out_opening_matches_a_serial_run(demo, monkeypatch, capsys, variant,
+                                                 parallelism):
+    """Both levels, users and each user's opening calls, run at once only
+    on an order-free backend, and give what one-by-one calls give."""
     seed_b = load_config(demo / "config.json").seed_executor_b
     serial = PromptTransport(seed_b)
     code, err, serial_out = _detect(demo, monkeypatch, capsys, variant, fan_out=False,
-                                    transport=serial)
+                                    transport=serial, parallelism=parallelism)
     assert code == 0, err
     fanned = PromptTransport(seed_b, delay=0.002)
     # Switch threads often, so a record appended out of order would show.
@@ -127,7 +135,7 @@ def test_fanned_out_opening_matches_a_serial_run(demo, monkeypatch, capsys, vari
     sys.setswitchinterval(1e-5)
     try:
         code, err, fan_out = _detect(demo, monkeypatch, capsys, variant, fan_out=True,
-                                     transport=fanned)
+                                     transport=fanned, parallelism=parallelism)
     finally:
         sys.setswitchinterval(interval)
     assert code == 0, err
