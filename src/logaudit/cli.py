@@ -6,11 +6,14 @@ with one machine-parseable ``Category: detail`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import logging
 import shutil
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import bench
 from .config import (
@@ -82,6 +85,22 @@ def _write_ledger(config: RunConfig, phase: str, ledger: CostLedger) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _long_lived() -> Iterator[None]:
+    """Build a phase's long-lived state (the store, the detect context) with
+    the cyclic collector paused, then freeze it. It lives until the phase
+    ends, so no collection could free it, and frozen, none scans it again;
+    :func:`main` unfreezes it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _users_path(store_path: Path) -> Path:
     """The per-user label map that ingest writes beside the snapshot, named
     after it (``store.json`` -> ``store.users.json``) so that snapshots
@@ -106,23 +125,24 @@ def cmd_ingest(config: RunConfig) -> int:
     dataset = config.dataset
     entries = []
     manifest = []
-    for source, raw_path in sorted(dataset.paths.items()):
-        path = resolve_path(config, raw_path)
-        if not path.exists():
-            raise ConfigInvalid(f"dataset file not found: {path}")
-        if dataset.kind == "cert":
-            parsed = parse_cert_file(path, source)
-        else:
-            parsed = parse_zeek_file(path, kind=source)
-        # Record the path as the config writes it, so a snapshot does not
-        # depend on where the dataset was checked out.
-        parsed.source.path = raw_path
-        entries.extend(parsed.entries)
-        manifest.append(parsed.source)
-        logger.info("ingested %s: %d entries, %d malformed", path, len(parsed.entries),
-                    len(parsed.errors))
-    labels = load_labels(resolve_path(config, dataset.labels)) if dataset.labels else None
-    store = build_user_sequences(entries, labels, manifest)
+    with _long_lived():
+        for source, raw_path in sorted(dataset.paths.items()):
+            path = resolve_path(config, raw_path)
+            if not path.exists():
+                raise ConfigInvalid(f"dataset file not found: {path}")
+            if dataset.kind == "cert":
+                parsed = parse_cert_file(path, source)
+            else:
+                parsed = parse_zeek_file(path, kind=source)
+            # Record the path as the config writes it, so a snapshot does not
+            # depend on where the dataset was checked out.
+            parsed.source.path = raw_path
+            entries.extend(parsed.entries)
+            manifest.append(parsed.source)
+            logger.info("ingested %s: %d entries, %d malformed", path, len(parsed.entries),
+                        len(parsed.errors))
+        labels = load_labels(resolve_path(config, dataset.labels)) if dataset.labels else None
+        store = build_user_sequences(entries, labels, manifest)
     if labels is not None:
         # Class-imbalance control: keep every malicious entry and at most
         # `undersample_cap` benign ones in the snapshot.
@@ -151,7 +171,8 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_forge(config: RunConfig) -> int:
-    store = load_snapshot(config)
+    with _long_lived():
+        store = load_snapshot(config)
     lists = load_lists(config)
     backend = build_backend(config)
     templates = load_templates(config)
@@ -213,7 +234,8 @@ def cmd_detect(config: RunConfig) -> int:
     transcripts_dir = outdir / "transcripts"
     ledger = CostLedger(config.rates)
     try:
-        ctx = context_from_config(config, ledger, config.ablation)
+        with _long_lived():
+            ctx = context_from_config(config, ledger, config.ablation)
         outcomes = detect_all(ctx, parallelism=config.parallelism)
     except AuditError:
         # A failed detect leaves no earlier run's outputs for evaluate to score.
@@ -320,6 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="[%(levelname)s] %(name)s: %(message)s",
     )
+    collecting = gc.isenabled()
     try:
         overrides = {"ablation": args.variant, "parallelism": args.parallelism,
                      "seed_sampler": args.seed,
@@ -332,6 +355,13 @@ def main(argv: list[str] | None = None) -> int:
     except AuditError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # A phase's frozen state, and the collector, go back as the caller had them.
+        gc.unfreeze()
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 if __name__ == "__main__":

@@ -169,8 +169,7 @@ def pin_to_evidence(
     """Hold a decision reply to evidence: its Flagged ids that are the
     user's own, or ``fallback`` when a Malicious reply names none. Returns
     the anomaly set and the evidence-checked verdict and correction."""
-    own_ids = {e.entry_id for e in user.entries}
-    anomalies = frozenset(i for i in parsed.flagged if i in own_ids)
+    anomalies = frozenset(i for i in parsed.flagged if i in user.entry_ids)
     if len(anomalies) < len(set(parsed.flagged)):
         logger.warning("%s: dropped flagged ids not in this user's entries", user.user)
     if not anomalies and parsed.decision == VERDICT_MALICIOUS:
@@ -373,8 +372,7 @@ def run_subtask(
         )
     finding, suspicious, raw_ids = parsed
 
-    own_ids = {e.entry_id for e in user.entries}
-    flagged = frozenset(i for i in raw_ids if i in own_ids)
+    flagged = frozenset(i for i in raw_ids if i in user.entry_ids)
     dropped = [i for i in raw_ids if i not in flagged]
     if dropped:
         logger.warning("%s/%s: dropped %d flagged ids not in this user's entries",

@@ -14,11 +14,14 @@ import logging
 import os
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 
@@ -59,20 +62,36 @@ class ActivityType(str, Enum):
         raise ValueError(f"unknown activity type: {name!r}")
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    """One normalized activity record."""
-
+class _EntryFields(NamedTuple):
     entry_id: str
     timestamp: datetime
     user: str
     host: str
     activity: ActivityType
-    payload: Mapping[str, str] = field(default_factory=dict)
+    payload: Mapping[str, str]
+    day: date
 
-    @property
-    def day(self) -> date:
-        return self.timestamp.date()
+
+_NO_PAYLOAD: Mapping[str, str] = MappingProxyType({})
+_tuple_new = tuple.__new__
+
+
+class LogEntry(_EntryFields):
+    """One normalized activity record: an immutable tuple of the six fields
+    it is built from, positionally or by keyword, plus ``day``, the date of
+    its timestamp, which only this constructor sets."""
+
+    __slots__ = ()
+
+    def __new__(cls, entry_id: str, timestamp: datetime, user: str, host: str,
+                activity: ActivityType, payload: Mapping[str, str] = _NO_PAYLOAD) -> "LogEntry":
+        return _tuple_new(cls, (entry_id, timestamp, user, host, activity, payload,
+                                timestamp.date()))
+
+    # A replacement goes through this constructor too, so that ``day``
+    # follows a new ``timestamp``.
+    def _replace(self, **changes: object) -> "LogEntry":
+        return LogEntry(**dict(zip(self._fields[:6], self), **changes))
 
 
 @dataclass
@@ -108,6 +127,11 @@ class UserSequence:
 
     user: str
     entries: list[LogEntry]
+
+    @cached_property
+    def entry_ids(self) -> frozenset[str]:
+        """The ids of this user's entries, collected on first use."""
+        return frozenset(e.entry_id for e in self.entries)
 
     def day_range(self) -> tuple[date, date]:
         return self.entries[0].day, self.entries[-1].day
@@ -475,7 +499,7 @@ def build_user_sequences(
         if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
             raise LabelsInvalid(f"bad label {label!r} for {entry_id!r}")
     users = {
-        user: UserSequence(user=user, entries=sorted(seq, key=lambda e: e.timestamp))
+        user: UserSequence(user=user, entries=sorted(seq, key=attrgetter("timestamp")))
         for user, seq in grouped.items()
     }
     return LogStore(entries, users, index, labels, list(manifest))
@@ -516,9 +540,12 @@ def undersample_benign(
     if not store.labels:
         raise LabelsMissing("under-sampling requires ground-truth labels")
 
-    benign_idx = [i for i, e in enumerate(store.entries) if not store.is_malicious(e.entry_id)]
-    if len(benign_idx) <= cap:
+    # Labels name only the store's own, unique ids, so this is the benign count.
+    malicious = sum(1 for label in store.labels.values() if label == LABEL_MALICIOUS)
+    if len(store.entries) - malicious <= cap:
         return store
+
+    benign_idx = [i for i, e in enumerate(store.entries) if not store.is_malicious(e.entry_id)]
 
     rng = random.Random(seed)
     kept = set(rng.sample(benign_idx, cap))

@@ -48,7 +48,7 @@ from .executor import (
 )
 from .forge import ToolSpec, load_registry
 from .gateway import Backend, CostLedger, PromptTemplate
-from .logstore import LogStore, UserSequence
+from .logstore import ActivityType, LogStore, UserSequence
 from .prompts import DEFAULT_TEMPLATES
 from .runtime import ListCatalog, ToolResult
 
@@ -165,20 +165,26 @@ def _prepared_checks(ctx: DetectContext, user: UserSequence) -> list[PreparedChe
     one by one read a check's excerpt, or a tool's output for a check with
     no activity."""
     one_by_one = ctx.variant.per_check_cot and ctx.variant.use_decomposition
+    # Checks of the same activity types share one focus day and excerpt: the
+    # first such check's, whose subtask and tool each check then replaces.
+    views: dict[frozenset[ActivityType], PreparedCheck] = {}
+    no_tool: tuple[str, ToolResult | None] = (TOOL_UNAVAILABLE, None)
     checks = []
     for subtask in ctx.subtasks.subtasks:
-        focus = select_focus_day(user, subtask)
+        view = views.get(subtask.activity_types)
+        if view is None:
+            focus = select_focus_day(user, subtask)
+            view = (prepare_check(subtask, user, focus, no_tool, ctx.excerpt_budget)
+                    if one_by_one else PreparedCheck(subtask, focus, no_tool))
+            views[subtask.activity_types] = view
         spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
         if spec is None:
-            tool: tuple[str, ToolResult | None] = (TOOL_UNAVAILABLE, None)
-        elif focus is None and not one_by_one:
+            tool = no_tool
+        elif view.focus is None and not one_by_one:
             tool = (NO_RELEVANT_ACTIVITY, None)
         else:
-            tool = bind_and_invoke(spec, user, focus, ctx.store, ctx.lists)
-        if one_by_one:
-            checks.append(prepare_check(subtask, user, focus, tool, ctx.excerpt_budget))
-        else:
-            checks.append(PreparedCheck(subtask, focus, tool))
+            tool = bind_and_invoke(spec, user, view.focus, ctx.store, ctx.lists)
+        checks.append(replace(view, subtask=subtask, tool=tool))
     return checks
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from pathlib import Path
@@ -627,3 +628,37 @@ def test_detect_interrupted_by_a_non_audit_error_keeps_every_output(
     with pytest.raises(Interrupted):
         main(["detect", "--config", config, "--variant", "vanilla"])
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting):
+    """Each phase freezes the state it builds, and the audit runs with that
+    state frozen; main unfreezes it and restores the caller's collector,
+    also when the phase fails."""
+    import logaudit.cli
+
+    generate_demo(tmp_path)
+    config = str(tmp_path / "config.json")
+    during_detect = []
+    real = logaudit.cli.detect_all
+
+    def watched(ctx, parallelism=1):
+        during_detect.append((gc.isenabled(), gc.get_freeze_count() > 0))
+        return real(ctx, parallelism)
+
+    monkeypatch.setattr(logaudit.cli, "detect_all", watched)
+    enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for phase in ("ingest", "forge", "detect"):
+            assert main([phase, "--config", config]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, 0)
+        (tmp_path / "out" / "store.json").write_text("{")
+        for phase in ("forge", "detect"):
+            assert main([phase, "--config", config]) == 1
+            assert capsys.readouterr().err.startswith("IngestFailed:")
+            assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, 0)
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert during_detect == [(collecting, True)]

@@ -4,7 +4,7 @@ import dataclasses
 import random
 import re
 import tempfile
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -468,6 +468,19 @@ def test_undersample_noop_when_under_cap():
     assert undersample_benign(store, cap=50) is store
 
 
+@pytest.mark.parametrize("cap, kept", [(30, 35), (29, 34)], ids=["at-cap", "one-over"])
+@pytest.mark.parametrize("label_benign", [True, False], ids=["all-labelled", "malicious-only"])
+def test_undersample_cap_boundary(cap, kept, label_benign):
+    # Unlabelled entries count as benign on both sides of the boundary.
+    store = _labeled_store(30, 5)
+    if not label_benign:
+        store = seal(store.entries, {i: "malicious" for i in store.malicious_ids()})
+    view = undersample_benign(store, cap=cap)
+    assert len(view.entries) == kept
+    assert (view is store) == (kept == len(store.entries))
+    assert view.malicious_ids() == store.malicious_ids()
+
+
 def test_undersample_cap_zero():
     store = _labeled_store(30, 5)
     view = undersample_benign(store, cap=0)
@@ -552,6 +565,37 @@ def test_store_snapshot_round_trip(store):
     assert {u: [e.entry_id for e in seq.entries] for u, seq in loaded.users.items()} == \
         {u: [e.entry_id for e in seq.entries] for u, seq in store.users.items()}
     assert loaded.index == store.index
+
+
+_FIELDS = ("entry_id", "timestamp", "user", "host", "activity", "payload")
+# Naive, or aware at a whole-minute offset (what isoformat round-trips).
+_TIMESTAMPS = st.datetimes(timezones=st.none() | st.integers(-23 * 60, 23 * 60).map(
+    lambda minutes: timezone(timedelta(minutes=minutes))))
+
+
+@given(st.tuples(_TEXT, _TIMESTAMPS, _TEXT, _TEXT, st.sampled_from(ActivityType),
+                 st.dictionaries(_TEXT, _TEXT, max_size=3)),
+       st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_entry_carries_its_timestamps_day(row, by_keyword, with_payload):
+    fields = dict(zip(_FIELDS, row if with_payload else row[:5]))
+    made = LogEntry(**fields) if by_keyword else LogEntry(*fields.values())
+    assert made.day == row[1].date()
+    assert made[:6] == (*row[:5], made.payload)
+    assert made.payload == (row[5] if with_payload else {})
+    for name in (*_FIELDS, "day"):
+        with pytest.raises(AttributeError):
+            setattr(made, name, None)
+    if not with_payload:
+        with pytest.raises(TypeError):
+            made.payload["key"] = "value"  # the default payload is immutable
+    moved = made._replace(timestamp=datetime(2024, 2, 3, 4, 5))
+    assert moved.day == moved.timestamp.date() and moved.entry_id == made.entry_id
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "store.json"
+        save_store(build_user_sequences([made]), path)
+        [loaded] = load_store(path).entries
+    assert loaded == made and loaded.day == made.day
 
 
 def test_interrupted_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import entry, evaluate_detection, seal, simple_subtasks
-from logaudit import executor
+from logaudit import executor, pipeline
 from logaudit.cli import main as cli_main
 from logaudit.config import load_config, load_templates
 from logaudit.debate import DebateConfig
@@ -13,6 +17,7 @@ from logaudit.forge import ToolSpec, builtin_tools
 from logaudit.gateway import CostLedger, ScriptEntry, make_scripted_backend
 from logaudit.logstore import ActivityType
 from logaudit.pipeline import (
+    NO_RELEVANT_ACTIVITY,
     VARIANTS,
     DetectContext,
     context_from_config,
@@ -259,3 +264,53 @@ def test_tool_with_an_unbindable_param_is_not_invocable(burst_store, variant):
         opening = transcript.rounds[0]
         for side in (opening.a, opening.b):
             assert side.results[0].tool_rendered.startswith(f"({not_invocable}")
+
+
+_VIEW_TYPES = (ActivityType.LOGON, ActivityType.LOGOFF, ActivityType.HTTP_VISIT)
+_DAY_LOGONS = parse_plan("select activity=Logon user={user} day={day}\naggregate func=count")
+
+
+def _naive_prepared_checks(ctx: DetectContext, user) -> list[executor.PreparedCheck]:
+    """Each check prepared on its own, with no view shared between checks."""
+    one_by_one = ctx.variant.per_check_cot and ctx.variant.use_decomposition
+    checks = []
+    for subtask in ctx.subtasks.subtasks:
+        focus = executor.select_focus_day(user, subtask)
+        spec = ctx.tools.get(subtask.id) if ctx.variant.use_tools else None
+        if spec is None:
+            tool = (executor.TOOL_UNAVAILABLE, None)
+        elif focus is None and not one_by_one:
+            tool = (NO_RELEVANT_ACTIVITY, None)
+        else:
+            tool = executor.bind_and_invoke(spec, user, focus, ctx.store, ctx.lists)
+        checks.append(executor.prepare_check(subtask, user, focus, tool, ctx.excerpt_budget)
+                      if one_by_one else executor.PreparedCheck(subtask, focus, tool))
+    return checks
+
+
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(_VIEW_TYPES), st.integers(0, 4),
+                            st.integers(0, 23)), min_size=1, max_size=40),
+    type_sets=st.lists(st.frozensets(st.sampled_from(_VIEW_TYPES), min_size=1),
+                       min_size=1, max_size=3, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_prepared_checks_match_checks_prepared_one_by_one(rows, type_sets, data):
+    # Checks drawn from at most three type sets, so most share one.
+    store = seal([entry(f"E{i:02d}", "U", activity, day_offset=day, hour=hour)
+                  for i, (activity, day, hour) in enumerate(rows)])
+    picks = data.draw(st.lists(st.sampled_from(type_sets), min_size=1, max_size=6))
+    subtasks = [SubTask(f"c{i}", f"check {i}", types) for i, types in enumerate(picks)]
+    tools = {s.id: data.draw(st.sampled_from([None, ToolSpec(
+        name=f"logons-{s.id}", subtask_id=s.id, plan=_DAY_LOGONS,
+        params=free_params(_DAY_LOGONS), output_template="n={n}")])) for s in subtasks}
+    variant = data.draw(st.sampled_from(sorted(t for t, v in VARIANTS.items() if not v.agentless)))
+    ctx = DetectContext(SubTaskSet(subtasks), tools, store, make_scripted_backend([]),
+                        CostLedger(), excerpt_budget=data.draw(st.integers(1, 12)),
+                        variant=VARIANTS[variant])
+    user = store.users["U"]
+    with mock.patch.object(pipeline, "select_focus_day", wraps=executor.select_focus_day) as focus:
+        prepared = pipeline._prepared_checks(ctx, user)
+    assert prepared == _naive_prepared_checks(ctx, user)
+    assert focus.call_count == len(set(picks))
