@@ -14,14 +14,16 @@ import logging
 import os
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import cached_property
+from itertools import pairwise
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 
@@ -92,6 +94,11 @@ class LogEntry(_EntryFields):
     # follows a new ``timestamp``.
     def _replace(self, **changes: object) -> "LogEntry":
         return LogEntry(**dict(zip(self._fields[:6], self), **changes))
+
+    # Copies and pickles rebuild an entry through this constructor as well.
+    # The shared empty payload cannot be pickled, so it is left to the default.
+    def __getnewargs__(self) -> tuple:
+        return self[:5] if self.payload is _NO_PAYLOAD else self[:6]
 
 
 @dataclass
@@ -482,26 +489,27 @@ def build_user_sequences(
     of an unknown value raises LabelsInvalid.
     """
     entries = list(entries)
-    ids: set[str] = set()
+    # The ids sorted, not a set: a sixth of the memory while a store is built.
+    ids = sorted(e.entry_id for e in entries)
+    for entry_id, following in pairwise(ids):
+        if entry_id == following:
+            raise DuplicateEntryId(f"duplicate entry id {entry_id!r}")
     grouped: dict[str, list[LogEntry]] = {}
     index: dict[tuple[str, ActivityType], list[int]] = {}
     for position, entry in enumerate(entries):
-        if entry.entry_id in ids:
-            raise DuplicateEntryId(f"duplicate entry id {entry.entry_id!r}")
-        ids.add(entry.entry_id)
         index.setdefault((entry.user, entry.activity), []).append(position)
         if entry.user:
             grouped.setdefault(entry.user, []).append(entry)
     labels = dict(labels or {})
     for entry_id, label in labels.items():
-        if entry_id not in ids:
+        i = bisect_left(ids, entry_id)
+        if i == len(ids) or ids[i] != entry_id:
             raise LabelsInvalid(f"label references unknown entry id {entry_id!r}")
         if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
             raise LabelsInvalid(f"bad label {label!r} for {entry_id!r}")
-    users = {
-        user: UserSequence(user=user, entries=sorted(seq, key=attrgetter("timestamp")))
-        for user, seq in grouped.items()
-    }
+    for seq in grouped.values():
+        seq.sort(key=attrgetter("timestamp"))
+    users = {user: UserSequence(user=user, entries=seq) for user, seq in grouped.items()}
     return LogStore(entries, users, index, labels, list(manifest))
 
 
@@ -584,52 +592,90 @@ def load_labels(path: str | Path) -> dict[str, str]:
     return labels
 
 
-STORE_FORMAT = "audit-store/2"
+STORE_FORMAT = "audit-store/3"
+# Entry rows per line of a snapshot. Save and load hold one line's rows at a
+# time, so their memory beyond the store does not grow with its size.
+SNAPSHOT_SLICE_ROWS = 2048
 
 _ACTIVITIES = {a.value: a for a in ActivityType}
+# The compact C encoder; ``default`` encodes the immutable empty payload.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=dict).encode
+_CLOSING_LINE = "]}\n"
 
 
 def save_store(store: LogStore, path: str | Path) -> None:
-    """Write a store snapshot as stable, compact JSON; each entry is the
-    row ``[id, ts, user, host, activity, payload]``."""
-    doc = {
+    """Write a store snapshot: one compact JSON document whose first line
+    holds ``format``, ``labels`` and ``manifest`` and opens ``entries``. Each
+    later line holds a slice of the entry rows ``[id, ts, user, host,
+    activity, payload]`` in store order, and a last line closes the document.
+    The slices are encoded and written one at a time."""
+    head = _encode({
         "format": STORE_FORMAT,
-        "entries": [
-            [e.entry_id, e.timestamp.isoformat(), e.user, e.host, e.activity.value,
-             dict(e.payload)]
-            for e in store.entries
-        ],
         "labels": store.labels,
         "manifest": [
             {"path": s.path, "kind": s.kind, "rows": s.rows, "malformed": s.malformed}
             for s in store.source_manifest
         ],
-    }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    })
+    entries = store.entries
     # Renamed over the snapshot, so an interrupted write leaves the old one whole.
     partial = Path(f"{path}.partial")
     try:
-        partial.write_text(text + "\n", encoding="utf-8")
+        with partial.open("w", encoding="utf-8") as handle:
+            handle.write(head[:-1] + ',"entries":[\n')
+            for start in range(0, len(entries), SNAPSHOT_SLICE_ROWS):
+                end = start + SNAPSHOT_SLICE_ROWS
+                rows = [[e.entry_id, e.timestamp.isoformat(), e.user, e.host, e.activity.value,
+                         e.payload] for e in entries[start:end]]
+                handle.write(_encode(rows)[1:-1])
+                handle.write(",\n" if end < len(entries) else "\n")
+            handle.write(_CLOSING_LINE)
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
 
 
 def load_store(path: str | Path) -> LogStore:
-    """Load a snapshot written by :func:`save_store`. A snapshot that does
-    not decode into that shape fails with IngestFailed."""
+    """Load a snapshot written by :func:`save_store`, reading its format from
+    the first line and then decoding one line of rows at a time. A snapshot
+    of another format, or one that does not decode into that layout (a
+    truncated one included), fails with IngestFailed."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format") != STORE_FORMAT:
-            raise IngestFailed(f"{path}: snapshot format {doc.get('format')!r} is not "
-                               f"{STORE_FORMAT!r}; re-run ingest")
-        entries = [
-            LogEntry(entry_id, datetime.fromisoformat(ts), user, host, _ACTIVITIES[activity],
-                     payload)
-            for entry_id, ts, user, host, activity, payload in doc["entries"]
-        ]
-        manifest = [SourceFile(**item) for item in doc.get("manifest", [])]
-        return build_user_sequences(entries, doc.get("labels"), manifest)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        with open(path, encoding="utf-8") as handle:
+            line = handle.readline()
+            try:
+                doc = json.loads(line + "]}")
+            except ValueError:
+                # Not this layout: decode it whole to name its format.
+                doc = json.loads(line + handle.read())
+            if doc.get("format") != STORE_FORMAT:
+                raise IngestFailed(f"{path}: snapshot format {doc.get('format')!r} is not "
+                                   f"{STORE_FORMAT!r}; re-run ingest")
+            manifest = [SourceFile(**item) for item in doc["manifest"]]
+            return build_user_sequences(_snapshot_entries(handle), doc["labels"], manifest)
+    # json.loads raises RecursionError for nesting past the stack.
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise IngestFailed(f"{path}: damaged snapshot ({type(exc).__name__}: {exc}); "
                            "re-run ingest") from None
+
+
+def _snapshot_entries(handle: IO[str]) -> Iterator[LogEntry]:
+    """The entries of a snapshot's lines of rows, read up to its closing line."""
+    # One string object per distinct user or host, shared by its entries.
+    # Decoding slice by slice scatters the decoder's own copies through the
+    # heap, and passes over the loaded store ran slower for it.
+    shared: dict[str, str] = {}
+    line = handle.readline()
+    more = line != _CLOSING_LINE
+    while more:
+        if not line.endswith("\n"):
+            raise ValueError("the snapshot ends before its closing line")
+        # Every line of rows but the last ends with a comma.
+        more = line.endswith(",\n")
+        for entry_id, ts, user, host, activity, payload in json.loads(
+                f"[{line[:-2] if more else line}]"):
+            yield LogEntry(entry_id, datetime.fromisoformat(ts), shared.setdefault(user, user),
+                           shared.setdefault(host, host), _ACTIVITIES[activity], payload)
+        line = handle.readline()
+    if line != _CLOSING_LINE or handle.read(1):
+        raise ValueError("the snapshot does not end with its closing line")

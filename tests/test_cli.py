@@ -525,19 +525,24 @@ def test_unlabelled_ingest_removes_the_label_map(demo: Path, tmp_path, capsys):
 
 
 def test_old_snapshot_format_rejected(demo: Path, completed_run: Path, tmp_path, capsys):
-    old = {"format": "audit-store/1", "labels": {}, "manifest": [], "entries": [
+    # audit-store/1 keyed its rows; audit-store/2 was one line of sorted keys.
+    keyed = {"format": "audit-store/1", "labels": {}, "manifest": [], "entries": [
         {"id": "E1", "ts": "2024-01-02T09:00:00", "user": "u", "host": "h",
          "activity": "Logon", "payload": {}}]}
-    (tmp_path / "store.json").write_text(json.dumps(old, indent=1))
+    one_line = {"format": "audit-store/2", "labels": {}, "manifest": [], "entries": [
+        ["E1", "2024-01-02T09:00:00", "u", "h", "Logon", {}]]}
     config_path = _config_copy(demo, completed_run, tmp_path,
                                json.loads((demo / "script.json").read_text()))
     config_doc = json.loads(config_path.read_text())
     config_doc["store_path"] = str(tmp_path / "store.json")
     config_path.write_text(json.dumps(config_doc))
-    assert main(["forge", "--config", str(config_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("IngestFailed:") and err.count("\n") == 1
-    assert "'audit-store/1'" in err and "re-run ingest" in err
+    for text in (json.dumps(keyed, indent=1),
+                 json.dumps(one_line, sort_keys=True, separators=(",", ":")) + "\n"):
+        (tmp_path / "store.json").write_text(text)
+        assert main(["forge", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IngestFailed:") and err.count("\n") == 1
+        assert f"{json.loads(text)['format']!r} is not 'audit-store/3'; re-run ingest" in err
 
 
 def test_evaluate_reads_no_snapshot(completed_run: Path, monkeypatch):
@@ -563,9 +568,10 @@ def test_evaluate_reads_no_snapshot(completed_run: Path, monkeypatch):
 
 @pytest.mark.parametrize("phase, text", [
     ("forge", "{"),
-    ("detect", json.dumps({"format": "audit-store/2", "labels": {}, "manifest": [],
-                           "entries": [["E1", "2024-01-02T09:00:00", "u", "h", "Logon"]]})),
-], ids=["not-json", "row-of-five-fields"])
+    ("detect", '{"format":"audit-store/3","labels":{},"manifest":[],"entries":[\n'
+               '["E1","2024-01-02T09:00:00","u","h","Logon"]\n]}\n'),
+    ("forge", "[" * 100_000),
+], ids=["not-json", "row-of-five-fields", "nested-past-recursion-limit"])
 def test_damaged_snapshot_rejected(demo: Path, completed_run: Path, tmp_path, capsys,
                                    phase, text):
     (tmp_path / "store.json").write_text(text)

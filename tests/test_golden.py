@@ -15,13 +15,13 @@ from logaudit.cli import main as cli_main
 from logaudit.synthetic import generate_demo
 
 SNAPSHOT = {
-    "store.json": "306bca0506365cea",
+    "store.json": "f73ca1f859e498b6",
     "store.users.json": "9bb9643a9361ffb1",
 }
 
 # The demo ingested with undersample_cap 1000: every malicious entry and
 # 1,000 benign ones, 1,008 rows.
-UNDERSAMPLED_STORE = "3adf57fba4d66ac8"
+UNDERSAMPLED_STORE = "4032563d4424603b"
 
 FORGE = {
     "registry.json": "903022c09ae00acf",

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 import re
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import logaudit.logstore
 from conftest import entry, seal
 from logaudit.errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 from logaudit.logstore import (
@@ -552,13 +556,16 @@ def _fields(store: LogStore) -> list[tuple]:
                         ActivityType.HTTP_VISIT, {"url": "", "note": "\u2603"})]))
 @settings(max_examples=100, deadline=None)
 def test_store_snapshot_round_trip(store):
-    with tempfile.TemporaryDirectory() as directory:
+    # Two rows a line, so most stores span several lines of rows.
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.object(logaudit.logstore, "SNAPSHOT_SLICE_ROWS", 2):
         path = Path(directory) / "store.json"
         save_store(store, path)
         written = path.read_bytes()
         loaded = load_store(path)
         save_store(loaded, path)
         assert path.read_bytes() == written
+    assert written.count(b"\n") == 2 + (len(store.entries) + 1) // 2
     assert _fields(loaded) == _fields(store)
     assert loaded.labels == store.labels
     assert loaded.source_manifest == store.source_manifest
@@ -591,6 +598,8 @@ def test_entry_carries_its_timestamps_day(row, by_keyword, with_payload):
             made.payload["key"] = "value"  # the default payload is immutable
     moved = made._replace(timestamp=datetime(2024, 2, 3, 4, 5))
     assert moved.day == moved.timestamp.date() and moved.entry_id == made.entry_id
+    for twin in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+        assert type(twin) is LogEntry and twin == made and twin.day == made.day
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.json"
         save_store(build_user_sequences([made]), path)
@@ -602,15 +611,76 @@ def test_interrupted_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkey
     path = tmp_path / "store.json"
     save_store(seal([entry("E1", "u", ActivityType.LOGON)]), path)
     before = path.read_bytes()
-    write_text = Path.write_text
+    encode = logaudit.logstore._encode
+    slices = []
 
-    def interrupted(self, text, *args, **kwargs):
-        write_text(self, text[:len(text) // 2], *args, **kwargs)
-        raise OSError("interrupted")
+    def interrupted(value):
+        if isinstance(value, list):  # a slice of rows, not the first line
+            slices.append(Path(f"{path}.partial").exists())
+            if len(slices) == 2:
+                raise OSError("interrupted")
+        return encode(value)
 
-    monkeypatch.setattr(Path, "write_text", interrupted)
+    monkeypatch.setattr(logaudit.logstore, "SNAPSHOT_SLICE_ROWS", 1)
+    monkeypatch.setattr(logaudit.logstore, "_encode", interrupted)
     with pytest.raises(OSError):
-        save_store(seal([entry("E2", "u", ActivityType.LOGOFF)]), path)
+        save_store(seal([entry(f"E{i}", "u", ActivityType.LOGOFF) for i in (2, 3, 4)]), path)
     monkeypatch.undo()
+    assert slices == [True, True]  # interrupted after the first slice
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cut_snapshot_is_damaged(data):
+    store = seal([entry("E1", "u", ActivityType.LOGON),
+                  entry("E2", "u", ActivityType.EMAIL_SEND, body="two\nlines \u2603"),
+                  entry("E3", "v", ActivityType.HTTP_VISIT, url="http://example.com/"),
+                  entry("E4", "", ActivityType.ZEEK_ANOMALY, host="10.0.0.1"),
+                  entry("E5", "v", ActivityType.LOGOFF)], {"E3": "malicious"})
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.object(logaudit.logstore, "SNAPSHOT_SLICE_ROWS", 2):
+        path = Path(directory) / "store.json"
+        save_store(store, path)
+        whole = path.read_bytes()
+        ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]
+        # Cut anywhere, or right after a line or before the last newline.
+        cut = data.draw(st.sampled_from([*ends[:-1], len(whole) - 1])
+                        | st.integers(0, len(whole) - 1))
+        path.write_bytes(whole[:cut])
+        with pytest.raises(IngestFailed, match="damaged snapshot"):
+            load_store(path)
+
+
+def _synthetic_store(rows: int) -> LogStore:
+    start = datetime(2024, 1, 1)
+    activities = list(ActivityType)
+    return seal([LogEntry(f"{{S{i:07d}}}", start + timedelta(minutes=7 * i), f"user{i % 200:03d}",
+                          f"PC-{i % 500:04d}", activities[i % len(activities)],
+                          {"url": f"http://site{i % 97}.example/"} if i % 3 == 0 else {})
+                 for i in range(rows)], {"{S0000000}": "malicious"})
+
+
+def test_snapshot_memory_does_not_grow_with_the_store(tmp_path):
+    # save_store's traced peak, and load_store's traced peak above the store
+    # it returns, at 5k and at 40k rows.
+    figures = []
+    for rows in (5_000, 40_000):
+        store = _synthetic_store(rows)
+        path = tmp_path / f"store-{rows}.json"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_store(store, path)
+            save_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            loaded = load_store(path)
+            returned, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.entries) == rows
+        figures.append((save_peak, load_peak - returned))
+    (small_save, small_load), (large_save, large_load) = figures
+    assert large_save - small_save < 2**20, figures
+    assert large_load - small_load < 2**20, figures
