@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .errors import MissingLabel
 from .gateway import CostReport
-from .logstore import LABEL_MALICIOUS, LogStore
+from .logstore import LABEL_BENIGN, LABEL_MALICIOUS, LogStore
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +89,10 @@ def evaluate(
 
 
 def user_labels(store: LogStore) -> dict[str, str]:
-    return {user: store.user_label(user) for user in store.users}
+    """Each user's label: malicious iff the user owns a malicious entry."""
+    malicious = store.malicious_ids()
+    owners = {e.user for e in store.entries if e.entry_id in malicious} if malicious else set()
+    return {user: LABEL_MALICIOUS if user in owners else LABEL_BENIGN for user in store.users}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from .logstore import (
     DEFAULT_SEED,
     DEFAULT_UNDERSAMPLE_CAP,
     LogStore,
+    Snapshot,
     load_store,
+    open_snapshot,
 )
 from .plans import DEFAULT_K_SIGMA
 from .prompts import DEFAULT_TEMPLATES
@@ -269,12 +271,21 @@ def resolve_path(config: RunConfig, path: str) -> Path:
     return Path(config.config_path).parent / p
 
 
-def load_snapshot(config: RunConfig) -> LogStore:
-    """The store snapshot that ``ingest`` wrote."""
+def _snapshot_path(config: RunConfig) -> Path:
     path = resolve_path(config, config.store_path)
     if not path.exists():
         raise ConfigInvalid(f"store snapshot not found: {path}; run ingest first")
-    return load_store(path)
+    return path
+
+
+def load_snapshot(config: RunConfig) -> LogStore:
+    """The whole store of the snapshot that ``ingest`` wrote."""
+    return load_store(_snapshot_path(config))
+
+
+def open_store_snapshot(config: RunConfig) -> Snapshot:
+    """The snapshot that ``ingest`` wrote, opened to read one user at a time."""
+    return open_snapshot(_snapshot_path(config))
 
 
 def load_script_file(path: str | Path) -> list[ScriptEntry]:

@@ -2,10 +2,11 @@
 into a finished tool (params, doc, labelled output template, cases), and
 persists the tools in a reusable registry.
 
-One rule decides what is served: a tool is served only if it passes every
-one of its check's unit-test cases. Drafts get error-feedback repairs; when
-none passes, one of six built-in tools is served in its place under the same
-rule, and otherwise the check is unservable.
+One rule decides what is served: a tool is served only if its select binds
+``user={user}``, so that it reads the audited user's rows alone, and it
+passes every one of its check's unit-test cases. Drafts get error-feedback
+repairs; when none passes, one of six built-in tools is served in its place
+under the same rule, and otherwise the check is unservable.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     TransportError,
 )
 from .gateway import Backend, CostLedger, PromptTemplate, chat
-from .logstore import ActivityType, LogEntry, LogStore
+from .logstore import ActivityType, LogEntry, LogStore, Snapshot
 from .plans import (
     AGG_FUNCS,
     DEFAULT_K_SIGMA,
@@ -56,6 +57,9 @@ DEFAULT_REPAIR_ATTEMPTS = 3
 REGISTRY_FORMAT = "audit-registry/1"
 
 NUMERIC_TOLERANCE = 1e-9
+
+# Every served tool's select reads the rows of the user it is invoked for.
+USER_BINDING = "{user}"
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,20 @@ def unit_test_tool(
         if mismatches:
             failures.append(f"params {case.params}: {'; '.join(mismatches)}")
     return failures
+
+
+def serving_failures(
+    spec: ToolSpec,
+    store: LogStore,
+    cases: Sequence[ToolTestCase],
+    lists: ListCatalog | None = None,
+) -> list[str]:
+    """Why the tool may not be served: a select not bound to ``user={user}``,
+    or else the cases it fails."""
+    if spec.plan.select.user != USER_BINDING:
+        bound = "no user" if spec.plan.select.user is None else f"user={spec.plan.select.user}"
+        return [f"select reads {bound}; a served tool must select user={USER_BINDING}"]
+    return unit_test_tool(spec, store, cases, lists)
 
 
 def _types_phrase(plan: QueryPlan) -> str:
@@ -352,7 +370,7 @@ def build_tool_for_subtask(
                     logger.info("%s attempt %d failed to parse: %s", subtask.id, attempt, exc)
                     continue
                 spec = drafted_tool(subtask, plan, cases)
-                errors = unit_test_tool(spec, fixtures, cases, lists)
+                errors = serving_failures(spec, fixtures, cases, lists)
                 if not errors:
                     return ForgeOutcome(spec)
                 previous = render_plan(plan)
@@ -367,7 +385,7 @@ def build_tool_for_subtask(
     fallback = match_builtin(subtask, k_sigma)
     if fallback is None:
         return ForgeOutcome(None, cause)
-    failures = unit_test_tool(fallback, fixtures, cases, lists)
+    failures = serving_failures(fallback, fixtures, cases, lists)
     if failures:
         return ForgeOutcome(None, f"{cause}; builtin {fallback.name!r} fails a case: {failures[0]}")
     return ForgeOutcome(replace(fallback, test_cases=tuple(cases)), cause)
@@ -428,17 +446,25 @@ class LoadedRegistry:
         return None
 
 
+def _case_users(spec: ToolSpec) -> set[str]:
+    """The users whose rows the tool's cases select (a comma list names several)."""
+    return {user.strip() for case in spec.test_cases if "user" in case.params
+            for user in str(case.params["user"]).split(",")}
+
+
 def load_registry(
     path: str | Path,
-    store: LogStore | None = None,
+    store: LogStore | Snapshot | None = None,
     lists: ListCatalog | None = None,
 ) -> LoadedRegistry:
     """Load and validate a registry.
 
-    Every invariant is re-checked; when a store is supplied, recorded test
-    cases are replayed against it and value drift raises RegistryCorrupt.
-    Specs whose activity types are absent from the store produce warnings
-    instead (their cases cannot run meaningfully).
+    Every invariant is re-checked; a tool whose select is not bound to
+    ``user={user}`` is corrupt. When a store is supplied, recorded test cases
+    are replayed on a store of their users' rows, which is all a bound tool
+    reads, and value drift raises RegistryCorrupt. Specs whose activity
+    types are absent from the store produce warnings instead (their cases
+    cannot run meaningfully).
     """
     path = Path(path)
     try:
@@ -466,10 +492,7 @@ def load_registry(
         raise RegistryCorrupt(f"{path}: duplicate sub-task ids")
     subtask_set = SubTaskSet(subtasks=subtasks, rounds=int(doc.get("subtasks", {}).get("rounds", 0)))
 
-    warnings: list[str] = []
     tools: list[ToolSpec] = []
-    store_types = store.activity_types() if store is not None else None
-
     for item in doc.get("tools", []):
         status = item.get("status")
         if status != STATUS_DECORATED:
@@ -495,25 +518,35 @@ def load_registry(
             raise RegistryCorrupt(f"{path}: tool {spec.name!r} has empty doc")
         if spec.params != free_params(plan):
             raise RegistryCorrupt(f"{path}: tool {spec.name!r} params do not cover the plan")
+        if plan.select.user != USER_BINDING:
+            raise RegistryCorrupt(f"{path}: tool {spec.name!r} does not select "
+                                  f"user={USER_BINDING}")
         try:
             validate_template(spec.output_template, plan)
         except TemplateMismatch as exc:
             raise RegistryCorrupt(f"{path}: tool {spec.name!r}: {exc}")
         if spec.subtask_id not in set(ids):
             raise RegistryCorrupt(f"{path}: tool {spec.name!r} references unknown sub-task")
+        tools.append(spec)
 
-        if store_types is not None:
-            missing = set(plan.select.activity_types) - store_types
+    warnings: list[str] = []
+    if store is not None:
+        store_types = store.activity_types()
+        replayed = []
+        for spec in tools:
+            missing = set(spec.plan.select.activity_types) - store_types
             if missing:
                 warnings.append(
                     f"tool {spec.name!r} uses activity types absent from the store: "
                     f"{sorted(t.value for t in missing)}"
                 )
             else:
-                failures = unit_test_tool(spec, store, spec.test_cases, lists)
-                if failures:
-                    raise RegistryCorrupt(f"{path}: tool {spec.name!r} fails a recorded case: {failures[0]}")
-        tools.append(spec)
+                replayed.append(spec)
+        cases_store = store.store_of(set().union(*map(_case_users, replayed)))
+        for spec in replayed:
+            failures = unit_test_tool(spec, cases_store, spec.test_cases, lists)
+            if failures:
+                raise RegistryCorrupt(f"{path}: tool {spec.name!r} fails a recorded case: {failures[0]}")
 
     for warning in warnings:
         logger.warning("%s", warning)

@@ -8,7 +8,9 @@ one pass, by :func:`build_user_sequences` and never mutated afterwards.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -23,7 +25,7 @@ from itertools import pairwise
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 
@@ -155,21 +157,41 @@ class LogStore:
     index: dict[tuple[str, ActivityType], list[int]]
     labels: dict[str, str]
     source_manifest: list[SourceFile]
+    # The activity types of the fleet, host-only entries included; a store
+    # cut from a larger one keeps that store's.
+    activities: frozenset[ActivityType]
 
-    def entries_of(
+    def positions_of(
         self, users: Iterable[str] | None, activities: Iterable[ActivityType]
-    ) -> list[LogEntry]:
-        """The entries of any of the users (``None``: every user, host-only
-        entries included) and activity types, in store order."""
+    ) -> list[int]:
+        """The ascending store positions of the entries of any of the users
+        (``None``: every user, host-only entries included) and activity types."""
         if users is None:
             users = {user for user, _ in self.index}
         keys = [(user, activity) for user in set(users) for activity in set(activities)]
         lists = [self.index[key] for key in keys if key in self.index]
-        positions = lists[0] if len(lists) == 1 else sorted(i for part in lists for i in part)
-        return [self.entries[i] for i in positions]
+        return lists[0] if len(lists) == 1 else sorted(i for part in lists for i in part)
+
+    def entries_of(
+        self, users: Iterable[str] | None, activities: Iterable[ActivityType]
+    ) -> list[LogEntry]:
+        """The entries of :meth:`positions_of`, in store order."""
+        return [self.entries[i] for i in self.positions_of(users, activities)]
 
     def activity_types(self) -> set[ActivityType]:
-        return {activity for _, activity in self.index}
+        return set(self.activities)
+
+    def store_of(self, users: Iterable[str]) -> "LogStore":
+        """The store of these users' entries, in store order, with this
+        store's activity types and no labels."""
+        return build_user_sequences(self.entries_of(users, self.activities),
+                                    activities=self.activities)
+
+    def user_stores(self) -> Iterator["LogStore"]:
+        """The store of each user's entries (see :meth:`store_of`), in
+        sorted-user order; host-only entries are in none of them."""
+        for user in sorted(self.users):
+            yield self.store_of([user])
 
     def is_malicious(self, entry_id: str) -> bool:
         return self.labels.get(entry_id) == LABEL_MALICIOUS
@@ -480,13 +502,15 @@ def build_user_sequences(
     entries: Iterable[LogEntry],
     labels: Mapping[str, str] | None = None,
     manifest: Iterable[SourceFile] = (),
+    activities: Iterable[ActivityType] | None = None,
 ) -> LogStore:
     """The store of these entries, in this order: the only way to make one.
 
     One pass builds the (user, activity) index and the per-user sequences,
     sorted stably by time; host-only entries are indexed but in no sequence.
     A repeated id raises DuplicateEntryId, and a label for an unknown id or
-    of an unknown value raises LabelsInvalid.
+    of an unknown value raises LabelsInvalid. ``activities`` names the
+    fleet's activity types when these entries are only part of it.
     """
     entries = list(entries)
     # The ids sorted, not a set: a sixth of the memory while a store is built.
@@ -510,7 +534,9 @@ def build_user_sequences(
     for seq in grouped.values():
         seq.sort(key=attrgetter("timestamp"))
     users = {user: UserSequence(user=user, entries=seq) for user, seq in grouped.items()}
-    return LogStore(entries, users, index, labels, list(manifest))
+    if activities is None:
+        activities = {activity for _, activity in index}
+    return LogStore(entries, users, index, labels, list(manifest), frozenset(activities))
 
 
 def sample_exemplars(
@@ -592,90 +618,220 @@ def load_labels(path: str | Path) -> dict[str, str]:
     return labels
 
 
-STORE_FORMAT = "audit-store/3"
-# Entry rows per line of a snapshot. Save and load hold one line's rows at a
-# time, so their memory beyond the store does not grow with its size.
-SNAPSHOT_SLICE_ROWS = 2048
+STORE_FORMAT = "audit-store/4"
 
 _ACTIVITIES = {a.value: a for a in ActivityType}
 # The compact C encoder; ``default`` encodes the immutable empty payload.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=dict).encode
-_CLOSING_LINE = "]}\n"
+_OPEN_ENTRIES = b',"entries":[\n'
+# User lines run to tens of kilobytes; a larger buffer reads them in fewer calls.
+_READ_BUFFER = 1 << 18
+
+
+def _closing_line(digest: str) -> bytes:
+    return b'],"sha256":"%s"}\n' % digest.encode("ascii")
 
 
 def save_store(store: LogStore, path: str | Path) -> None:
-    """Write a store snapshot: one compact JSON document whose first line
-    holds ``format``, ``labels`` and ``manifest`` and opens ``entries``. Each
-    later line holds a slice of the entry rows ``[id, ts, user, host,
-    activity, payload]`` in store order, and a last line closes the document.
-    The slices are encoded and written one at a time."""
+    """Write a store snapshot: one compact JSON document of three parts.
+
+    - The first line holds ``format``, ``labels``, ``manifest``, the row
+      count ``rows``, the fleet's ``activities`` and the ``users`` in line
+      order, and opens ``entries``.
+    - Then one line per user, in sorted-user order, host-only entries under
+      the empty user: that user's rows ``[position, id, ts, host, activity,
+      payload]`` in store order, where the position is the row's index in
+      the store.
+    - A last line closes ``entries`` with ``sha256``, the digest of the
+      user lines' bytes.
+
+    Each user's line is encoded and written on its own."""
+    users = sorted({user for user, _ in store.index})
     head = _encode({
+        "activities": sorted(a.value for a in store.activities),
         "format": STORE_FORMAT,
         "labels": store.labels,
         "manifest": [
             {"path": s.path, "kind": s.kind, "rows": s.rows, "malformed": s.malformed}
             for s in store.source_manifest
         ],
+        "rows": len(store.entries),
+        "users": users,
     })
     entries = store.entries
+    digest = hashlib.sha256()
     # Renamed over the snapshot, so an interrupted write leaves the old one whole.
     partial = Path(f"{path}.partial")
     try:
-        with partial.open("w", encoding="utf-8") as handle:
-            handle.write(head[:-1] + ',"entries":[\n')
-            for start in range(0, len(entries), SNAPSHOT_SLICE_ROWS):
-                end = start + SNAPSHOT_SLICE_ROWS
-                rows = [[e.entry_id, e.timestamp.isoformat(), e.user, e.host, e.activity.value,
-                         e.payload] for e in entries[start:end]]
-                handle.write(_encode(rows)[1:-1])
-                handle.write(",\n" if end < len(entries) else "\n")
-            handle.write(_CLOSING_LINE)
+        with partial.open("wb") as handle:
+            handle.write(head[:-1].encode("utf-8") + _OPEN_ENTRIES)
+            for n, user in enumerate(users, start=1):
+                positions = store.positions_of([user], store.activities)
+                rows = [[i, e.entry_id, e.timestamp.isoformat(), e.host, e.activity.value,
+                         e.payload] for i, e in zip(positions, map(entries.__getitem__, positions))]
+                line = (_encode(rows)[1:-1] + (",\n" if n < len(users) else "\n")).encode("utf-8")
+                digest.update(line)
+                handle.write(line)
+            handle.write(_closing_line(digest.hexdigest()))
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
 
 
-def load_store(path: str | Path) -> LogStore:
-    """Load a snapshot written by :func:`save_store`, reading its format from
-    the first line and then decoding one line of rows at a time. A snapshot
-    of another format, or one that does not decode into that layout (a
-    truncated one included), fails with IngestFailed."""
+@contextlib.contextmanager
+def _damaged(path: str | Path) -> Iterator[None]:
+    """Raise what a snapshot that does not decode into its layout raises
+    as IngestFailed."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            line = handle.readline()
-            try:
-                doc = json.loads(line + "]}")
-            except ValueError:
-                # Not this layout: decode it whole to name its format.
-                doc = json.loads(line + handle.read())
-            if doc.get("format") != STORE_FORMAT:
-                raise IngestFailed(f"{path}: snapshot format {doc.get('format')!r} is not "
-                                   f"{STORE_FORMAT!r}; re-run ingest")
-            manifest = [SourceFile(**item) for item in doc["manifest"]]
-            return build_user_sequences(_snapshot_entries(handle), doc["labels"], manifest)
+        yield
     # json.loads raises RecursionError for nesting past the stack.
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise IngestFailed(f"{path}: damaged snapshot ({type(exc).__name__}: {exc}); "
                            "re-run ingest") from None
 
 
-def _snapshot_entries(handle: IO[str]) -> Iterator[LogEntry]:
-    """The entries of a snapshot's lines of rows, read up to its closing line."""
-    # One string object per distinct user or host, shared by its entries.
-    # Decoding slice by slice scatters the decoder's own copies through the
-    # heap, and passes over the loaded store ran slower for it.
-    shared: dict[str, str] = {}
-    line = handle.readline()
-    more = line != _CLOSING_LINE
-    while more:
-        if not line.endswith("\n"):
-            raise ValueError("the snapshot ends before its closing line")
-        # Every line of rows but the last ends with a comma.
-        more = line.endswith(",\n")
-        for entry_id, ts, user, host, activity, payload in json.loads(
-                f"[{line[:-2] if more else line}]"):
-            yield LogEntry(entry_id, datetime.fromisoformat(ts), shared.setdefault(user, user),
-                           shared.setdefault(host, host), _ACTIVITIES[activity], payload)
+@dataclass(frozen=True)
+class Snapshot:
+    """A snapshot written by :func:`save_store`, opened by
+    :func:`open_snapshot`: its first line, read whole, and its user lines,
+    read one at a time on demand."""
+
+    path: Path
+    rows: int
+    labels: dict[str, str]
+    manifest: list[SourceFile]
+    activities: frozenset[ActivityType]
+    # One per user line, in line order; the empty user holds host-only rows.
+    users: tuple[str, ...]
+    # The byte offset of the first user line.
+    start: int
+
+    def activity_types(self) -> set[ActivityType]:
+        return set(self.activities)
+
+    def _lines(self, verify: bool = True) -> Iterator[tuple[str, bytes]]:
+        """Each user line's user and rows, in line order. When ``verify``,
+        the closing line must hold the digest of the lines read."""
+        digest = hashlib.sha256()
+        last = len(self.users) - 1
+        with open(self.path, "rb", buffering=_READ_BUFFER) as handle:
+            handle.seek(self.start)
+            for n, user in enumerate(self.users):
+                line = handle.readline()
+                if not line.endswith(b"\n"):
+                    raise ValueError("the snapshot ends before its closing line")
+                body = line[:-2] if n < last else line[:-1]
+                if n < last and not line.endswith(b",\n"):
+                    raise ValueError(f"the line of user {user!r} does not end with a comma")
+                if verify:
+                    digest.update(line)
+                yield user, body
+            if verify and handle.read() != _closing_line(digest.hexdigest()):
+                raise ValueError("the closing line does not hold the digest of the user lines")
+
+    def _rows(self, user: str, body: bytes,
+              shared: dict[str, str]) -> tuple[list[int], list[LogEntry]]:
+        """The positions and entries of one user line's rows. The positions
+        must ascend within the row count."""
+        rows = json.loads(b"[" + body + b"]")
+        # One string object per distinct host, shared by its entries, and the
+        # immutable empty payload for every empty one.
+        entries = [LogEntry(entry_id, datetime.fromisoformat(ts), user,
+                            shared.setdefault(host, host), _ACTIVITIES[activity],
+                            payload or _NO_PAYLOAD)
+                   for _, entry_id, ts, host, activity, payload in rows]
+        positions = [row[0] for row in rows]
+        if positions and not (0 <= positions[0] and positions[-1] < self.rows
+                              and all(a < b for a, b in pairwise(positions))):
+            raise ValueError(f"the rows of user {user!r} are not in store order")
+        return positions, entries
+
+    def store_of(self, users: Iterable[str]) -> LogStore:
+        """The store of these users' entries, in store order, with the
+        fleet's activity types and no labels. Lines are read up to the last
+        of these users', and only theirs are decoded; the digest is not
+        checked."""
+        wanted = set(users) & set(self.users)
+        positions: list[int] = []
+        found: list[LogEntry] = []
+        shared: dict[str, str] = {}
+        with _damaged(self.path), contextlib.closing(self._lines(verify=False)) as lines:
+            for user, body in lines:
+                if not wanted:
+                    break
+                if user in wanted:
+                    wanted.remove(user)
+                    at, entries = self._rows(user, body, shared)
+                    positions += at
+                    found += entries
+        in_store_order = sorted(range(len(found)), key=positions.__getitem__)
+        return build_user_sequences([found[i] for i in in_store_order],
+                                    activities=self.activities)
+
+    def user_stores(self) -> Iterator[LogStore]:
+        """The store of each user's entries (see :meth:`store_of`), in
+        sorted-user order, decoded one line at a time; host-only rows are in
+        none of them. The digest is checked after the last user."""
+        shared: dict[str, str] = {}
+        with _damaged(self.path), contextlib.closing(self._lines()) as lines:
+            for user, body in lines:
+                if user:
+                    yield build_user_sequences(self._rows(user, body, shared)[1],
+                                               activities=self.activities)
+
+    def load(self) -> LogStore:
+        """The whole store, every row placed at its position. A position
+        that repeats, leaves a gap or is past the row count, or activity
+        types other than the header's, make the snapshot damaged."""
+        entries: list[LogEntry | None] = [None] * self.rows
+        shared: dict[str, str] = {}
+        with _damaged(self.path):
+            placed = 0
+            for user, body in self._lines():
+                positions, rows = self._rows(user, body, shared)
+                for position, entry in zip(positions, rows):
+                    if entries[position] is not None:
+                        raise ValueError(f"row position {position} repeats")
+                    entries[position] = entry
+                placed += len(rows)
+            if placed != self.rows:
+                raise ValueError(f"{placed} rows placed of {self.rows}")
+            store = build_user_sequences(entries, self.labels, self.manifest)
+            if store.activities != self.activities:
+                raise ValueError("the rows' activity types are not the header's")
+        return store
+
+
+def open_snapshot(path: str | Path) -> Snapshot:
+    """Open a snapshot written by :func:`save_store`, reading its first line.
+    A snapshot of another format, or one that does not decode into this
+    layout, fails with IngestFailed; so does any later read of a damaged or
+    cut one."""
+    with _damaged(path), open(path, "rb") as handle:
         line = handle.readline()
-    if line != _CLOSING_LINE or handle.read(1):
-        raise ValueError("the snapshot does not end with its closing line")
+        opens_entries = line.endswith(_OPEN_ENTRIES)
+        # Not this layout: decode it whole to name its format.
+        doc = json.loads(line + b"]}" if opens_entries else line + handle.read())
+        if doc.get("format") != STORE_FORMAT:
+            raise IngestFailed(f"{path}: snapshot format {doc.get('format')!r} is not "
+                               f"{STORE_FORMAT!r}; re-run ingest")
+        if not opens_entries:
+            raise ValueError("the first line does not open the entries")
+        rows = doc["rows"]
+        # Every row takes more than one byte, so the row count is below the size.
+        if type(rows) is not int or not 0 <= rows < os.fstat(handle.fileno()).st_size:
+            raise ValueError(f"row count {rows!r}")
+        users = tuple(doc["users"])
+        if any(type(user) is not str for user in users) or list(users) != sorted(set(users)):
+            raise ValueError("the users are not distinct names in sorted order")
+        return Snapshot(
+            Path(path), rows, dict(doc["labels"]),
+            [SourceFile(**item) for item in doc["manifest"]],
+            frozenset(_ACTIVITIES[a] for a in doc["activities"]), users, handle.tell(),
+        )
+
+
+def load_store(path: str | Path) -> LogStore:
+    """Load the whole store of a snapshot written by :func:`save_store`,
+    decoding one user line at a time."""
+    return open_snapshot(path).load()

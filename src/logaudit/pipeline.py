@@ -7,17 +7,19 @@ per-check iteration, the decomposed check set, the tools, or the debate.
 
 from __future__ import annotations
 
+import contextlib
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .config import (
     RunConfig,
     build_backend,
     load_lists,
-    load_snapshot,
     load_templates,
+    open_store_snapshot,
     resolve_path,
 )
 from .debate import (
@@ -48,7 +50,7 @@ from .executor import (
 )
 from .forge import ToolSpec, load_registry
 from .gateway import Backend, CostLedger, PromptTemplate
-from .logstore import ActivityType, LogStore, UserSequence
+from .logstore import ActivityType, LogStore, Snapshot, UserSequence
 from .prompts import DEFAULT_TEMPLATES
 from .runtime import ListCatalog, ToolResult
 
@@ -115,11 +117,14 @@ VARIANTS: dict[str, VariantBehavior] = {
 
 @dataclass
 class DetectContext:
-    """Everything needed to audit users under one configuration."""
+    """Everything needed to audit users under one configuration. ``store``
+    holds the users to audit: a snapshot or an in-memory store, which
+    :func:`detect_all` hands each user's audit as a store of that user's
+    entries alone."""
 
     subtasks: SubTaskSet
     tools: Mapping[str, ToolSpec | None]
-    store: LogStore
+    store: LogStore | Snapshot
     backend: Backend
     ledger: CostLedger
     lists: ListCatalog | None = None
@@ -131,9 +136,10 @@ class DetectContext:
 
 def context_from_config(config: RunConfig, ledger: CostLedger, variant: str) -> DetectContext:
     """The context a run config describes under the named variant: its store
-    snapshot, its registry (recorded test cases replayed), lists, backend,
+    snapshot, opened but not read past its first line, its registry
+    (recorded test cases replayed on their users' rows), lists, backend,
     debate settings and prompt templates (overrides applied)."""
-    store = load_snapshot(config)
+    store = open_store_snapshot(config)
     registry_path = resolve_path(config, config.registry_path)
     if not registry_path.exists():
         raise RegistryMissing(f"registry not found: {registry_path}; run forge first")
@@ -328,25 +334,35 @@ def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusi
 # ---------------------------------------------------------------------------
 
 def _in_order(
-    ctx: DetectContext, jobs: Sequence[Callable[[CostLedger], T]], workers: int
-) -> list[T]:
-    """Run each ``job(ledger)`` and return the results in job order, with the
+    ctx: DetectContext, jobs: Iterable[Callable[[CostLedger], T]], workers: int
+) -> Iterator[T]:
+    """Run each ``job(ledger)`` and yield the results in job order, with the
     context's ledger holding the records a serial run would, in its order.
 
     On an order-free backend up to ``workers`` jobs run at once, each against
-    a ledger of its own whose records are appended in job order; if any job
-    raises, the first failing job's error is raised, as a serial run would.
-    Otherwise the jobs run one by one on this thread against the context's
-    ledger.
+    a ledger of its own whose records are appended in job order; the next
+    job is taken from ``jobs`` only when fewer than ``workers`` are pending.
+    If a job raises, the first failing job's error is raised, as a serial run
+    would. Otherwise the jobs run one by one on this thread against the
+    context's ledger.
     """
-    if not ctx.backend.order_free or workers < 2 or len(jobs) < 2:
-        return [job(ctx.ledger) for job in jobs]
-    ledgers = [ctx.ledger.fresh() for _ in jobs]
+    if not ctx.backend.order_free or workers < 2:
+        for job in jobs:
+            yield job(ctx.ledger)
+        return
+    jobs = iter(jobs)
+    pending: deque[tuple[Future[T], CostLedger]] = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda job, ledger: job(ledger), jobs, ledgers))
-    for ledger in ledgers:
-        ctx.ledger.extend(ledger.records())
-    return results
+        while True:
+            while len(pending) < workers and (job := next(jobs, None)) is not None:
+                ledger = ctx.ledger.fresh()
+                pending.append((pool.submit(job, ledger), ledger))
+            if not pending:
+                return
+            future, ledger = pending.popleft()
+            result = future.result()
+            ctx.ledger.extend(ledger.records())
+            yield result
 
 
 def detect_user(
@@ -384,7 +400,7 @@ def detect_user(
         jobs = [lambda ledger, e=executor_id, s=seed, c=check: run_subtask(
             e, c, user, ctx.backend, ledger=ledger, template=template, seed_hint=s,
         ) for executor_id, seed in seats for check in checks]
-        results = _in_order(ctx, jobs, len(jobs))
+        results = list(_in_order(ctx, jobs, len(jobs)))
         n = len(checks)
         a0, b0 = synthesize(EXECUTOR_A, results[:n]), synthesize(EXECUTOR_B, results[n:])
 
@@ -399,10 +415,18 @@ def detect_user(
 def detect_all(
     ctx: DetectContext, parallelism: int = 1
 ) -> dict[str, tuple[FinalConclusion, DebateTranscript | None]]:
-    """Audit every user in the store, up to ``parallelism`` at once when the
-    backend is order-free; the ledger is the same either way."""
-    users = sorted(ctx.store.users)
-    # ``detect_user`` is looked up when each job runs, so a patched one is used.
-    jobs = [lambda ledger, u=user: detect_user(ctx.store.users[u], replace(ctx, ledger=ledger))
-            for user in users]
-    return dict(zip(users, _in_order(ctx, jobs, parallelism)))
+    """Audit every user of the context's store in sorted-user order, each
+    against a store of that user's entries alone, read when its audit is
+    about to start: up to ``parallelism`` at once when the backend is
+    order-free. The ledger is the same either way."""
+    with contextlib.closing(ctx.store.user_stores()) as stores:
+        jobs = (lambda ledger, store=store: _audit(replace(ctx, store=store, ledger=ledger))
+                for store in stores)
+        return dict(_in_order(ctx, jobs, parallelism))
+
+
+def _audit(ctx: DetectContext) -> tuple[str, tuple[FinalConclusion, DebateTranscript | None]]:
+    """The one user of the context's store, and its audit."""
+    [user] = ctx.store.users.values()
+    # Looked up when each audit starts, so a patched ``detect_user`` is used.
+    return user.user, detect_user(user, ctx)

@@ -9,6 +9,7 @@ freely across users and sub-tasks.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -84,6 +85,9 @@ def load_list_file(name: str, kind: str, path: str | Path) -> ListDef:
 # URL domains
 # ---------------------------------------------------------------------------
 
+# Tools look up the same few URLs across a fleet; a bad URL is not cached
+# and raises on every call.
+@functools.lru_cache(maxsize=4096)
 def extract_domain(url: str) -> str:
     """Host portion of a URL, lowercased, port stripped."""
     if not url or not url.strip():
@@ -374,6 +378,7 @@ def invoke(
         if lists is None or comparator.list_name not in lists:
             raise UnknownList(comparator.list_name)
         listdef = lists[comparator.list_name]
+        keywords = sorted(listdef.values)
         matched_entries: list[LogEntry] = []
         matched_values: list[str] = []
         for entry in selection:
@@ -391,7 +396,7 @@ def invoke(
                     matched_values.append(domain)
             else:
                 lowered = text.lower()
-                hits = [k for k in sorted(listdef.values) if k in lowered]
+                hits = [k for k in keywords if k in lowered]
                 if hits:
                     matched_entries.append(entry)
                     matched_values.extend(hits)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
 
-from logaudit.bench import MetricsReport, evaluate, user_labels
+from logaudit.bench import MetricsReport, evaluate
 from logaudit.debate import FinalConclusion
 from logaudit.decomposer import SubTask, SubTaskSet
 from logaudit.gateway import CostLedger
@@ -58,10 +59,11 @@ def logon_series(user: str, counts: list[int], prefix: str = "L") -> list[LogEnt
 
 
 def evaluate_detection(ctx: DetectContext) -> tuple[MetricsReport, dict[str, FinalConclusion]]:
-    """Audit every user in the context's store and score the verdicts
-    against the store's labels."""
+    """Audit every user in the context's snapshot and score the verdicts
+    against the label map that ingest wrote beside it."""
     predictions = {user: final for user, (final, _t) in detect_all(ctx).items()}
-    return evaluate(predictions, user_labels(ctx.store), ctx.variant.tag), predictions
+    labels = json.loads(ctx.store.path.with_suffix(".users.json").read_text(encoding="utf-8"))
+    return evaluate(predictions, labels, ctx.variant.tag), predictions
 
 
 @pytest.fixture

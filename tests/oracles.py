@@ -235,14 +235,15 @@ def naive_plan_eval(store: LogStore, plan: QueryPlan, params: dict, lists=None) 
 def naive_forge(replies, cases, store: LogStore, builtin: QueryPlan | None,
                 max_repair_attempts: int):
     """Expected outcome of forging one check, from the serving rule alone: a
-    tool is served only if it passes every case. ``replies`` are the
+    tool is served only if its select binds user={user} and it passes every
+    case. ``replies`` are the
     backend's answers in ask order: a QueryPlan (a reply that parses), a str
     (text that does not) or None (no reply left). A check with no cases asks
     nothing. Returns (served, asks): the served plan, "builtin", or None; and
     the number of completions the forge records."""
 
     def passes(plan: QueryPlan) -> bool:
-        return all(naive_plan_eval(store, plan, case.params).get(key) == value
+        return plan.select.user == "{user}" and all(naive_plan_eval(store, plan, case.params).get(key) == value
                    for case in cases for key, value in case.expected.items())
 
     asks = 0

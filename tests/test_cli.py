@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -525,24 +526,29 @@ def test_unlabelled_ingest_removes_the_label_map(demo: Path, tmp_path, capsys):
 
 
 def test_old_snapshot_format_rejected(demo: Path, completed_run: Path, tmp_path, capsys):
-    # audit-store/1 keyed its rows; audit-store/2 was one line of sorted keys.
+    # audit-store/1 keyed its rows; audit-store/2 was one line of sorted keys;
+    # audit-store/3 wrote slices of rows in store order, each with its user.
     keyed = {"format": "audit-store/1", "labels": {}, "manifest": [], "entries": [
         {"id": "E1", "ts": "2024-01-02T09:00:00", "user": "u", "host": "h",
          "activity": "Logon", "payload": {}}]}
     one_line = {"format": "audit-store/2", "labels": {}, "manifest": [], "entries": [
         ["E1", "2024-01-02T09:00:00", "u", "h", "Logon", {}]]}
+    sliced = ('{"format":"audit-store/3","labels":{},"manifest":[],"entries":[\n'
+              '["E1","2024-01-02T09:00:00","u","h","Logon",{}]\n]}\n')
     config_path = _config_copy(demo, completed_run, tmp_path,
                                json.loads((demo / "script.json").read_text()))
     config_doc = json.loads(config_path.read_text())
     config_doc["store_path"] = str(tmp_path / "store.json")
+    config_doc["registry_path"] = str(completed_run / "out" / "registry.json")
     config_path.write_text(json.dumps(config_doc))
     for text in (json.dumps(keyed, indent=1),
-                 json.dumps(one_line, sort_keys=True, separators=(",", ":")) + "\n"):
+                 json.dumps(one_line, sort_keys=True, separators=(",", ":")) + "\n", sliced):
         (tmp_path / "store.json").write_text(text)
-        assert main(["forge", "--config", str(config_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("IngestFailed:") and err.count("\n") == 1
-        assert f"{json.loads(text)['format']!r} is not 'audit-store/3'; re-run ingest" in err
+        for phase in ("forge", "detect"):
+            assert main([phase, "--config", str(config_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("IngestFailed:") and err.count("\n") == 1
+            assert f"{json.loads(text)['format']!r} is not 'audit-store/4'; re-run ingest" in err
 
 
 def test_evaluate_reads_no_snapshot(completed_run: Path, monkeypatch):
@@ -566,10 +572,22 @@ def test_evaluate_reads_no_snapshot(completed_run: Path, monkeypatch):
     assert {name: (out / name).read_bytes() for name in names} == expected
 
 
+def _audit_store(users: dict[str, str], rows: int, activities: list[str]) -> str:
+    """An audit-store/4 snapshot holding these user lines, with their digest."""
+    head = json.dumps({"activities": activities, "format": "audit-store/4", "labels": {},
+                       "manifest": [], "rows": rows, "users": sorted(users)},
+                      sort_keys=True, separators=(",", ":"))
+    lines = ",\n".join(users[user] for user in sorted(users)) + "\n"
+    digest = hashlib.sha256(lines.encode("utf-8")).hexdigest()
+    return f'{head[:-1]},"entries":[\n{lines}],"sha256":"{digest}"}}\n'
+
+
 @pytest.mark.parametrize("phase, text", [
     ("forge", "{"),
-    ("detect", '{"format":"audit-store/3","labels":{},"manifest":[],"entries":[\n'
-               '["E1","2024-01-02T09:00:00","u","h","Logon"]\n]}\n'),
+    # Detect decodes the lines of the registry's case users, B0001 among them,
+    # before its first audit.
+    ("detect", _audit_store({"B0001": '[0,"E1","2024-01-02T09:00:00","h","Logon"]'},
+                            1, ["Logon"])),
     ("forge", "[" * 100_000),
 ], ids=["not-json", "row-of-five-fields", "nested-past-recursion-limit"])
 def test_damaged_snapshot_rejected(demo: Path, completed_run: Path, tmp_path, capsys,

@@ -320,6 +320,45 @@ def test_build_tool_aborts_on_a_template_error(fixture_store, ledger):
         )
 
 
+# --- the user binding ---
+
+# Counts UX's logons on the audited day whoever it is invoked for, so it
+# passes a case of UX alone.
+UX_PLAN = "select activity=Logon user=UX day={day}\naggregate func=count"
+UX_CASES = [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4})]
+
+
+def test_unbound_draft_is_repaired(fixture_store, ledger):
+    backend = make_scripted_backend([
+        ("tool_builder", UX_PLAN),
+        ScriptEntry(["tool_repair", "select reads user=UX; a served tool must select user={user}"],
+                    COUNT_PLAN),
+    ])
+    outcome = _build(backend, fixture_store, ledger, UX_CASES)
+    assert not outcome.used_builtin and outcome.spec.plan == parse_plan(COUNT_PLAN)
+    assert _repairs(ledger) == 1
+
+
+def test_unbound_draft_falls_back_to_the_builtin(fixture_store, ledger):
+    backend = make_scripted_backend([
+        ("tool_builder", UX_PLAN),
+        ScriptEntry("tool_repair", "select activity=Logon day={day}\naggregate func=count",
+                    repeat=True),
+    ])
+    outcome = _build(backend, fixture_store, ledger, UX_CASES, max_repair_attempts=2)
+    assert outcome.used_builtin and outcome.spec.plan.select.user == "{user}"
+    assert outcome.error.startswith("ToolIrreparable:")
+    assert _repairs(ledger) == 2
+
+
+def test_registry_rejects_an_unbound_tool(tmp_path, fixture_store):
+    path = tmp_path / "registry.json"
+    save_registry([_drafted(UX_PLAN, UX_CASES)], _subtask_set(), path)
+    for store in (None, fixture_store):
+        with pytest.raises(RegistryCorrupt, match=r"does not select user=\{user\}"):
+            load_registry(path, store=store)
+
+
 # --- registry ---
 
 def _decorated_specs(fixture_store):
@@ -412,6 +451,8 @@ _RULE_REPLIES = {
     "pass": "select activity=Logon,Logoff user={user} day={day}\naggregate func=count",
     "fail": "select activity=Logon user={user}\naggregate func=count",
     "garbled": "I would count the logons.",
+    # Passes every case of UX, but reads UX's rows whoever it is invoked for.
+    "unbound": "select activity=Logon,Logoff user=UX day={day}\naggregate func=count",
 }
 _RULE_POOL = [
     ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 4}),
@@ -421,7 +462,7 @@ _RULE_POOL = [
 
 
 @given(
-    replies=st.lists(st.sampled_from(["pass", "fail", "garbled", "end"]), max_size=4),
+    replies=st.lists(st.sampled_from(["pass", "fail", "garbled", "unbound", "end"]), max_size=4),
     cases=st.lists(st.sampled_from(_RULE_POOL), max_size=3),
     max_repair_attempts=st.integers(1, 3),
 )

@@ -14,14 +14,16 @@ import pytest
 from logaudit.cli import main as cli_main
 from logaudit.synthetic import generate_demo
 
+# store.json is audit-store/4: one line per user, each row carrying its store
+# position, and a closing line with the digest of the user lines.
 SNAPSHOT = {
-    "store.json": "f73ca1f859e498b6",
+    "store.json": "ec36362078926d88",
     "store.users.json": "9bb9643a9361ffb1",
 }
 
 # The demo ingested with undersample_cap 1000: every malicious entry and
 # 1,000 benign ones, 1,008 rows.
-UNDERSAMPLED_STORE = "4032563d4424603b"
+UNDERSAMPLED_STORE = "99375571269081ce"
 
 FORGE = {
     "registry.json": "903022c09ae00acf",

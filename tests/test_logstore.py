@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import pickle
 import random
 import re
 import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+import json
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +30,7 @@ from logaudit.logstore import (
     build_user_sequences,
     load_labels,
     load_store,
+    open_snapshot,
     parse_cert_file,
     parse_zeek_file,
     sample_exemplars,
@@ -550,28 +553,61 @@ def _fields(store: LogStore) -> list[tuple]:
             for e in store.entries]
 
 
-@given(_stores())
+@st.composite
+def _fleets(draw) -> LogStore:
+    """Stores of a few users, host-only rows (the empty user) among them,
+    whose rows interleave as rows read from several source files do."""
+    rows = draw(st.lists(
+        st.tuples(st.text(min_size=1, max_size=8), st.datetimes(),
+                  st.sampled_from(["", "u", "v", "\u00fc"]), _TEXT, st.sampled_from(ActivityType),
+                  st.dictionaries(_TEXT, _TEXT, max_size=2)),
+        max_size=16, unique_by=lambda row: row[0]))
+    manifest = draw(st.lists(st.builds(
+        SourceFile, _TEXT, _TEXT, st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3))
+    labelled = draw(st.lists(st.sampled_from([row[0] for row in rows]), unique=True)
+                    if rows else st.just([]))
+    labels = {i: draw(st.sampled_from(["benign", "malicious"])) for i in labelled}
+    return build_user_sequences([LogEntry(*row) for row in rows], labels, manifest)
+
+
+def _same_store(loaded: LogStore, store: LogStore) -> None:
+    assert _fields(loaded) == _fields(store)
+    assert loaded.labels == store.labels
+    assert loaded.source_manifest == store.source_manifest
+    assert loaded.activities == store.activities
+    assert {u: [e.entry_id for e in seq.entries] for u, seq in loaded.users.items()} == \
+        {u: [e.entry_id for e in seq.entries] for u, seq in store.users.items()}
+    assert loaded.index == store.index
+
+
+@given(_stores() | _fleets())
 @example(build_user_sequences([]))
 @example(seal([LogEntry("E1", datetime(2024, 1, 2, 3, 4, 5, 678901), "\u00fc", "",
                         ActivityType.HTTP_VISIT, {"url": "", "note": "\u2603"})]))
 @settings(max_examples=100, deadline=None)
 def test_store_snapshot_round_trip(store):
-    # Two rows a line, so most stores span several lines of rows.
-    with tempfile.TemporaryDirectory() as directory, \
-            mock.patch.object(logaudit.logstore, "SNAPSHOT_SLICE_ROWS", 2):
+    with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.json"
         save_store(store, path)
         written = path.read_bytes()
+        snapshot = open_snapshot(path)
         loaded = load_store(path)
+        one_user_stores = list(snapshot.user_stores())
         save_store(loaded, path)
         assert path.read_bytes() == written
-    assert written.count(b"\n") == 2 + (len(store.entries) + 1) // 2
-    assert _fields(loaded) == _fields(store)
-    assert loaded.labels == store.labels
-    assert loaded.source_manifest == store.source_manifest
-    assert {u: [e.entry_id for e in seq.entries] for u, seq in loaded.users.items()} == \
-        {u: [e.entry_id for e in seq.entries] for u, seq in store.users.items()}
-    assert loaded.index == store.index
+    # A first line, one line per user (host-only rows under the empty one), a last line.
+    lines = sorted({user for user, _ in store.index})
+    assert snapshot.users == tuple(lines)
+    assert written.count(b"\n") == 2 + len(lines)
+    _same_store(loaded, store)
+    # Every empty payload is the entry's shared immutable default.
+    assert all(e.payload is logaudit.logstore._NO_PAYLOAD for e in loaded.entries if not e.payload)
+    # Detect's one-user stores equal those cut from the whole store.
+    assert len(one_user_stores) == len(store.users)
+    for one, user in zip(one_user_stores, sorted(store.users)):
+        cut = store.store_of([user])
+        assert _fields(one) == _fields(cut) and one.index == cut.index
+        assert one.activities == store.activities and not one.labels
 
 
 _FIELDS = ("entry_id", "timestamp", "user", "host", "activity", "payload")
@@ -612,35 +648,36 @@ def test_interrupted_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkey
     save_store(seal([entry("E1", "u", ActivityType.LOGON)]), path)
     before = path.read_bytes()
     encode = logaudit.logstore._encode
-    slices = []
+    lines = []
 
     def interrupted(value):
-        if isinstance(value, list):  # a slice of rows, not the first line
-            slices.append(Path(f"{path}.partial").exists())
-            if len(slices) == 2:
+        if isinstance(value, list):  # a user's rows, not the first line
+            lines.append(Path(f"{path}.partial").exists())
+            if len(lines) == 2:
                 raise OSError("interrupted")
         return encode(value)
 
-    monkeypatch.setattr(logaudit.logstore, "SNAPSHOT_SLICE_ROWS", 1)
     monkeypatch.setattr(logaudit.logstore, "_encode", interrupted)
     with pytest.raises(OSError):
-        save_store(seal([entry(f"E{i}", "u", ActivityType.LOGOFF) for i in (2, 3, 4)]), path)
+        save_store(seal([entry(f"E{i}", f"u{i}", ActivityType.LOGOFF) for i in (2, 3, 4)]), path)
     monkeypatch.undo()
-    assert slices == [True, True]  # interrupted after the first slice
+    assert lines == [True, True]  # interrupted after the first user's line
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+_CUT_STORE = [entry("E1", "u", ActivityType.LOGON),
+              entry("E2", "u", ActivityType.EMAIL_SEND, body="two\nlines \u2603"),
+              entry("E3", "v", ActivityType.HTTP_VISIT, url="http://example.com/"),
+              entry("E4", "", ActivityType.ZEEK_ANOMALY, host="10.0.0.1"),
+              entry("E5", "v", ActivityType.LOGOFF)]
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_cut_snapshot_is_damaged(data):
-    store = seal([entry("E1", "u", ActivityType.LOGON),
-                  entry("E2", "u", ActivityType.EMAIL_SEND, body="two\nlines \u2603"),
-                  entry("E3", "v", ActivityType.HTTP_VISIT, url="http://example.com/"),
-                  entry("E4", "", ActivityType.ZEEK_ANOMALY, host="10.0.0.1"),
-                  entry("E5", "v", ActivityType.LOGOFF)], {"E3": "malicious"})
-    with tempfile.TemporaryDirectory() as directory, \
-            mock.patch.object(logaudit.logstore, "SNAPSHOT_SLICE_ROWS", 2):
+    store = seal(_CUT_STORE, {"E3": "malicious"})
+    with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.json"
         save_store(store, path)
         whole = path.read_bytes()
@@ -651,6 +688,59 @@ def test_cut_snapshot_is_damaged(data):
         path.write_bytes(whole[:cut])
         with pytest.raises(IngestFailed, match="damaged snapshot"):
             load_store(path)
+        # Detect reads one user line at a time and finds the cut as well.
+        with pytest.raises(IngestFailed, match="damaged snapshot"):
+            list(open_snapshot(path).user_stores())
+
+
+def _rewrite_rows(path: Path, edit) -> None:
+    """Let ``edit`` change the rows of the user lines, then write them back
+    with a fresh digest."""
+    first, *lines, _closing = path.read_bytes().splitlines(keepends=True)
+    rows = [json.loads(b"[" + line.rstrip(b",\n") + b"]") for line in lines]
+    edit(rows)
+    body = b",\n".join(json.dumps(r, separators=(",", ":"))[1:-1].encode() for r in rows) + b"\n"
+    digest = hashlib.sha256(body).hexdigest().encode()
+    path.write_bytes(first + body + b'],"sha256":"' + digest + b'"}\n')
+
+
+def _set_position(line: int, row: int, position: int):
+    def edit(rows):
+        rows[line][row][0] = position
+    return edit
+
+
+# The lines hold positions "": [4], "u": [0, 1, 2] and "v": [3, 5].
+@pytest.mark.parametrize("edit, detect_finds", [
+    (_set_position(2, 0, 0), False),
+    (_set_position(1, 2, 6), True),
+    (_set_position(1, 0, -1), True),
+    (lambda rows: rows[1].reverse(), True),
+    (lambda rows: rows[1].pop(), False),
+], ids=["repeated", "past-the-count", "negative", "out-of-order", "gap"])
+def test_misplaced_row_positions_are_damaged(tmp_path, edit, detect_finds):
+    path = tmp_path / "store.json"
+    save_store(seal(_CUT_STORE[:2] + [entry("E6", "u", ActivityType.LOGOFF)] + _CUT_STORE[2:]),
+               path)
+    _rewrite_rows(path, edit)
+    with pytest.raises(IngestFailed, match="damaged snapshot"):
+        load_store(path)
+    # Detect holds one line at a time: it finds positions that do not ascend
+    # within the row count, and leaves the rest to the digest.
+    if detect_finds:
+        with pytest.raises(IngestFailed, match="damaged snapshot"):
+            list(open_snapshot(path).user_stores())
+    else:
+        assert len(list(open_snapshot(path).user_stores())) == 2
+
+
+def test_edited_snapshot_fails_its_digest(tmp_path):
+    path = tmp_path / "store.json"
+    save_store(seal(_CUT_STORE), path)
+    path.write_bytes(path.read_bytes().replace(b'"E3"', b'"E1"'))
+    for read in (load_store, lambda p: list(open_snapshot(p).user_stores())):
+        with pytest.raises(IngestFailed, match="digest"):
+            read(path)
 
 
 def _synthetic_store(rows: int) -> LogStore:

@@ -265,3 +265,21 @@ def test_select_matches_naive_scan(rows, types, user, user_param,
     params = {"user": user_param, "day": day_param}
     got = select_entries(store, select, params)
     assert [e.entry_id for e in got] == [e.entry_id for e in naive_select(store, select, params)]
+
+
+_URLS = st.sampled_from(["http://Example.com:8080/x", "www.example.com/a b", "no-dot", "",
+                         "   ", "https://user@host.example.org/", "//a.b", "http://:80/"])
+
+
+@given(st.lists(_URLS | st.text(max_size=24), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_memoized_domain_extraction_matches_the_uncached_one(urls):
+    # Each URL twice, so the second call may come from the cache.
+    for url in urls + urls:
+        outcomes = []
+        for extract in (extract_domain, extract_domain.__wrapped__):
+            try:
+                outcomes.append(("domain", extract(url)))
+            except MalformedUrl as exc:
+                outcomes.append(("raises", str(exc)))
+        assert outcomes[0] == outcomes[1]
