@@ -17,12 +17,13 @@ import os
 import random
 import re
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import cached_property
-from itertools import pairwise
-from operator import attrgetter
+from itertools import islice, pairwise
+from operator import attrgetter, eq, lt
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -78,6 +79,7 @@ class _EntryFields(NamedTuple):
 
 _NO_PAYLOAD: Mapping[str, str] = MappingProxyType({})
 _tuple_new = tuple.__new__
+_ENTRY_ID = attrgetter("entry_id")
 
 
 class LogEntry(_EntryFields):
@@ -514,16 +516,16 @@ def build_user_sequences(
     """
     entries = list(entries)
     # The ids sorted, not a set: a sixth of the memory while a store is built.
-    ids = sorted(e.entry_id for e in entries)
-    for entry_id, following in pairwise(ids):
-        if entry_id == following:
-            raise DuplicateEntryId(f"duplicate entry id {entry_id!r}")
-    grouped: dict[str, list[LogEntry]] = {}
-    index: dict[tuple[str, ActivityType], list[int]] = {}
+    ids = sorted(map(_ENTRY_ID, entries))
+    if any(map(eq, ids, islice(ids, 1, None))):
+        repeated = next(entry_id for entry_id, following in pairwise(ids) if entry_id == following)
+        raise DuplicateEntryId(f"duplicate entry id {repeated!r}")
+    grouped: defaultdict[str, list[LogEntry]] = defaultdict(list)
+    index: defaultdict[tuple[str, ActivityType], list[int]] = defaultdict(list)
     for position, entry in enumerate(entries):
-        index.setdefault((entry.user, entry.activity), []).append(position)
+        index[entry.user, entry.activity].append(position)
         if entry.user:
-            grouped.setdefault(entry.user, []).append(entry)
+            grouped[entry.user].append(entry)
     labels = dict(labels or {})
     for entry_id, label in labels.items():
         i = bisect_left(ids, entry_id)
@@ -536,7 +538,7 @@ def build_user_sequences(
     users = {user: UserSequence(user=user, entries=seq) for user, seq in grouped.items()}
     if activities is None:
         activities = {activity for _, activity in index}
-    return LogStore(entries, users, index, labels, list(manifest), frozenset(activities))
+    return LogStore(entries, users, dict(index), labels, list(manifest), frozenset(activities))
 
 
 def sample_exemplars(
@@ -742,7 +744,7 @@ class Snapshot:
                    for _, entry_id, ts, host, activity, payload in rows]
         positions = [row[0] for row in rows]
         if positions and not (0 <= positions[0] and positions[-1] < self.rows
-                              and all(a < b for a, b in pairwise(positions))):
+                              and all(map(lt, positions, islice(positions, 1, None)))):
             raise ValueError(f"the rows of user {user!r} are not in store order")
         return positions, entries
 
