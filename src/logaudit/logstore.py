@@ -201,16 +201,6 @@ class LogStore:
     def malicious_ids(self) -> set[str]:
         return {i for i, lab in self.labels.items() if lab == LABEL_MALICIOUS}
 
-    def user_label(self, user: str) -> str:
-        """A user is malicious iff any of their entries is labeled malicious."""
-        seq = self.users.get(user)
-        if seq is None:
-            return LABEL_BENIGN
-        for entry in seq.entries:
-            if self.is_malicious(entry.entry_id):
-                return LABEL_MALICIOUS
-        return LABEL_BENIGN
-
 
 def _readable(items: Iterable, path: Path) -> Iterator:
     """Yield from a file reader; bytes that are not UTF-8, or CSV the csv

@@ -3,13 +3,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import json
 import pickle
 import random
 import re
 import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
-import json
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import logaudit.logstore
 from conftest import entry, seal
+from logaudit.bench import user_labels
 from logaudit.errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 from logaudit.logstore import (
     CERT_SOURCES,
@@ -514,7 +515,7 @@ def test_load_labels_and_attach(tmp_path):
     path.write_text("entry_id,label\nE1,malicious\n", encoding="utf-8")
     store = seal([entry("E1", "u", ActivityType.LOGON)], load_labels(path))
     assert store.is_malicious("E1")
-    assert store.user_label("u") == "malicious"
+    assert user_labels(store) == {"u": "malicious"}
 
 
 @pytest.mark.parametrize("labels", [{"NOPE": "malicious"}, {"E1": "suspicious"}],

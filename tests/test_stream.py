@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -182,17 +183,27 @@ def test_setup_pass_leaves_no_open_snapshot_or_thread(demo, tmp_path, monkeypatc
 @pytest.mark.parametrize("parallelism", [2, 3])
 def test_detect_decodes_at_most_parallelism_users_ahead(demo, tmp_path, monkeypatch,
                                                         parallelism):
+    """On an order-free backend, with threads switched often, detect holds
+    at most ``parallelism`` users' stores beyond the audits it has finished,
+    and writes what a serial detect writes."""
+    seed_b = load_config(demo / "config.json").seed_executor_b
+    store = demo / "out" / "store.json"
+    (tmp_path / "serial").mkdir()
+    code, serial_records = _detect(monkeypatch, _config(demo, tmp_path / "serial", store),
+                                   PromptTransport(seed_b))
+    assert code == 0
+
     lock = threading.Lock()
     counts = {"decoded": 0, "audited": 0, "ahead": 0}
     real_stores = Snapshot.user_stores
     audit = pipeline.detect_user
 
     def counted_stores(self):
-        for store in real_stores(self):
+        for one_user in real_stores(self):
             with lock:
                 counts["decoded"] += 1
                 counts["ahead"] = max(counts["ahead"], counts["decoded"] - counts["audited"])
-            yield store
+            yield one_user
 
     def counted_audit(user, ctx):
         outcome = audit(user, ctx)
@@ -202,13 +213,18 @@ def test_detect_decodes_at_most_parallelism_users_ahead(demo, tmp_path, monkeypa
 
     monkeypatch.setattr(Snapshot, "user_stores", counted_stores)
     monkeypatch.setattr(pipeline, "detect_user", counted_audit)
-    monkeypatch.setattr(gateway, "urllib_post",
-                        lambda _opener: PromptTransport(seed_b=2, delay=0.001).post)
-    monkeypatch.setattr(HttpBackend, "order_free", True)
-    config = _config(demo, tmp_path, demo / "out" / "store.json")
-    assert main(["detect", "--config", config, "--parallelism", str(parallelism)]) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        code, records = _detect(monkeypatch, _config(demo, tmp_path, store),
+                                PromptTransport(seed_b, delay=0.001), parallelism=parallelism)
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0
     assert counts["decoded"] == counts["audited"] == 50
     assert counts["ahead"] == parallelism
+    assert _per_user(tmp_path / "out", records) == \
+        _per_user(tmp_path / "serial" / "out", serial_records)
 
 
 def _share_id(owner: str, taker: str):
