@@ -199,7 +199,7 @@ def cmd_forge(config: RunConfig) -> int:
                     for e in exemplars.get(t, [])]
         cases = config.tool_tests.get(subtask.id, [])
         outcome = build_tool_for_subtask(
-            subtask, examples, cases, store, backend,
+            subtask, examples, cases, store.users, backend,
             lists=lists, ledger=ledger,
             max_repair_attempts=config.max_repair_attempts, k_sigma=config.k_sigma,
             draft_template=templates["tool_builder"],
@@ -238,8 +238,9 @@ def cmd_detect(config: RunConfig) -> int:
             ctx = context_from_config(config, ledger, config.ablation)
         outcomes = detect_all(ctx, parallelism=config.parallelism)
     except AuditError:
-        # A failed detect leaves no earlier run's outputs for evaluate to score.
-        for name in ("conclusions.json", "costs-detect.jsonl", "manifest-detect.json"):
+        # A failed detect leaves no earlier run's outputs, or reports of them.
+        for name in ("conclusions.json", "costs-detect.jsonl", "manifest-detect.json",
+                     "report.txt", "report.struct", "costs.struct"):
             (outdir / name).unlink(missing_ok=True)
         if transcripts_dir.exists():
             shutil.rmtree(transcripts_dir)

@@ -199,6 +199,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             case = _mapping(path, key, case)
             params = {str(k): str(v) for k, v in
                       _mapping(path, f"{key}.params", case.get("params", {})).items()}
+            # A case names one user; a select reads one user's sequence.
+            if "," in params.get("user", ""):
+                raise ConfigInvalid(f"{path}: {key}.params.user must name one user, "
+                                    f"got {params['user']!r}")
             if "day" in params:
                 try:
                     date.fromisoformat(params["day"])

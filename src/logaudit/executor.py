@@ -20,7 +20,7 @@ from .decomposer import SubTask
 from .errors import InsufficientHistory, MissingDecision, ResponseUnparseable
 from .forge import ToolSpec
 from .gateway import Backend, CostLedger, PromptTemplate, chat
-from .logstore import LogEntry, LogStore, UserSequence
+from .logstore import LogEntry, UserSequence
 from .prompts import EXECUTOR_SUBTASK
 from .runtime import ListCatalog, ToolResult, invoke
 
@@ -292,11 +292,10 @@ def _parse_subtask_reply(text: str) -> tuple[str, bool, list[str]] | None:
 
 
 def bind_and_invoke(
-    spec: ToolSpec, user: UserSequence, focus: date | None,
-    store: LogStore, lists: ListCatalog | None,
+    spec: ToolSpec, user: UserSequence, focus: date | None, lists: ListCatalog | None,
 ) -> tuple[str, ToolResult | None]:
-    """Invoke a tool for one user: ``user`` binds to the user and ``day`` to
-    the caller's focus day. A tool with any other parameter, or with a
+    """Invoke a tool on one user's sequence: ``user`` binds to the user and
+    ``day`` to the caller's focus day. A tool with any other parameter, or with a
     ``day`` and no focus day, is not invocable. Returns the rendered output
     and the result (None when the tool did not run or the user's history
     is too short)."""
@@ -309,7 +308,7 @@ def bind_and_invoke(
         else:
             return "(tool not invocable: no relevant activity to bind)", None
     try:
-        result = invoke(spec, params, store, lists)
+        result = invoke(spec, params, {user.user: user}, lists)
     except InsufficientHistory as exc:
         return f"(no usable history: {exc})", None
     return result.rendered, result

@@ -16,7 +16,7 @@ import logging
 import string
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .decomposer import SubTask, SubTaskSet
 from .errors import (
@@ -31,7 +31,14 @@ from .errors import (
     TransportError,
 )
 from .gateway import Backend, CostLedger, PromptTemplate, chat
-from .logstore import ActivityType, LogEntry, LogStore, Snapshot
+from .logstore import (
+    ActivityType,
+    LogEntry,
+    LogStore,
+    Snapshot,
+    UserSequence,
+    build_user_sequences,
+)
 from .plans import (
     AGG_FUNCS,
     DEFAULT_K_SIGMA,
@@ -116,16 +123,16 @@ def _values_match(expected: object, actual: object) -> bool:
 
 def unit_test_tool(
     spec: ToolSpec,
-    store: LogStore,
+    users: Mapping[str, UserSequence],
     cases: Sequence[ToolTestCase],
     lists: ListCatalog | None = None,
 ) -> list[str]:
-    """Invoke the tool once per case and describe every case whose run
-    fails or whose values differ from the expected ones."""
+    """Invoke the tool once per case on these users' sequences and describe
+    every case whose run fails or whose values differ from the expected ones."""
     failures: list[str] = []
     for case in cases:
         try:
-            result = invoke(spec, case.params, store, lists)
+            result = invoke(spec, case.params, users, lists)
         except AuditError as exc:
             failures.append(f"params {case.params}: {exc.category}: {exc}")
             continue
@@ -141,7 +148,7 @@ def unit_test_tool(
 
 def serving_failures(
     spec: ToolSpec,
-    store: LogStore,
+    users: Mapping[str, UserSequence],
     cases: Sequence[ToolTestCase],
     lists: ListCatalog | None = None,
 ) -> list[str]:
@@ -150,7 +157,7 @@ def serving_failures(
     if spec.plan.select.user != USER_BINDING:
         bound = "no user" if spec.plan.select.user is None else f"user={spec.plan.select.user}"
         return [f"select reads {bound}; a served tool must select user={USER_BINDING}"]
-    return unit_test_tool(spec, store, cases, lists)
+    return unit_test_tool(spec, users, cases, lists)
 
 
 def _types_phrase(plan: QueryPlan) -> str:
@@ -313,7 +320,7 @@ def build_tool_for_subtask(
     subtask: SubTask,
     log_examples: Sequence[LogEntry],
     cases: Sequence[ToolTestCase],
-    fixtures: LogStore,
+    fixtures: Mapping[str, UserSequence],
     backend: Backend,
     *,
     lists: ListCatalog | None = None,
@@ -326,7 +333,7 @@ def build_tool_for_subtask(
     """Serve one check a tool that passes every one of its cases: ask for a
     plan (the draft, then up to ``max_repair_attempts`` repairs that show the
     previous plan and its errors), build each parsed plan into a tool, and
-    serve the first that passes.
+    serve the first that passes on the ``fixtures`` users' sequences.
 
     When no draft passes, the backend fails, or the check has no cases or no
     log examples to draft from, the check's built-in is served if it passes
@@ -447,9 +454,8 @@ class LoadedRegistry:
 
 
 def _case_users(spec: ToolSpec) -> set[str]:
-    """The users whose rows the tool's cases select (a comma list names several)."""
-    return {user.strip() for case in spec.test_cases if "user" in case.params
-            for user in str(case.params["user"]).split(",")}
+    """The users whose rows the tool's cases select."""
+    return {str(case.params["user"]) for case in spec.test_cases if "user" in case.params}
 
 
 def load_registry(
@@ -461,8 +467,8 @@ def load_registry(
 
     Every invariant is re-checked; a tool whose select is not bound to
     ``user={user}`` is corrupt. When a store is supplied, recorded test cases
-    are replayed on a store of their users' rows, which is all a bound tool
-    reads, and value drift raises RegistryCorrupt. Specs whose activity
+    are replayed on a store of their users' sequences, which is all a bound
+    tool reads, and value drift raises RegistryCorrupt. Specs whose activity
     types are absent from the store produce warnings instead (their cases
     cannot run meaningfully).
     """
@@ -542,9 +548,10 @@ def load_registry(
                 )
             else:
                 replayed.append(spec)
-        cases_store = store.store_of(set().union(*map(_case_users, replayed)))
+        case_users = store.sequences(set().union(*map(_case_users, replayed)))
+        cases_store = build_user_sequences(e for user in case_users for e in user.entries)
         for spec in replayed:
-            failures = unit_test_tool(spec, cases_store, spec.test_cases, lists)
+            failures = unit_test_tool(spec, cases_store.users, spec.test_cases, lists)
             if failures:
                 raise RegistryCorrupt(f"{path}: tool {spec.name!r} fails a recorded case: {failures[0]}")
 

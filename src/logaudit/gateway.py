@@ -326,7 +326,8 @@ class HttpBackend:
         latency_ms = (time.monotonic() - started) * 1000.0
 
         status = getattr(response, "status_code", 0)
-        if status >= 500:
+        # A server error or a rate limit is transient: ``chat`` retries it.
+        if status >= 500 or status == 429:
             raise TransportError(f"{self.name}: HTTP {status}")
         if status >= 400:
             raise GatewayError(f"{self.name}: HTTP {status}: {getattr(response, 'text', '')[:200]}")

@@ -1,9 +1,10 @@
 """Unified, time-ordered activity log store.
 
 Ingests CERT-style CSV logs and Zeek-style TSV logs into one LogEntry shape,
-indexes them per user, and provides the seeded exemplar sampling and benign
-under-sampling the rest of the pipeline builds on. A store is built whole, in
-one pass, by :func:`build_user_sequences` and never mutated afterwards.
+groups them into per-user sequences, and provides the seeded exemplar
+sampling and benign under-sampling the rest of the pipeline builds on. A
+store is built whole, in one pass, by :func:`build_user_sequences` and never
+mutated afterwards.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class _EntryFields(NamedTuple):
 _NO_PAYLOAD: Mapping[str, str] = MappingProxyType({})
 _tuple_new = tuple.__new__
 _ENTRY_ID = attrgetter("entry_id")
+_TIMESTAMP = attrgetter("timestamp")
+_ACTIVITY = attrgetter("activity")
 
 
 class LogEntry(_EntryFields):
@@ -154,46 +157,22 @@ class LogStore:
 
     entries: list[LogEntry]
     users: dict[str, UserSequence]
-    # Store positions per (user, activity), ascending. Host-only entries are
-    # indexed under the empty user.
-    index: dict[tuple[str, ActivityType], list[int]]
+    # Store positions per user, ascending: the rows of each snapshot line.
+    # Host-only entries are under the empty user.
+    lines: dict[str, list[int]]
     labels: dict[str, str]
     source_manifest: list[SourceFile]
-    # The activity types of the fleet, host-only entries included; a store
-    # cut from a larger one keeps that store's.
+    # The activity types of the entries, host-only entries included.
     activities: frozenset[ActivityType]
-
-    def positions_of(
-        self, users: Iterable[str] | None, activities: Iterable[ActivityType]
-    ) -> list[int]:
-        """The ascending store positions of the entries of any of the users
-        (``None``: every user, host-only entries included) and activity types."""
-        if users is None:
-            users = {user for user, _ in self.index}
-        keys = [(user, activity) for user in set(users) for activity in set(activities)]
-        lists = [self.index[key] for key in keys if key in self.index]
-        return lists[0] if len(lists) == 1 else sorted(i for part in lists for i in part)
-
-    def entries_of(
-        self, users: Iterable[str] | None, activities: Iterable[ActivityType]
-    ) -> list[LogEntry]:
-        """The entries of :meth:`positions_of`, in store order."""
-        return [self.entries[i] for i in self.positions_of(users, activities)]
 
     def activity_types(self) -> set[ActivityType]:
         return set(self.activities)
 
-    def store_of(self, users: Iterable[str]) -> "LogStore":
-        """The store of these users' entries, in store order, with this
-        store's activity types and no labels."""
-        return build_user_sequences(self.entries_of(users, self.activities),
-                                    activities=self.activities)
-
-    def user_stores(self) -> Iterator["LogStore"]:
-        """The store of each user's entries (see :meth:`store_of`), in
-        sorted-user order; host-only entries are in none of them."""
-        for user in sorted(self.users):
-            yield self.store_of([user])
+    def sequences(self, users: Iterable[str] | None = None) -> Iterator[UserSequence]:
+        """The sequence of each of these users (``None``: every user) that
+        the store holds, in sorted-user order."""
+        names = self.users.keys() if users is None else self.users.keys() & set(users)
+        return (self.users[user] for user in sorted(names))
 
     def is_malicious(self, entry_id: str) -> bool:
         return self.labels.get(entry_id) == LABEL_MALICIOUS
@@ -490,30 +469,34 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
 # Sequences, sampling, under-sampling
 # ---------------------------------------------------------------------------
 
-def build_user_sequences(
-    entries: Iterable[LogEntry],
-    labels: Mapping[str, str] | None = None,
-    manifest: Iterable[SourceFile] = (),
-    activities: Iterable[ActivityType] | None = None,
-) -> LogStore:
-    """The store of these entries, in this order: the only way to make one.
-
-    One pass builds the (user, activity) index and the per-user sequences,
-    sorted stably by time; host-only entries are indexed but in no sequence.
-    A repeated id raises DuplicateEntryId, and a label for an unknown id or
-    of an unknown value raises LabelsInvalid. ``activities`` names the
-    fleet's activity types when these entries are only part of it.
-    """
-    entries = list(entries)
-    # The ids sorted, not a set: a sixth of the memory while a store is built.
+def _sorted_ids(entries: list[LogEntry]) -> list[str]:
+    """The entries' ids, sorted; an id that repeats raises DuplicateEntryId.
+    Sorted, not a set: a sixth of the memory while a store is built."""
     ids = sorted(map(_ENTRY_ID, entries))
     if any(map(eq, ids, islice(ids, 1, None))):
         repeated = next(entry_id for entry_id, following in pairwise(ids) if entry_id == following)
         raise DuplicateEntryId(f"duplicate entry id {repeated!r}")
+    return ids
+
+
+def build_user_sequences(
+    entries: Iterable[LogEntry],
+    labels: Mapping[str, str] | None = None,
+    manifest: Iterable[SourceFile] = (),
+) -> LogStore:
+    """The store of these entries, in this order: the only way to make one.
+
+    One pass groups the store positions and the per-user sequences, sorted
+    stably by time; host-only entries have positions but no sequence. A
+    repeated id raises DuplicateEntryId, and a label for an unknown id or
+    of an unknown value raises LabelsInvalid.
+    """
+    entries = list(entries)
+    ids = _sorted_ids(entries)
     grouped: defaultdict[str, list[LogEntry]] = defaultdict(list)
-    index: defaultdict[tuple[str, ActivityType], list[int]] = defaultdict(list)
+    lines: defaultdict[str, list[int]] = defaultdict(list)
     for position, entry in enumerate(entries):
-        index[entry.user, entry.activity].append(position)
+        lines[entry.user].append(position)
         if entry.user:
             grouped[entry.user].append(entry)
     labels = dict(labels or {})
@@ -524,11 +507,10 @@ def build_user_sequences(
         if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
             raise LabelsInvalid(f"bad label {label!r} for {entry_id!r}")
     for seq in grouped.values():
-        seq.sort(key=attrgetter("timestamp"))
+        seq.sort(key=_TIMESTAMP)
     users = {user: UserSequence(user=user, entries=seq) for user, seq in grouped.items()}
-    if activities is None:
-        activities = {activity for _, activity in index}
-    return LogStore(entries, users, dict(index), labels, list(manifest), frozenset(activities))
+    return LogStore(entries, users, dict(lines), labels, list(manifest),
+                    frozenset(map(_ACTIVITY, entries)))
 
 
 def sample_exemplars(
@@ -541,9 +523,11 @@ def sample_exemplars(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    pools: defaultdict[ActivityType, list[LogEntry]] = defaultdict(list)
+    for entry in store.entries:
+        pools[entry.activity].append(entry)
     exemplars: dict[ActivityType, list[LogEntry]] = {}
-    for activity in sorted(store.activity_types(), key=lambda a: a.value):
-        pool = store.entries_of(None, [activity])
+    for activity, pool in sorted(pools.items(), key=lambda item: item[0].value):
         rng = random.Random(f"{seed}:{activity.value}")
         if len(pool) <= k:
             exemplars[activity] = list(pool)
@@ -638,7 +622,7 @@ def save_store(store: LogStore, path: str | Path) -> None:
       user lines' bytes.
 
     Each user's line is encoded and written on its own."""
-    users = sorted({user for user, _ in store.index})
+    users = sorted(store.lines)
     head = _encode({
         "activities": sorted(a.value for a in store.activities),
         "format": STORE_FORMAT,
@@ -658,7 +642,7 @@ def save_store(store: LogStore, path: str | Path) -> None:
         with partial.open("wb") as handle:
             handle.write(head[:-1].encode("utf-8") + _OPEN_ENTRIES)
             for n, user in enumerate(users, start=1):
-                positions = store.positions_of([user], store.activities)
+                positions = store.lines[user]
                 rows = [[i, e.entry_id, e.timestamp.isoformat(), e.host, e.activity.value,
                          e.payload] for i, e in zip(positions, map(entries.__getitem__, positions))]
                 line = (_encode(rows)[1:-1] + (",\n" if n < len(users) else "\n")).encode("utf-8")
@@ -738,38 +722,29 @@ class Snapshot:
             raise ValueError(f"the rows of user {user!r} are not in store order")
         return positions, entries
 
-    def store_of(self, users: Iterable[str]) -> LogStore:
-        """The store of these users' entries, in store order, with the
-        fleet's activity types and no labels. Lines are read up to the last
-        of these users', and only theirs are decoded; the digest is not
-        checked."""
-        wanted = set(users) & set(self.users)
-        positions: list[int] = []
-        found: list[LogEntry] = []
+    def sequences(self, users: Iterable[str] | None = None) -> Iterator[UserSequence]:
+        """The sequence of each of these users (``None``: every user) that
+        the snapshot holds, in sorted-user order, decoded one line at a time
+        and sorted stably by time; host-only rows are in none of them. An id
+        that repeats within a line raises DuplicateEntryId. For every user
+        the lines are read to the end and the digest is checked after the
+        last; for some, they are read up to the last of theirs, unchecked."""
+        wanted = None if users is None else set(users) & set(self.users)
         shared: dict[str, str] = {}
-        with _damaged(self.path), contextlib.closing(self._lines(verify=False)) as lines:
+        with _damaged(self.path), \
+                contextlib.closing(self._lines(verify=wanted is None)) as lines:
             for user, body in lines:
-                if not wanted:
-                    break
-                if user in wanted:
+                if wanted is not None:
+                    if not wanted:
+                        break
+                    if user not in wanted:
+                        continue
                     wanted.remove(user)
-                    at, entries = self._rows(user, body, shared)
-                    positions += at
-                    found += entries
-        in_store_order = sorted(range(len(found)), key=positions.__getitem__)
-        return build_user_sequences([found[i] for i in in_store_order],
-                                    activities=self.activities)
-
-    def user_stores(self) -> Iterator[LogStore]:
-        """The store of each user's entries (see :meth:`store_of`), in
-        sorted-user order, decoded one line at a time; host-only rows are in
-        none of them. The digest is checked after the last user."""
-        shared: dict[str, str] = {}
-        with _damaged(self.path), contextlib.closing(self._lines()) as lines:
-            for user, body in lines:
                 if user:
-                    yield build_user_sequences(self._rows(user, body, shared)[1],
-                                               activities=self.activities)
+                    entries = self._rows(user, body, shared)[1]
+                    _sorted_ids(entries)
+                    entries.sort(key=_TIMESTAMP)
+                    yield UserSequence(user, entries)
 
     def load(self) -> LogStore:
         """The whole store, every row placed at its position. A position

@@ -118,9 +118,8 @@ VARIANTS: dict[str, VariantBehavior] = {
 @dataclass
 class DetectContext:
     """Everything needed to audit users under one configuration. ``store``
-    holds the users to audit: a snapshot or an in-memory store, which
-    :func:`detect_all` hands each user's audit as a store of that user's
-    entries alone."""
+    holds the users to audit: a snapshot or an in-memory store, whose
+    sequences :func:`detect_all` reads one at a time."""
 
     subtasks: SubTaskSet
     tools: Mapping[str, ToolSpec | None]
@@ -189,7 +188,7 @@ def _prepared_checks(ctx: DetectContext, user: UserSequence) -> list[PreparedChe
         elif view.focus is None and not one_by_one:
             tool = (NO_RELEVANT_ACTIVITY, None)
         else:
-            tool = bind_and_invoke(spec, user, view.focus, ctx.store, ctx.lists)
+            tool = bind_and_invoke(spec, user, view.focus, ctx.lists)
         checks.append(replace(view, subtask=subtask, tool=tool))
     return checks
 
@@ -416,17 +415,11 @@ def detect_all(
     ctx: DetectContext, parallelism: int = 1
 ) -> dict[str, tuple[FinalConclusion, DebateTranscript | None]]:
     """Audit every user of the context's store in sorted-user order, each
-    against a store of that user's entries alone, read when its audit is
-    about to start: up to ``parallelism`` at once when the backend is
-    order-free. The ledger is the same either way."""
-    with contextlib.closing(ctx.store.user_stores()) as stores:
-        jobs = (lambda ledger, store=store: _audit(replace(ctx, store=store, ledger=ledger))
-                for store in stores)
+    from its sequence, read when its audit is about to start: up to
+    ``parallelism`` at once when the backend is order-free. The ledger is
+    the same either way."""
+    with contextlib.closing(ctx.store.sequences()) as sequences:
+        # ``detect_user`` is looked up as each audit starts, so a patched one is used.
+        jobs = (lambda ledger, user=user: (user.user, detect_user(user, replace(ctx, ledger=ledger)))
+                for user in sequences)
         return dict(_in_order(ctx, jobs, parallelism))
-
-
-def _audit(ctx: DetectContext) -> tuple[str, tuple[FinalConclusion, DebateTranscript | None]]:
-    """The one user of the context's store, and its audit."""
-    [user] = ctx.store.users.values()
-    # Looked up when each audit starts, so a patched ``detect_user`` is used.
-    return user.user, detect_user(user, ctx)

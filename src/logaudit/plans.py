@@ -49,7 +49,7 @@ AGG_FUNCS = {"count": "n", "distinct_count": "n_distinct", "mean": "mean",
 @dataclass(frozen=True)
 class SelectStage:
     activity_types: tuple[ActivityType, ...]
-    user: str | None = None      # literal id, "{user}" param, or None = all
+    user: str | None = None      # literal id or "{user}" param; None names no user
     day: str | None = None       # ISO date or "{day}" param
     day_from: str | None = None
     day_to: str | None = None

@@ -1,8 +1,8 @@
-"""Query-plan interpreter over an immutable log store.
+"""Query-plan interpreter over one user's full history.
 
 This is where tools get the global context a prompt window cannot hold:
 full-history baselines, per-day rates, and allow/deny list lookups. All
-functions are pure over the immutable store, so invocations parallelize
+functions are pure over the immutable sequences, so invocations parallelize
 freely across users and sub-tasks.
 """
 
@@ -18,8 +18,8 @@ from statistics import fmean, pstdev
 from typing import TYPE_CHECKING, Iterable, Mapping
 from urllib.parse import urlparse
 
-from .errors import InsufficientHistory, MalformedUrl, ParamMissing, UnknownList
-from .logstore import LogEntry, LogStore
+from .errors import InsufficientHistory, MalformedUrl, ParamMissing, PlanInvalid, UnknownList
+from .logstore import LogEntry, UserSequence
 from .plans import (
     AGG_FUNCS,
     PARAM_RE,
@@ -190,17 +190,15 @@ def _bind(raw: str | None, params: Mapping[str, str], *, required_by: str) -> st
     return str(params[name])
 
 
-def select_entries(store: LogStore, select: SelectStage, params: Mapping[str, str]) -> list[LogEntry]:
-    """The select stage's entries, in store order, read from the store's
-    (user, activity) index. A user value may be a comma list of user ids;
-    with no user, every user's entries and host-only ones are selected."""
-    user = _bind(select.user, params, required_by="select")
+def select_entries(sequence: UserSequence, select: SelectStage,
+                   params: Mapping[str, str]) -> list[LogEntry]:
+    """The entries of one user's sequence that the select stage picks, in
+    the sequence's order: those of its activity types, on its days."""
     day = _bind(select.day, params, required_by="select")
     day_from = _bind(select.day_from, params, required_by="select")
     day_to = _bind(select.day_to, params, required_by="select")
-
-    users = {u.strip() for u in user.split(",")} if user is not None else None
-    candidates = store.entries_of(users, select.activity_types)
+    types = select.activity_types
+    candidates = [e for e in sequence.entries if e.activity in types]
     if day is None and day_from is None and day_to is None:
         return candidates
 
@@ -303,13 +301,12 @@ def _format_number(value: object) -> object:
 
 def _baseline_over_selection(
     selection: list[LogEntry],
-    store: LogStore,
+    sequence: UserSequence | None,
     user: str,
     audit_day: date,
 ) -> tuple[list[int], list[LogEntry]]:
     """Per-day history series for the filtered selection, excluding the
     audited day, zero-filled over the user's active span."""
-    sequence = store.users.get(user)
     if sequence is None:
         raise InsufficientHistory(f"user {user!r} has no history in the store")
     counts = daily_counts(selection, sequence.day_range())
@@ -325,10 +322,13 @@ def _baseline_over_selection(
 def invoke(
     spec: "ToolSpec",
     params: Mapping[str, str],
-    store: LogStore,
+    users: Mapping[str, UserSequence],
     lists: ListCatalog | None = None,
 ) -> ToolResult:
-    """Evaluate a tool's plan over the full store, deterministically.
+    """Evaluate a tool's plan over the full history of the one user its
+    select names, read from ``users``, deterministically. A select that
+    names no user is invalid; one that names a user ``users`` does not hold
+    selects nothing.
 
     The comparison stages decide the verdict hint: a baseline comparison is
     suspicious iff |current - mean| > k_sigma * std; a lookup is suspicious
@@ -340,7 +340,11 @@ def invoke(
     evidence: tuple[str, ...] = ()
     hint: str | None = None
 
-    selection = select_entries(store, plan.select, bound)
+    user = _bind(plan.select.user, bound, required_by="select")
+    if user is None:
+        raise PlanInvalid(f"tool {spec.name!r}: the select names no user")
+    sequence = users.get(user)
+    selection = [] if sequence is None else select_entries(sequence, plan.select, bound)
     for filt in plan.filters():
         selection = apply_filter(selection, filt, bound)
     values["n"] = len(selection)
@@ -350,9 +354,8 @@ def invoke(
     group = plan.group_by()
 
     if isinstance(comparator, BaselineCompareStage):
-        user = bound.get("user") or plan.select.user or ""
         audit_day = date.fromisoformat(bound["day"])
-        history, current_entries = _baseline_over_selection(selection, store, user, audit_day)
+        history, current_entries = _baseline_over_selection(selection, sequence, user, audit_day)
         current = len(current_entries)
         mu = fmean(history)
         sigma = pstdev(history)

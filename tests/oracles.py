@@ -57,32 +57,16 @@ def naive_sequences(entries: list[LogEntry]) -> dict[str, list[str]]:
     return out
 
 
-def naive_index(entries: list[LogEntry]) -> dict:
-    """(user, activity) -> list positions of that pair's entries."""
-    return {
-        (u, a): [i for i, e in enumerate(entries) if (e.user, e.activity) == (u, a)]
-        for u, a in {(e.user, e.activity) for e in entries}
-    }
-
-
-def naive_entries_of(entries: list[LogEntry], users, types) -> list[LogEntry]:
-    """The entries of the activity types, of the users or, when None, of
-    every user and host-only ones, in list order."""
-    return [e for e in entries
-            if e.activity in types and (users is None or e.user in users)]
-
-
 def naive_select(store: LogStore, select: SelectStage, params) -> list[LogEntry]:
-    out = []
+    """The entries of the one user the select names, of its activity types
+    and on its days, in time order with ties in store order."""
     user = _bind(select.user, params)
     day = _bind(select.day, params)
     day_from = _bind(select.day_from, params)
     day_to = _bind(select.day_to, params)
-    users = None if user is None else {u.strip() for u in user.split(",")}
-    for e in store.entries:
-        if e.activity not in select.activity_types:
-            continue
-        if users is not None and e.user not in users:
+    out = []
+    for i, e in enumerate(store.entries):
+        if e.user != user or e.activity not in select.activity_types:
             continue
         iso = e.day.isoformat()
         if day is not None and iso != day:
@@ -91,8 +75,8 @@ def naive_select(store: LogStore, select: SelectStage, params) -> list[LogEntry]
             continue
         if day_to is not None and iso > day_to:
             continue
-        out.append(e)
-    return out
+        out.append((e.timestamp, i, e))
+    return [e for _, _, e in sorted(out, key=lambda item: item[:2])]
 
 
 def naive_filter(entries: list[LogEntry], filt: FilterStage, params) -> list[LogEntry]:

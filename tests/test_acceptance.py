@@ -4,6 +4,7 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -99,37 +100,40 @@ ORACLE_PLANS: list[tuple[str, dict[str, str]]] = [
     ("select activity=Logon user=U001\naggregate func=count", {}),
     ("select activity=Logon user={user} day={day}\naggregate func=count",
      {"user": "U002", "day": "2024-01-11"}),
-    ("select activity=HttpVisit\naggregate func=distinct_count field=url", {}),
-    ("select activity=EmailSend\naggregate func=mean field=size", {}),
-    ("select activity=EmailSend\naggregate func=std field=size", {}),
-    ("select activity=EmailSend\naggregate func=max field=size", {}),
-    ("select activity=EmailSend\naggregate func=min field=size", {}),
-    ("select activity=HttpVisit\nfilter field=content predicate=contains value=keylog\n"
+    ("select activity=HttpVisit user={user}\naggregate func=distinct_count field=url", {}),
+    ("select activity=EmailSend user={user}\naggregate func=mean field=size", {}),
+    ("select activity=EmailSend user={user}\naggregate func=std field=size", {}),
+    ("select activity=EmailSend user={user}\naggregate func=max field=size", {}),
+    ("select activity=EmailSend user={user}\naggregate func=min field=size", {}),
+    ("select activity=HttpVisit user={user}\n"
+     "filter field=content predicate=contains value=keylog\naggregate func=count", {}),
+    ("select activity=FileOp user={user}\n"
+     "filter field=filename predicate=matches_glob value=*.exe\naggregate func=count", {}),
+    ("select activity=Logon user={user}\nfilter field=hour predicate=in_list value=0,1,2,3,4,5\n"
      "aggregate func=count", {}),
-    ("select activity=FileOp\nfilter field=filename predicate=matches_glob value=*.exe\n"
-     "aggregate func=count", {}),
-    ("select activity=Logon\nfilter field=hour predicate=in_list value=0,1,2,3,4,5\n"
-     "aggregate func=count", {}),
-    ("select activity=EmailSend\nfilter field=size predicate=numeric_cmp value=50000 op=gt\n"
-     "aggregate func=count", {}),
-    ("select activity=Logon\ngroup_by key=host\naggregate func=count", {}),
+    ("select activity=EmailSend user={user}\n"
+     "filter field=size predicate=numeric_cmp value=50000 op=gt\naggregate func=count", {}),
+    ("select activity=Logon user={user}\ngroup_by key=host\naggregate func=count", {}),
     ("select activity=Logon user={user}\ngroup_by key=user_day\naggregate func=count\n"
      "baseline_compare statistic=mean k_sigma=2.0",
      {"user": "U001", "day": "2024-01-15"}),
     ("select activity=HttpVisit user={user}\nlookup list=deny field=url", {"user": "U003"}),
-    ("select activity=EmailSend day_from=2024-01-05 day_to=2024-01-20\naggregate func=count", {}),
+    ("select activity=EmailSend user={user} day_from=2024-01-05 day_to=2024-01-20\n"
+     "aggregate func=count", {}),
 ]
 
 
 def test_criterion_02_tool_runtime_oracle_equivalence():
-    """Every aggregate over a 10,000-entry fixture matches an independent
-    naive full scan: counts exactly, means/stds within 1e-9."""
+    """Every aggregate over users' histories in a 10,000-entry fixture
+    matches an independent naive full scan: counts exactly, means/stds
+    within 1e-9."""
     store = random_store(10_000, seed=7)
     lists = {"deny": ListDef("deny", "domain_deny", frozenset({"wikileaks.org"}))}
     checked = 0
-    for plan_text, params in ORACLE_PLANS:
+    for (plan_text, plan_params), user in itertools.product(ORACLE_PLANS, ("U001", "U020")):
         spec = _spec_for(plan_text)
-        mine = invoke(spec, params, store, lists)
+        params = {"user": user, **plan_params}
+        mine = invoke(spec, params, store.users, lists)
         theirs = naive_plan_eval(store, spec.plan, params, lists)
         assert mine.values["n"] == theirs["n"], plan_text
         agg = spec.plan.aggregate()
@@ -155,7 +159,7 @@ def test_criterion_02_tool_runtime_oracle_equivalence():
                 assert abs(float(mine.values[key]) - round(theirs["agg"], 4)) <= 1e-9, plan_text
         checked += 1
     assert checked >= 10
-    _report(2, f"{checked} query plans match the naive full-scan oracle on 10,000 entries")
+    _report(2, f"{checked} plan evaluations match the naive full-scan oracle on 10,000 entries")
 
 
 def test_criterion_03_metrics_identities():
@@ -347,12 +351,12 @@ def test_criterion_08_registry_lifecycle(burst_store, ledger, tmp_path):
         ScriptEntry("tool_repair", bad_plan, repeat=True),
     ])
     outcome = build_tool_for_subtask(
-        subtask, [entry("L1", "UX", ActivityType.LOGON)], cases, burst_store,
+        subtask, [entry("L1", "UX", ActivityType.LOGON)], cases, burst_store.users,
         backend, ledger=ledger,
     )
     assert outcome.used_builtin
     assert outcome.spec.subtask_id == "logon-baseline"
-    assert unit_test_tool(outcome.spec, burst_store, cases) == []
+    assert unit_test_tool(outcome.spec, burst_store.users, cases) == []
     repair_calls = [r for r in ledger.records() if r.stage == "tool-repair"]
     assert len(repair_calls) == 3
 

@@ -208,8 +208,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"rates": {"input_per_1k": "abc"}}, []),
     # A command-line override meets the same range check as the file.
     ({}, ["--parallelism", "0"]),
+    # A case names one user: a select reads one user's sequence.
+    ({"tool_tests": {"a": [{"params": {"user": "U1,U2"}}]}}, []),
 ], ids=["int-as-text", "int-as-float", "bool-as-text", "seed-as-text", "rate-as-text",
-        "parallelism-flag-out-of-range"])
+        "parallelism-flag-out-of-range", "case-user-as-comma-list"])
 def test_mistyped_config_value_rejected(tmp_path, capsys, bad, flags):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"dataset": {"kind": "cert"},
@@ -484,6 +486,8 @@ def test_failed_detect_leaves_no_outputs_to_evaluate(demo: Path, completed_run: 
     config = str(config_path)
     for phase in ("forge", "detect", "evaluate"):
         assert main([phase, "--config", config]) == 0
+    reports = ("report.txt", "report.struct", "costs.struct")
+    assert all((tmp_path / "out" / name).exists() for name in reports)
     # Without its subtask replies the next detect fails at the first audit.
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps([
@@ -494,7 +498,7 @@ def test_failed_detect_leaves_no_outputs_to_evaluate(demo: Path, completed_run: 
     assert capsys.readouterr().err.startswith("ScriptExhausted:")
     out = tmp_path / "out"
     for name in ("conclusions.json", "costs-detect.jsonl", "manifest-detect.json",
-                 "transcripts"):
+                 "transcripts", *reports):
         assert not (out / name).exists()
     assert main(["evaluate", "--config", config]) == 1
     assert capsys.readouterr().err.startswith("ConfigInvalid: conclusions not found")

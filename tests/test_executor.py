@@ -130,7 +130,7 @@ def test_run_subtask_burst_flags_tool_evidence(burst_store, ledger):
         ScriptEntry("[stage: subtask]", "Finding: fine\nSuspicious: no", repeat=True),
     ])
     user = burst_store.users["UX"]
-    tool = bind_and_invoke(spec, user, select_focus_day(user, subtask), burst_store, LISTS)
+    tool = bind_and_invoke(spec, user, select_focus_day(user, subtask), LISTS)
     result = run_subtask("executor_a", _check(subtask, user, tool), user, backend, ledger=ledger)
     assert result.suspicious
     assert result.finding == "Logs in 4 times, above average."
@@ -142,7 +142,7 @@ def test_run_subtask_no_activity_skips_backend(burst_store, ledger):
     subtask = SubTask("emails", "Check outgoing emails.", frozenset({ActivityType.EMAIL_SEND}))
     backend = make_scripted_backend([])  # any call would raise ScriptExhausted
     user = burst_store.users["UX"]
-    tool = bind_and_invoke(builtin_tools()["email_keywords"], user, None, burst_store, LISTS)
+    tool = bind_and_invoke(builtin_tools()["email_keywords"], user, None, LISTS)
     result = run_subtask("executor_a", _check(subtask, user, tool), user, backend, ledger=ledger)
     assert not result.suspicious
     assert result.flagged == frozenset()

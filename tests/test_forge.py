@@ -74,7 +74,7 @@ def invocations(monkeypatch):
 
 def _build(backend, store, ledger, cases=None, **kwargs):
     return build_tool_for_subtask(
-        LOGON_SUBTASK, LOG_EXAMPLES, _count_cases() if cases is None else cases, store, backend,
+        LOGON_SUBTASK, LOG_EXAMPLES, _count_cases() if cases is None else cases, store.users, backend,
         ledger=ledger, **kwargs,
     )
 
@@ -134,7 +134,7 @@ def test_build_tool_without_log_examples_falls_back(fixture_store, ledger):
     # Nothing to draft from: no chat call, and the built-in is served
     # because it passes the cases.
     backend = make_scripted_backend([("tool_builder", GOOD_PLAN)])
-    outcome = build_tool_for_subtask(LOGON_SUBTASK, [], _count_cases(), fixture_store, backend,
+    outcome = build_tool_for_subtask(LOGON_SUBTASK, [], _count_cases(), fixture_store.users, backend,
                                      ledger=ledger)
     assert len(ledger) == 0
     assert outcome.used_builtin
@@ -151,13 +151,13 @@ def _drafted(plan_text: str, cases=()) -> forge.ToolSpec:
 def test_unit_test_passes_on_brute_force_counts(fixture_store, invocations):
     spec = _drafted(COUNT_PLAN, _count_cases())
     assert spec.test_cases == tuple(_count_cases())
-    assert unit_test_tool(spec, fixture_store, spec.test_cases) == []
+    assert unit_test_tool(spec, fixture_store.users, spec.test_cases) == []
     assert len(invocations) == 3
 
 
 def test_unit_test_records_mismatch(fixture_store):
     cases = [ToolTestCase(params={"user": "UX", "day": "2024-01-05"}, expected={"n": 5})]
-    failures = unit_test_tool(_drafted(COUNT_PLAN), fixture_store, cases)
+    failures = unit_test_tool(_drafted(COUNT_PLAN), fixture_store.users, cases)
     assert len(failures) == 1
     assert "expected 5" in failures[0]
     assert "got 4" in failures[0]
@@ -201,7 +201,7 @@ def test_decorate_produces_labeled_sentence(fixture_store):
     assert "{mu}" in decorated.output_template
     from logaudit.runtime import invoke
 
-    result = invoke(decorated, {"user": "UX", "day": "2024-01-05"}, fixture_store)
+    result = invoke(decorated, {"user": "UX", "day": "2024-01-05"}, fixture_store.users)
     assert "above average" in result.rendered
 
 
@@ -256,7 +256,7 @@ def test_build_tool_falls_back_to_builtin(fixture_store, ledger):
         ScriptEntry("tool_repair", BAD_FIELD_PLAN, repeat=True),
     ])
     outcome = build_tool_for_subtask(
-        LOGON_SUBTASK, LOG_EXAMPLES, _count_cases(), fixture_store, backend, ledger=ledger
+        LOGON_SUBTASK, LOG_EXAMPLES, _count_cases(), fixture_store.users, backend, ledger=ledger
     )
     assert outcome.used_builtin
     assert outcome.spec is not None
@@ -290,7 +290,7 @@ def test_check_without_cases_takes_its_builtin_untested(fixture_store, ledger):
 
 def test_check_without_a_builtin_is_unservable(fixture_store, ledger):
     zeek = SubTask("z", "Inspect kerberos anomalies.", frozenset({ActivityType.ZEEK_AUTH}))
-    outcome = build_tool_for_subtask(zeek, [], _count_cases(), fixture_store,
+    outcome = build_tool_for_subtask(zeek, [], _count_cases(), fixture_store.users,
                                      make_scripted_backend([]), ledger=ledger)
     assert outcome.spec is None and not outcome.used_builtin
     assert outcome.error == "no log examples of the check's activity types"
@@ -303,7 +303,7 @@ def test_build_tool_falls_back_when_the_backend_fails(fixture_store, ledger):
         ScriptEntry("tool_builder", "select activity=Logon user={user}\naggregate func=count"),
     ])
     outcome = build_tool_for_subtask(
-        LOGON_SUBTASK, LOG_EXAMPLES, _count_cases(), fixture_store, backend, ledger=ledger
+        LOGON_SUBTASK, LOG_EXAMPLES, _count_cases(), fixture_store.users, backend, ledger=ledger
     )
     assert outcome.used_builtin
     assert outcome.spec is not None and outcome.spec.builtin
@@ -315,7 +315,7 @@ def test_build_tool_aborts_on_a_template_error(fixture_store, ledger):
     backend = make_scripted_backend([ScriptEntry("tool_builder", GOOD_PLAN)])
     with pytest.raises(MissingPlaceholder):
         build_tool_for_subtask(
-            LOGON_SUBTASK, LOG_EXAMPLES, _count_cases(), fixture_store, backend, ledger=ledger,
+            LOGON_SUBTASK, LOG_EXAMPLES, _count_cases(), fixture_store.users, backend, ledger=ledger,
             draft_template=PromptTemplate.from_text("tool_builder", "{undefined_variable}"),
         )
 
@@ -476,7 +476,7 @@ def test_forge_serves_only_tools_that_pass(replies, cases, max_repair_attempts):
                                   _RULE_REPLIES[kind]))
     ledger = CostLedger()
     outcome = build_tool_for_subtask(
-        _RULE_SUBTASK, [entry("L1", "UX", ActivityType.LOGON)], cases, _RULE_STORE,
+        _RULE_SUBTASK, [entry("L1", "UX", ActivityType.LOGON)], cases, _RULE_STORE.users,
         make_scripted_backend(script), ledger=ledger, max_repair_attempts=max_repair_attempts,
     )
 
@@ -493,5 +493,5 @@ def test_forge_serves_only_tools_that_pass(replies, cases, max_repair_attempts):
         assert outcome.spec.builtin == (served == "builtin")
         if not outcome.spec.builtin:
             assert outcome.spec.plan == served
-        assert unit_test_tool(outcome.spec, _RULE_STORE, cases) == []
+        assert unit_test_tool(outcome.spec, _RULE_STORE.users, cases) == []
         assert outcome.spec.test_cases == tuple(cases)

@@ -377,14 +377,17 @@ _PROXY_VARS = ("HTTP_PROXY", "http_proxy", "HTTPS_PROXY", "https_proxy",
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """``/ok`` echoes the prompt as a completion, ``/busy`` answers 503 and
-    ``/denied`` 401; every POST is counted per path."""
+    """``/ok`` echoes the prompt as a completion, ``/limited`` answers 429
+    first and then as ``/ok``, ``/busy`` answers 503 and ``/denied`` 401;
+    every POST is counted per path."""
 
     def do_POST(self):  # noqa: N802 (http.server naming)
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.hits[self.path] = self.server.hits.get(self.path, 0) + 1
         prompt = request["messages"][-1]["content"]
-        if self.path == "/ok":
+        if self.path == "/limited" and self.server.hits[self.path] == 1:
+            status, body = 429, "rate limited"
+        elif self.path in ("/ok", "/limited"):
             status, body = 200, json.dumps({
                 "choices": [{"message": {"role": "assistant", "content": f"echo: {prompt}"}}],
                 "usage": {"prompt_tokens": 5, "completion_tokens": 2},
@@ -452,6 +455,17 @@ def test_http_transport_503_is_retried_then_unreachable(server):
         chat(backend, TEMPLATE, {"user": "u", "subtask": "s"}, stage="subtask",
              ledger=CostLedger(), sleep=lambda _s: None)
     assert httpd.hits["/busy"] == 1 + RETRY_MAX_ATTEMPTS
+
+
+def test_http_transport_429_is_retried(server):
+    httpd, url = server
+    ledger, delays = CostLedger(), []
+    completion, _ = chat(HttpBackend(f"{url}/limited", "m"), TEMPLATE,
+                         {"user": "u", "subtask": "s"}, stage="subtask", ledger=ledger,
+                         sleep=delays.append)
+    assert completion.text.startswith("echo: ")
+    assert httpd.hits["/limited"] == 2 and len(delays) == 1
+    assert len(ledger) == 1
 
 
 def test_http_transport_401_is_a_gateway_error_with_the_body(server):

@@ -38,7 +38,7 @@ from logaudit.logstore import (
     save_store,
     undersample_benign,
 )
-from oracles import naive_entries_of, naive_has_duplicate_ids, naive_index, naive_sequences
+from oracles import naive_has_duplicate_ids, naive_sequences
 
 
 # --- CERT parsing ---
@@ -361,7 +361,7 @@ def test_sequences_match_single_pass_counter_oracle():
         assert times == sorted(times)
 
 
-def test_seal_index_holds_every_entry_once():
+def test_seal_lines_hold_every_entry_once():
     rng = random.Random(7)
     types = [ActivityType.LOGON, ActivityType.HTTP_VISIT, ActivityType.ZEEK_NETWORK]
     store = seal([
@@ -369,13 +369,12 @@ def test_seal_index_holds_every_entry_once():
               day_offset=rng.randrange(5), hour=rng.randrange(24))
         for i in range(300)
     ])
-    positions = sorted(i for part in store.index.values() for i in part)
+    positions = sorted(i for part in store.lines.values() for i in part)
     assert positions == list(range(len(store.entries)))
-    for (user, activity), part in store.index.items():
+    for user, part in store.lines.items():
         assert part == sorted(part)
-        assert all((store.entries[i].user, store.entries[i].activity) == (user, activity)
-                   for i in part)
-    assert any(user == "" for user, _ in store.index)  # host-only entries are indexed
+        assert all(store.entries[i].user == user for i in part)
+    assert "" in store.lines  # host-only entries have a line
 
 
 def test_store_is_frozen():
@@ -396,11 +395,9 @@ _BUILDER_TYPES = (ActivityType.LOGON, ActivityType.HTTP_VISIT, ActivityType.ZEEK
     rows=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(("u1", "u2", "")),
                             st.sampled_from(_BUILDER_TYPES), st.integers(0, 2)),
                   max_size=10),
-    users=st.lists(st.sampled_from(("u1", "u2", "", "nobody")), max_size=3),
-    types=st.lists(st.sampled_from(_BUILDER_TYPES), min_size=1, max_size=3),
 )
 @settings(max_examples=200, deadline=None)
-def test_builder_matches_naive_oracle(rows, users, types):
+def test_builder_matches_naive_oracle(rows):
     # Few hours, so that equal timestamps are common; few ids, so are repeats.
     entries = [entry(f"E{n}", user, activity, hour=hour) for n, user, activity, hour in rows]
     if naive_has_duplicate_ids(entries):
@@ -410,10 +407,9 @@ def test_builder_matches_naive_oracle(rows, users, types):
     store = build_user_sequences(entries)
     assert {u: [e.entry_id for e in seq.entries] for u, seq in store.users.items()} == \
         naive_sequences(entries)
-    assert store.index == naive_index(entries)
+    assert store.lines == {user: [i for i, e in enumerate(entries) if e.user == user]
+                           for user in {e.user for e in entries}}
     assert store.activity_types() == {e.activity for e in entries}
-    assert [e.entry_id for e in store.entries_of(users or None, types)] == \
-        [e.entry_id for e in naive_entries_of(entries, users or None, types)]
     with pytest.raises(LabelsInvalid):
         build_user_sequences(entries, {"unknown": "malicious"})
 
@@ -578,7 +574,7 @@ def _same_store(loaded: LogStore, store: LogStore) -> None:
     assert loaded.activities == store.activities
     assert {u: [e.entry_id for e in seq.entries] for u, seq in loaded.users.items()} == \
         {u: [e.entry_id for e in seq.entries] for u, seq in store.users.items()}
-    assert loaded.index == store.index
+    assert loaded.lines == store.lines
 
 
 @given(_stores() | _fleets())
@@ -593,22 +589,26 @@ def test_store_snapshot_round_trip(store):
         written = path.read_bytes()
         snapshot = open_snapshot(path)
         loaded = load_store(path)
-        one_user_stores = list(snapshot.user_stores())
+        sequences = list(snapshot.sequences())
+        subset = sorted(loaded.users)[::2] + ["", "nobody"]
+        subset_sequences = list(snapshot.sequences(subset))
         save_store(loaded, path)
         assert path.read_bytes() == written
     # A first line, one line per user (host-only rows under the empty one), a last line.
-    lines = sorted({user for user, _ in store.index})
+    lines = sorted(store.lines)
     assert snapshot.users == tuple(lines)
     assert written.count(b"\n") == 2 + len(lines)
     _same_store(loaded, store)
     # Every empty payload is the entry's shared immutable default.
     assert all(e.payload is logaudit.logstore._NO_PAYLOAD for e in loaded.entries if not e.payload)
-    # Detect's one-user stores equal those cut from the whole store.
-    assert len(one_user_stores) == len(store.users)
-    for one, user in zip(one_user_stores, sorted(store.users)):
-        cut = store.store_of([user])
-        assert _fields(one) == _fields(cut) and one.index == cut.index
-        assert one.activities == store.activities and not one.labels
+    # Detect's sequences, one line at a time, equal the whole store's, user
+    # by user; a subset yields the users of it the store holds, and no others.
+    assert [seq.user for seq in sequences] == sorted(loaded.users)
+    for seq in sequences:
+        assert seq.entries == loaded.users[seq.user].entries
+    assert [seq.user for seq in subset_sequences] == sorted(loaded.users.keys() & set(subset))
+    for seq in subset_sequences:
+        assert seq.entries == loaded.users[seq.user].entries
 
 
 _FIELDS = ("entry_id", "timestamp", "user", "host", "activity", "payload")
@@ -691,7 +691,7 @@ def test_cut_snapshot_is_damaged(data):
             load_store(path)
         # Detect reads one user line at a time and finds the cut as well.
         with pytest.raises(IngestFailed, match="damaged snapshot"):
-            list(open_snapshot(path).user_stores())
+            list(open_snapshot(path).sequences())
 
 
 def _rewrite_rows(path: Path, edit) -> None:
@@ -730,16 +730,29 @@ def test_misplaced_row_positions_are_damaged(tmp_path, edit, detect_finds):
     # within the row count, and leaves the rest to the digest.
     if detect_finds:
         with pytest.raises(IngestFailed, match="damaged snapshot"):
-            list(open_snapshot(path).user_stores())
+            list(open_snapshot(path).sequences())
     else:
-        assert len(list(open_snapshot(path).user_stores())) == 2
+        assert len(list(open_snapshot(path).sequences())) == 2
+
+
+def test_repeated_id_within_a_user_line_fails_its_sequence(tmp_path):
+    path = tmp_path / "store.json"
+    save_store(seal(_CUT_STORE), path)
+
+    def repeat_first_id(rows):
+        rows[1][1][1] = rows[1][0][1]  # the line of "u": E2 takes the id E1
+
+    _rewrite_rows(path, repeat_first_id)
+    for read in (load_store, lambda p: list(open_snapshot(p).sequences())):
+        with pytest.raises(DuplicateEntryId, match="'E1'"):
+            read(path)
 
 
 def test_edited_snapshot_fails_its_digest(tmp_path):
     path = tmp_path / "store.json"
     save_store(seal(_CUT_STORE), path)
     path.write_bytes(path.read_bytes().replace(b'"E3"', b'"E1"'))
-    for read in (load_store, lambda p: list(open_snapshot(p).user_stores())):
+    for read in (load_store, lambda p: list(open_snapshot(p).sequences())):
         with pytest.raises(IngestFailed, match="digest"):
             read(path)
 

@@ -282,7 +282,7 @@ def _naive_prepared_checks(ctx: DetectContext, user) -> list[executor.PreparedCh
         elif focus is None and not one_by_one:
             tool = (NO_RELEVANT_ACTIVITY, None)
         else:
-            tool = executor.bind_and_invoke(spec, user, focus, ctx.store, ctx.lists)
+            tool = executor.bind_and_invoke(spec, user, focus, ctx.lists)
         checks.append(executor.prepare_check(subtask, user, focus, tool, ctx.excerpt_budget)
                       if one_by_one else executor.PreparedCheck(subtask, focus, tool))
     return checks

@@ -1,5 +1,5 @@
-"""Detect audits one user at a time, each against a store of that user's rows
-read from the snapshot as its audit is about to start. A user's outcome
+"""Detect audits one user at a time, each from that user's sequence read
+from the snapshot as its audit is about to start. A user's outcome
 therefore cannot depend on the other users, detect's memory does not grow
 with the fleet's rows, and a damaged snapshot still fails detect whole."""
 
@@ -184,7 +184,7 @@ def test_setup_pass_leaves_no_open_snapshot_or_thread(demo, tmp_path, monkeypatc
 def test_detect_decodes_at_most_parallelism_users_ahead(demo, tmp_path, monkeypatch,
                                                         parallelism):
     """On an order-free backend, with threads switched often, detect holds
-    at most ``parallelism`` users' stores beyond the audits it has finished,
+    at most ``parallelism`` users' sequences beyond the audits it has finished,
     and writes what a serial detect writes."""
     seed_b = load_config(demo / "config.json").seed_executor_b
     store = demo / "out" / "store.json"
@@ -195,15 +195,16 @@ def test_detect_decodes_at_most_parallelism_users_ahead(demo, tmp_path, monkeypa
 
     lock = threading.Lock()
     counts = {"decoded": 0, "audited": 0, "ahead": 0}
-    real_stores = Snapshot.user_stores
+    real_sequences = Snapshot.sequences
     audit = pipeline.detect_user
 
-    def counted_stores(self):
-        for one_user in real_stores(self):
-            with lock:
-                counts["decoded"] += 1
-                counts["ahead"] = max(counts["ahead"], counts["decoded"] - counts["audited"])
-            yield one_user
+    def counted_sequences(self, users=None):
+        for sequence in real_sequences(self, users):
+            if users is None:  # the audits' sequences, not the case users' at set-up
+                with lock:
+                    counts["decoded"] += 1
+                    counts["ahead"] = max(counts["ahead"], counts["decoded"] - counts["audited"])
+            yield sequence
 
     def counted_audit(user, ctx):
         outcome = audit(user, ctx)
@@ -211,7 +212,7 @@ def test_detect_decodes_at_most_parallelism_users_ahead(demo, tmp_path, monkeypa
             counts["audited"] += 1
         return outcome
 
-    monkeypatch.setattr(Snapshot, "user_stores", counted_stores)
+    monkeypatch.setattr(Snapshot, "sequences", counted_sequences)
     monkeypatch.setattr(pipeline, "detect_user", counted_audit)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
