@@ -15,6 +15,7 @@ import json
 import logging
 import string
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -549,7 +550,7 @@ def load_registry(
             else:
                 replayed.append(spec)
         case_users = store.sequences(set().union(*map(_case_users, replayed)))
-        cases_store = build_user_sequences(e for user in case_users for e in user.entries)
+        cases_store = build_user_sequences(chain.from_iterable(u.entries for u in case_users))
         for spec in replayed:
             failures = unit_test_tool(spec, cases_store.users, spec.test_cases, lists)
             if failures:

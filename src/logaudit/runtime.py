@@ -327,7 +327,7 @@ def invoke(
 ) -> ToolResult:
     """Evaluate a tool's plan over the full history of the one user its
     select names, read from ``users``, deterministically. A select that
-    names no user is invalid; one that names a user ``users`` does not hold
+    names no user is invalid; one that names a user absent from ``users``
     selects nothing.
 
     The comparison stages decide the verdict hint: a baseline comparison is
