@@ -742,7 +742,7 @@ class Snapshot:
                     wanted.remove(user)
                 if user:
                     entries = self._rows(user, body, shared)[1]
-                    _sorted_ids(entries)
+                    _sorted_ids(entries)  # raises on an id repeated within the line
                     entries.sort(key=_TIMESTAMP)
                     yield UserSequence(user, entries)
 
