@@ -12,6 +12,7 @@ import json
 import logging
 import shutil
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -22,8 +23,8 @@ from .config import (
     config_hash,
     load_config,
     load_lists,
-    load_snapshot,
     load_templates,
+    open_store_snapshot,
     resolve_path,
 )
 from .debate import conclusion_doc, transcript_doc
@@ -34,14 +35,13 @@ from .errors import (
     CoverageIncomplete,
     LabelsMissing,
 )
-from .forge import REGISTRY_FORMAT, build_tool_for_subtask, save_registry
+from .forge import REGISTRY_FORMAT, build_tool_for_subtask, case_users, save_registry
 from .gateway import CostLedger, CostRecord, cost_report
 from .logstore import (
     build_user_sequences,
     load_labels,
     parse_cert_file,
     parse_zeek_file,
-    sample_exemplars,
     save_store,
     undersample_benign,
 )
@@ -171,19 +171,24 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_forge(config: RunConfig) -> int:
+    # The exemplars and the case users' sequences are all of the store that
+    # forge reads: a tool is served only if its select reads the user it is
+    # invoked for, and its cases are run on their users alone.
+    snapshot = open_store_snapshot(config)
     with _long_lived():
-        store = load_snapshot(config)
+        exemplars = snapshot.exemplars(k=config.exemplar_k, seed=config.seed_sampler)
+        fixtures = {seq.user: seq for seq in snapshot.sequences(
+            case_users(chain.from_iterable(config.tool_tests.values())))}
     lists = load_lists(config)
     backend = build_backend(config)
     templates = load_templates(config)
     ledger = CostLedger(config.rates)
 
-    exemplars = sample_exemplars(store, k=config.exemplar_k, seed=config.seed_sampler)
     subtasks = decompose(exemplars, backend, ledger=ledger, template=templates["decomposer"])
     subtasks = refine(subtasks, backend, max_rounds=config.max_refine_rounds,
                       ledger=ledger, template=templates["decomposer_refine"])
 
-    coverage = validate_coverage(subtasks, store.activity_types())
+    coverage = validate_coverage(subtasks, snapshot.activity_types())
     if not coverage.complete and not config.allow_partial_coverage:
         raise CoverageIncomplete(
             "uncovered activity types: "
@@ -199,7 +204,7 @@ def cmd_forge(config: RunConfig) -> int:
                     for e in exemplars.get(t, [])]
         cases = config.tool_tests.get(subtask.id, [])
         outcome = build_tool_for_subtask(
-            subtask, examples, cases, store.users, backend,
+            subtask, examples, cases, fixtures, backend,
             lists=lists, ledger=ledger,
             max_repair_attempts=config.max_repair_attempts, k_sigma=config.k_sigma,
             draft_template=templates["tool_builder"],

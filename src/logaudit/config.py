@@ -23,9 +23,7 @@ from .logstore import (
     DEFAULT_EXEMPLARS_PER_TYPE,
     DEFAULT_SEED,
     DEFAULT_UNDERSAMPLE_CAP,
-    LogStore,
     Snapshot,
-    load_store,
     open_snapshot,
 )
 from .plans import DEFAULT_K_SIGMA
@@ -282,13 +280,8 @@ def _snapshot_path(config: RunConfig) -> Path:
     return path
 
 
-def load_snapshot(config: RunConfig) -> LogStore:
-    """The whole store of the snapshot that ``ingest`` wrote."""
-    return load_store(_snapshot_path(config))
-
-
 def open_store_snapshot(config: RunConfig) -> Snapshot:
-    """The snapshot that ``ingest`` wrote, opened to read one user at a time."""
+    """The snapshot that ``ingest`` wrote, opened but not read past its first line."""
     return open_snapshot(_snapshot_path(config))
 
 

@@ -17,7 +17,7 @@ import string
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .decomposer import SubTask, SubTaskSet
 from .errors import (
@@ -454,9 +454,9 @@ class LoadedRegistry:
         return None
 
 
-def _case_users(spec: ToolSpec) -> set[str]:
-    """The users whose rows the tool's cases select."""
-    return {str(case.params["user"]) for case in spec.test_cases if "user" in case.params}
+def case_users(cases: Iterable[ToolTestCase]) -> set[str]:
+    """The users whose rows these cases select."""
+    return {str(case.params["user"]) for case in cases if "user" in case.params}
 
 
 def load_registry(
@@ -549,11 +549,15 @@ def load_registry(
                 )
             else:
                 replayed.append(spec)
-        case_users = store.sequences(set().union(*map(_case_users, replayed)))
-        cases_store = build_user_sequences(chain.from_iterable(u.entries for u in case_users))
+        sequences = store.sequences(case_users(chain.from_iterable(s.test_cases for s in replayed)))
+        cases_store = build_user_sequences(chain.from_iterable(u.entries for u in sequences))
         for spec in replayed:
             failures = unit_test_tool(spec, cases_store.users, spec.test_cases, lists)
             if failures:
+                # The case users' lines were read unchecked: a snapshot edited
+                # after ingest fails its digest rather than the registry.
+                if isinstance(store, Snapshot):
+                    store.verify()
                 raise RegistryCorrupt(f"{path}: tool {spec.name!r} fails a recorded case: {failures[0]}")
 
     for warning in warnings:

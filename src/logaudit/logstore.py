@@ -23,15 +23,17 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import cached_property
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise
 from operator import attrgetter, eq, lt
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 LABEL_BENIGN = "benign"
 LABEL_MALICIOUS = "malicious"
@@ -469,14 +471,25 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
 # Sequences, sampling, under-sampling
 # ---------------------------------------------------------------------------
 
-def _sorted_ids(entries: list[LogEntry]) -> list[str]:
-    """The entries' ids, sorted; an id that repeats raises DuplicateEntryId.
+def _sorted_ids(ids: Iterable[str]) -> list[str]:
+    """These ids, sorted; an id that repeats raises DuplicateEntryId.
     Sorted, not a set: a sixth of the memory while a store is built."""
-    ids = sorted(map(_ENTRY_ID, entries))
+    ids = sorted(ids)
     if any(map(eq, ids, islice(ids, 1, None))):
         repeated = next(entry_id for entry_id, following in pairwise(ids) if entry_id == following)
         raise DuplicateEntryId(f"duplicate entry id {repeated!r}")
     return ids
+
+
+def _check_labels(labels: Mapping[str, str], ids: list[str]) -> None:
+    """A label for an id not among the sorted ``ids``, or of an unknown
+    value, raises LabelsInvalid."""
+    for entry_id, label in labels.items():
+        i = bisect_left(ids, entry_id)
+        if i == len(ids) or ids[i] != entry_id:
+            raise LabelsInvalid(f"label references unknown entry id {entry_id!r}")
+        if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
+            raise LabelsInvalid(f"bad label {label!r} for {entry_id!r}")
 
 
 def build_user_sequences(
@@ -492,7 +505,7 @@ def build_user_sequences(
     of an unknown value raises LabelsInvalid.
     """
     entries = list(entries)
-    ids = _sorted_ids(entries)
+    ids = _sorted_ids(map(_ENTRY_ID, entries))
     grouped: defaultdict[str, list[LogEntry]] = defaultdict(list)
     lines: defaultdict[str, list[int]] = defaultdict(list)
     for position, entry in enumerate(entries):
@@ -500,12 +513,7 @@ def build_user_sequences(
         if entry.user:
             grouped[entry.user].append(entry)
     labels = dict(labels or {})
-    for entry_id, label in labels.items():
-        i = bisect_left(ids, entry_id)
-        if i == len(ids) or ids[i] != entry_id:
-            raise LabelsInvalid(f"label references unknown entry id {entry_id!r}")
-        if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
-            raise LabelsInvalid(f"bad label {label!r} for {entry_id!r}")
+    _check_labels(labels, ids)
     for seq in grouped.values():
         seq.sort(key=_TIMESTAMP)
     users = {user: UserSequence(user=user, entries=seq) for user, seq in grouped.items()}
@@ -521,12 +529,19 @@ def sample_exemplars(
     Each type gets its own child RNG keyed by (seed, type) so the selection
     for one type is independent of which other types are present.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     pools: defaultdict[ActivityType, list[LogEntry]] = defaultdict(list)
     for entry in store.entries:
         pools[entry.activity].append(entry)
-    exemplars: dict[ActivityType, list[LogEntry]] = {}
+    return _pick_exemplars(pools, k, seed)
+
+
+def _pick_exemplars(pools: Mapping[ActivityType, Sequence[T]], k: int,
+                    seed: int) -> dict[ActivityType, list[T]]:
+    """Up to ``k`` items of each type's pool, the pool in store order, by
+    the rule :func:`sample_exemplars` documents."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    exemplars: dict[ActivityType, list[T]] = {}
     for activity, pool in sorted(pools.items(), key=lambda item: item[0].value):
         rng = random.Random(f"{seed}:{activity.value}")
         if len(pool) <= k:
@@ -597,6 +612,8 @@ def load_labels(path: str | Path) -> dict[str, str]:
 STORE_FORMAT = "audit-store/4"
 
 _ACTIVITIES = {a.value: a for a in ActivityType}
+_TYPES = list(ActivityType)
+_KINDS = {a.value: kind for kind, a in enumerate(_TYPES)}
 # The compact C encoder; ``default`` encodes the immutable empty payload.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=dict).encode
 _OPEN_ENTRIES = b',"entries":[\n'
@@ -654,6 +671,11 @@ def save_store(store: LogStore, path: str | Path) -> None:
         partial.unlink(missing_ok=True)
 
 
+def _decoded(body: bytes) -> list:
+    """The rows of one user line."""
+    return json.loads(b"[" + body + b"]")
+
+
 @contextlib.contextmanager
 def _damaged(path: str | Path) -> Iterator[None]:
     """Raise what a snapshot that does not decode into its layout raises
@@ -705,11 +727,9 @@ class Snapshot:
             if verify and handle.read() != _closing_line(digest.hexdigest()):
                 raise ValueError("the closing line does not hold the digest of the user lines")
 
-    def _rows(self, user: str, body: bytes,
+    def _rows(self, user: str, rows: list,
               shared: dict[str, str]) -> tuple[list[int], list[LogEntry]]:
-        """The positions and entries of one user line's rows. The positions
-        must ascend within the row count."""
-        rows = json.loads(b"[" + body + b"]")
+        """The positions and entries of rows decoded from one user line."""
         # One string object per distinct host, shared by its entries, and the
         # immutable empty payload for every empty one.
         entries = [LogEntry(entry_id, datetime.fromisoformat(ts), user,
@@ -717,10 +737,14 @@ class Snapshot:
                             payload or _NO_PAYLOAD)
                    for _, entry_id, ts, host, activity, payload in rows]
         positions = [row[0] for row in rows]
+        self._check_order(user, positions)
+        return positions, entries
+
+    def _check_order(self, user: str, positions: list[int]) -> None:
+        """The positions of one user line must ascend within the row count."""
         if positions and not (0 <= positions[0] and positions[-1] < self.rows
                               and all(map(lt, positions, islice(positions, 1, None)))):
             raise ValueError(f"the rows of user {user!r} are not in store order")
-        return positions, entries
 
     def sequences(self, users: Iterable[str] | None = None) -> Iterator[UserSequence]:
         """The sequence of each of these users (``None``: every user) that
@@ -741,8 +765,8 @@ class Snapshot:
                         continue
                     wanted.remove(user)
                 if user:
-                    entries = self._rows(user, body, shared)[1]
-                    _sorted_ids(entries)  # raises on an id repeated within the line
+                    entries = self._rows(user, _decoded(body), shared)[1]
+                    _sorted_ids(map(_ENTRY_ID, entries))  # raises on an id repeated within the line
                     entries.sort(key=_TIMESTAMP)
                     yield UserSequence(user, entries)
 
@@ -755,7 +779,7 @@ class Snapshot:
         with _damaged(self.path):
             placed = 0
             for user, body in self._lines():
-                positions, rows = self._rows(user, body, shared)
+                positions, rows = self._rows(user, _decoded(body), shared)
                 for position, entry in zip(positions, rows):
                     if entries[position] is not None:
                         raise ValueError(f"row position {position} repeats")
@@ -767,6 +791,77 @@ class Snapshot:
             if store.activities != self.activities:
                 raise ValueError("the rows' activity types are not the header's")
         return store
+
+    def verify(self) -> None:
+        """Read every user line and check the digest after the last."""
+        with _damaged(self.path):
+            for _ in self._lines():
+                pass
+
+    def _scan(self) -> tuple[list[int], dict[ActivityType, list[int]]]:
+        """Read every user line once, decoding its rows but building no
+        entry, and check the digest after the last. The snapshot must hold
+        the store that ingest saved: rows of six fields with a parseable
+        timestamp and a known activity, the positions of each line
+        ascending, no position repeated or left out, ids unique across
+        users, labels naming known ids, and the header's activity types.
+        Returns the line of each position, and each activity type's
+        positions in store order."""
+        line_of = [-1] * self.rows
+        kind_of = bytearray(self.rows)  # the index of each row's type in _TYPES
+        ids: list[str] = []
+        parse = datetime.fromisoformat
+        placed = 0
+        for n, (user, body) in enumerate(self._lines()):
+            rows = _decoded(body)
+            kinds = []
+            for _, entry_id, ts, _, activity, _ in rows:
+                parse(ts)
+                ids.append(entry_id)
+                kinds.append(_KINDS[activity])
+            positions = [row[0] for row in rows]
+            self._check_order(user, positions)
+            for position, kind in zip(positions, kinds):
+                if line_of[position] != -1:
+                    raise ValueError(f"row position {position} repeats")
+                line_of[position] = n
+                kind_of[position] = kind
+            placed += len(positions)
+        if placed != self.rows:
+            raise ValueError(f"{placed} rows placed of {self.rows}")
+        _check_labels(self.labels, _sorted_ids(ids))
+        del ids  # the largest part of the pass's memory, freed before the pools grow
+        by_kind: list[list[int]] = [[] for _ in _TYPES]
+        for position, kind in enumerate(kind_of):
+            by_kind[kind].append(position)
+        pools = {_TYPES[kind]: pool for kind, pool in enumerate(by_kind) if pool}
+        if pools.keys() != self.activities:
+            raise ValueError("the rows' activity types are not the header's")
+        return line_of, pools
+
+    def exemplars(self, k: int = DEFAULT_EXEMPLARS_PER_TYPE,
+                  seed: int = DEFAULT_SEED) -> dict[ActivityType, list[LogEntry]]:
+        """The exemplars that :func:`sample_exemplars` picks from the whole
+        store, without building it: one pass checks every line (see
+        :meth:`_scan`), and a second decodes only the lines that hold a
+        picked row, building the entries of those rows alone."""
+        with _damaged(self.path):
+            line_of, pools = self._scan()
+        picks = _pick_exemplars(pools, k, seed)
+        picked: defaultdict[int, set[int]] = defaultdict(set)  # positions by line
+        for position in chain.from_iterable(picks.values()):
+            picked[line_of[position]].add(position)
+        built: dict[int, LogEntry] = {}
+        shared: dict[str, str] = {}
+        last = max(picked, default=-1)
+        with _damaged(self.path), contextlib.closing(self._lines(verify=False)) as lines:
+            for n, (user, body) in enumerate(lines):
+                if n > last:
+                    break
+                if n in picked:
+                    rows = [row for row in _decoded(body) if row[0] in picked[n]]
+                    built.update(zip(*self._rows(user, rows, shared)))
+        return {activity: [built[p] for p in positions] for activity, positions in picks.items()}
 
 
 def open_snapshot(path: str | Path) -> Snapshot:
@@ -800,5 +895,7 @@ def open_snapshot(path: str | Path) -> Snapshot:
 
 def load_store(path: str | Path) -> LogStore:
     """Load the whole store of a snapshot written by :func:`save_store`,
-    decoding one user line at a time."""
+    decoding one user line at a time. No phase reads a snapshot whole; the
+    tests hold :meth:`Snapshot.exemplars` and :meth:`Snapshot.sequences` to
+    what they read of this store."""
     return open_snapshot(path).load()

@@ -93,12 +93,15 @@ def extract_domain(url: str) -> str:
     if not url or not url.strip():
         raise MalformedUrl("empty url")
     candidate = url.strip()
-    parsed = urlparse(candidate)
-    if not parsed.netloc:
-        # Tolerate scheme-less forms like "www.example.com/x".
-        if " " in candidate or "." not in candidate:
-            raise MalformedUrl(f"no host portion in {url!r}")
-        parsed = urlparse("//" + candidate)
+    try:
+        parsed = urlparse(candidate)
+        if not parsed.netloc:
+            # Tolerate scheme-less forms like "www.example.com/x".
+            if " " in candidate or "." not in candidate:
+                raise MalformedUrl(f"no host portion in {url!r}")
+            parsed = urlparse("//" + candidate)
+    except ValueError as exc:  # such as a host with an unbalanced IPv6 bracket
+        raise MalformedUrl(f"unparseable url {url!r}: {exc}") from None
     host = parsed.netloc.rpartition("@")[2].partition(":")[0].lower()
     if not host or "." not in host:
         raise MalformedUrl(f"no host portion in {url!r}")

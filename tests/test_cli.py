@@ -567,11 +567,11 @@ def test_evaluate_reads_no_snapshot(completed_run: Path, monkeypatch):
     for name in names:
         (out / name).unlink()
 
-    def no_load(path):
-        raise AssertionError(f"evaluate loaded the snapshot {path}")
+    def no_open(path):
+        raise AssertionError(f"evaluate opened the snapshot {path}")
 
-    monkeypatch.setattr(logaudit.logstore, "load_store", no_load)
-    monkeypatch.setattr(logaudit.config, "load_store", no_load)
+    monkeypatch.setattr(logaudit.logstore, "open_snapshot", no_open)
+    monkeypatch.setattr(logaudit.config, "open_snapshot", no_open)
     assert main(["evaluate", "--config", config]) == 0
     assert {name: (out / name).read_bytes() for name in names} == expected
 
@@ -607,6 +607,49 @@ def test_damaged_snapshot_rejected(demo: Path, completed_run: Path, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("IngestFailed:") and err.count("\n") == 1
     assert "damaged snapshot" in err and "re-run ingest" in err
+
+
+def _move_first_logon(store: Path, user: str, day: str, to: str, fresh_digest: bool) -> None:
+    """Move the user's first Logon on ``day`` to the day ``to``, and write
+    either a fresh digest of the user lines or the old one."""
+    first, *lines, closing = store.read_bytes().splitlines(keepends=True)
+    n = json.loads(first + b"]}")["users"].index(user)
+    body = lines[n].rstrip(b",\n")
+    rows = json.loads(b"[" + body + b"]")
+    row = next(r for r in rows if r[4] == "Logon" and r[2].startswith(day))
+    row[2] = to + row[2][len(day):]
+    lines[n] = (json.dumps(rows, sort_keys=True, separators=(",", ":"))[1:-1].encode()
+                + lines[n][len(body):])
+    if fresh_digest:
+        digest = hashlib.sha256(b"".join(lines)).hexdigest().encode()
+        closing = b'],"sha256":"' + digest + b'"}\n'
+    store.write_bytes(first + b"".join(lines) + closing)
+
+
+@pytest.mark.parametrize("fresh_digest, category, detail", [
+    (False, "IngestFailed", "damaged snapshot"),
+    (True, "RegistryCorrupt", "fails a recorded case: params {'day': '2024-03-06', 'user': 'B0001'}"),
+], ids=["edited-after-ingest", "intact"])
+def test_detect_setup_blames_a_damaged_snapshot_not_the_registry(
+        demo: Path, completed_run: Path, tmp_path, capsys, fresh_digest, category, detail):
+    """A recorded case fails on an edited case user's rows: detect's set-up
+    read them unchecked, so it checks the digest before it blames the
+    registry."""
+    store = tmp_path / "store.json"
+    store.write_bytes((completed_run / "out" / "store.json").read_bytes())
+    _move_first_logon(store, "B0001", "2024-03-06", "2023-01-01", fresh_digest)
+    config_path = _config_copy(demo, completed_run, tmp_path,
+                               json.loads((demo / "script.json").read_text()))
+    config_doc = json.loads(config_path.read_text())
+    config_doc["store_path"] = str(store)
+    config_doc["registry_path"] = str(completed_run / "out" / "registry.json")
+    config_path.write_text(json.dumps(config_doc))
+    assert main(["detect", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{category}:") and err.count("\n") == 1
+    assert detail in err
+    if not fresh_digest:
+        assert "re-run ingest" in err
 
 
 def test_ingest_rejects_an_id_shared_by_two_files(tmp_path, capsys):

@@ -577,6 +577,13 @@ def _same_store(loaded: LogStore, store: LogStore) -> None:
     assert loaded.lines == store.lines
 
 
+def _forge_read(path: Path, users=(), **sampling) -> tuple[dict, dict]:
+    """What forge reads of a snapshot: its exemplars, and the sequences of
+    ``users``."""
+    snapshot = open_snapshot(path)
+    return snapshot.exemplars(**sampling), {seq.user: seq for seq in snapshot.sequences(users)}
+
+
 @given(_stores() | _fleets())
 @example(build_user_sequences([]))
 @example(seal([LogEntry("E1", datetime(2024, 1, 2, 3, 4, 5, 678901), "\u00fc", "",
@@ -611,6 +618,61 @@ def test_store_snapshot_round_trip(store):
         assert seq.entries == loaded.users[seq.user].entries
 
 
+_FEW_TYPES = [ActivityType.LOGON, ActivityType.HTTP_VISIT, ActivityType.EMAIL_SEND,
+              ActivityType.ZEEK_ANOMALY]
+
+
+@st.composite
+def _sampled(draw) -> tuple[LogStore, int, int, list[str]]:
+    """A store of a few users and host-only rows, interleaved, over a few
+    activity types, some with more rows than ``k`` and some with fewer;
+    ``k``, a seed, and the case users to read, some of them absent."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(["", "u", "v", "w"]), st.sampled_from(_FEW_TYPES),
+                                   st.integers(0, 3), st.integers(0, 2)), max_size=30))
+    entries = [entry(f"E{n}", user, activity, day_offset=day, hour=hour, host=f"PC-{n % 3}",
+                     **({"url": f"http://x{n}.example/"} if n % 2 else {}))
+               for n, (user, activity, day, hour) in enumerate(rows)]
+    labels = {e.entry_id: "malicious" for e in entries[::5]}
+    k = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    users = draw(st.lists(st.sampled_from(["", "u", "v", "w", "nobody"]), unique=True))
+    return seal(entries, labels), k, seed, users
+
+
+class _Counted(LogEntry):
+    """A LogEntry that counts the entries made."""
+
+    made = 0
+
+    def __new__(cls, *fields, **named):
+        _Counted.made += 1
+        return LogEntry(*fields, **named)
+
+
+@given(_sampled())
+@settings(max_examples=100, deadline=None)
+def test_forge_read_matches_the_whole_store(sampled):
+    store, k, seed, users = sampled
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "store.json"
+        save_store(store, path)
+        loaded = load_store(path)
+        _Counted.made = 0
+        with mock.patch.object(logaudit.logstore, "LogEntry", _Counted):
+            exemplars, sequences = _forge_read(path, users, k=k, seed=seed)
+    # The exemplars sample_exemplars picks from the whole store, in memory or
+    # loaded, and the sequences of the named users the store holds.
+    assert exemplars == sample_exemplars(store, k=k, seed=seed) == \
+        sample_exemplars(loaded, k=k, seed=seed)
+    assert list(exemplars) == list(sample_exemplars(loaded, k=k, seed=seed))
+    assert sequences.keys() == loaded.users.keys() & set(users)
+    for user, seq in sequences.items():
+        assert seq.user == user and seq.entries == loaded.users[user].entries
+    # Entries are built for those rows alone: no store is built.
+    assert _Counted.made == sum(map(len, exemplars.values())) + \
+        sum(len(seq.entries) for seq in sequences.values())
+
+
 _FIELDS = ("entry_id", "timestamp", "user", "host", "activity", "payload")
 # Naive, or aware at a whole-minute offset (what isoformat round-trips).
 _TIMESTAMPS = st.datetimes(timezones=st.none() | st.integers(-23 * 60, 23 * 60).map(
@@ -641,7 +703,9 @@ def test_entry_carries_its_timestamps_day(row, by_keyword, with_payload):
         path = Path(directory) / "store.json"
         save_store(build_user_sequences([made]), path)
         [loaded] = load_store(path).entries
+        [[sampled]] = _forge_read(path)[0].values()
     assert loaded == made and loaded.day == made.day
+    assert sampled == made and sampled.day == made.day
 
 
 def test_interrupted_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch):
@@ -687,8 +751,9 @@ def test_cut_snapshot_is_damaged(data):
         cut = data.draw(st.sampled_from([*ends[:-1], len(whole) - 1])
                         | st.integers(0, len(whole) - 1))
         path.write_bytes(whole[:cut])
-        with pytest.raises(IngestFailed, match="damaged snapshot"):
-            load_store(path)
+        for read in (load_store, _forge_read):
+            with pytest.raises(IngestFailed, match="damaged snapshot"):
+                read(path)
         # Detect reads one user line at a time and finds the cut as well.
         with pytest.raises(IngestFailed, match="damaged snapshot"):
             list(open_snapshot(path).sequences())
@@ -724,8 +789,9 @@ def test_misplaced_row_positions_are_damaged(tmp_path, edit, detect_finds):
     save_store(seal(_CUT_STORE[:2] + [entry("E6", "u", ActivityType.LOGOFF)] + _CUT_STORE[2:]),
                path)
     _rewrite_rows(path, edit)
-    with pytest.raises(IngestFailed, match="damaged snapshot"):
-        load_store(path)
+    for read in (load_store, _forge_read):
+        with pytest.raises(IngestFailed, match="damaged snapshot"):
+            read(path)
     # Detect holds one line at a time: it finds positions that do not ascend
     # within the row count, and leaves the rest to the digest.
     if detect_finds:
@@ -743,7 +809,7 @@ def test_repeated_id_within_a_user_line_fails_its_sequence(tmp_path):
         rows[1][1][1] = rows[1][0][1]  # the line of "u": E2 takes the id E1
 
     _rewrite_rows(path, repeat_first_id)
-    for read in (load_store, lambda p: list(open_snapshot(p).sequences())):
+    for read in (load_store, _forge_read, lambda p: list(open_snapshot(p).sequences())):
         with pytest.raises(DuplicateEntryId, match="'E1'"):
             read(path)
 
@@ -752,9 +818,58 @@ def test_edited_snapshot_fails_its_digest(tmp_path):
     path = tmp_path / "store.json"
     save_store(seal(_CUT_STORE), path)
     path.write_bytes(path.read_bytes().replace(b'"E3"', b'"E1"'))
-    for read in (load_store, lambda p: list(open_snapshot(p).sequences())):
+    for read in (load_store, _forge_read, lambda p: list(open_snapshot(p).sequences())):
         with pytest.raises(IngestFailed, match="digest"):
             read(path)
+
+
+def _rewrite_head(path: Path, edit) -> None:
+    """Let ``edit`` change the document of the first line, then write it
+    back; the digest covers the user lines alone."""
+    first, rest = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(first + b"]}")
+    del doc["entries"]
+    edit(doc)
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    path.write_bytes(head[:-1].encode() + b',"entries":[\n' + rest)
+
+
+def _set_field(line: int, row: int, field: int, value):
+    def edit(path):
+        def change(rows):
+            rows[line][row][field] = value
+        _rewrite_rows(path, change)
+    return edit
+
+
+# The lines hold "": [E4], "u": [E1, E2] and "v": [E3, E5].
+@pytest.mark.parametrize("edit, category, message", [
+    (_set_field(2, 0, 1, "E1"), DuplicateEntryId, "duplicate entry id 'E1'"),
+    (lambda path: _rewrite_head(path, lambda doc: doc["labels"].update(NOPE="malicious")),
+     LabelsInvalid, "label references unknown entry id 'NOPE'"),
+    (lambda path: _rewrite_head(path, lambda doc: doc["labels"].update(E1="suspicious")),
+     LabelsInvalid, "bad label 'suspicious' for 'E1'"),
+    (lambda path: _rewrite_head(path, lambda doc: doc["activities"].remove("Logoff")),
+     IngestFailed, "the rows' activity types are not the header's"),
+    (lambda path: _rewrite_head(path, lambda doc: doc["activities"].append("FileOp")),
+     IngestFailed, "the rows' activity types are not the header's"),
+    (lambda path: _rewrite_rows(path, lambda rows: rows[1][0].pop()),
+     IngestFailed, "ValueError: not enough values to unpack"),
+    (_set_field(1, 0, 4, "Nope"), IngestFailed, "KeyError: 'Nope'"),
+    (_set_field(1, 0, 2, "yesterday"), IngestFailed, "Invalid isoformat string: 'yesterday'"),
+], ids=["id-shared-by-two-users", "label-of-unknown-id", "bad-label", "activity-not-in-header",
+        "header-activity-without-rows", "short-row", "unknown-activity", "unparseable-timestamp"])
+def test_forge_read_rejects_what_the_whole_store_rejects(tmp_path, edit, category, message):
+    """Forge builds no store, yet fails a snapshot edited after ingest, with
+    a fresh digest, as the whole-store load does: same category, same message."""
+    path = tmp_path / "store.json"
+    save_store(seal(_CUT_STORE, {"E3": "malicious"}), path)
+    edit(path)
+    with pytest.raises(category, match=re.escape(message)) as read:
+        _forge_read(path, ["u"])
+    with pytest.raises(category) as whole:
+        load_store(path)
+    assert str(read.value) == str(whole.value)
 
 
 def _synthetic_store(rows: int) -> LogStore:
@@ -788,3 +903,30 @@ def test_snapshot_memory_does_not_grow_with_the_store(tmp_path):
     (small_save, small_load), (large_save, large_load) = figures
     assert large_save - small_save < 2**20, figures
     assert large_load - small_load < 2**20, figures
+
+
+def test_forge_read_memory_grows_less_than_the_store(tmp_path):
+    """From 5k to 40k rows, the forge read's traced peak grows by less than
+    a third of what the whole store grows: it holds every row's id (to
+    find one repeated), line and activity type, but builds no entry beyond
+    the exemplars and the named user's."""
+    figures = []
+    for rows in (5_000, 40_000):
+        path = tmp_path / f"store-{rows}.json"
+        save_store(_synthetic_store(rows), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = load_store(path)
+            size = tracemalloc.get_traced_memory()[0] - before
+            del store
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            exemplars, sequences = _forge_read(path, ["user001"])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sequences["user001"].entries) == rows // 200
+        figures.append((peak, size))
+    (small_peak, small_store), (large_peak, large_store) = figures
+    assert large_peak - small_peak < (large_store - small_store) / 3, figures

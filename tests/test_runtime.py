@@ -3,7 +3,7 @@ from __future__ import annotations
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import entry, seal
@@ -278,6 +278,7 @@ _URLS = st.sampled_from(["http://Example.com:8080/x", "www.example.com/a b", "no
 
 
 @given(st.lists(_URLS | st.text(max_size=24), min_size=1, max_size=8))
+@example([".[", "http://[::1/x", "www.a]b.example"])
 @settings(max_examples=150, deadline=None)
 def test_memoized_domain_extraction_matches_the_uncached_one(urls):
     # Each URL twice, so the second call may come from the cache.

@@ -275,15 +275,17 @@ def test_failed_detect_writes_no_outputs(demo, tmp_path, capsys, edit, category)
         assert not (tmp_path / "out" / name).exists()
 
 
-def _detect_peak(root: Path, users: int, monkeypatch) -> tuple[int, int]:
-    """The demo with ``users`` benign users over 20 days, ingested and forged:
-    detect's traced peak, and the size of the whole store loaded."""
+def _phase_peak(root: Path, users: int, phase: str, monkeypatch) -> tuple[int, int]:
+    """The demo with ``users`` benign users over 20 days, ingested, and
+    forged before a detect: the phase's traced peak, and the size of the
+    whole store loaded."""
     monkeypatch.setattr(logaudit.synthetic, "N_BENIGN", users)
     monkeypatch.setattr(logaudit.synthetic, "N_DAYS", 20)
     generate_demo(root)
     config = str(root / "config.json")
     assert main(["ingest", "--config", config]) == 0
-    assert main(["forge", "--config", config]) == 0
+    if phase == "detect":
+        assert main(["forge", "--config", config]) == 0
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -292,7 +294,7 @@ def _detect_peak(root: Path, users: int, monkeypatch) -> tuple[int, int]:
         del store
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        assert main(["detect", "--config", config]) == 0
+        assert main([phase, "--config", config]) == 0
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -305,6 +307,18 @@ def test_detect_memory_is_set_by_the_largest_user(tmp_path, monkeypatch):
     whole store grows by at least that much. Both fleets hold every user the
     registry's cases name."""
     (small_peak, small_store), (large_peak, large_store) = (
-        _detect_peak(tmp_path / f"users-{n}", n, monkeypatch) for n in (12, 48))
+        _phase_peak(tmp_path / f"users-{n}", n, "detect", monkeypatch) for n in (12, 48))
     assert large_peak - small_peak < (large_store - small_store) / 5, \
+        (small_peak, large_peak, small_store, large_store)
+
+
+def test_forge_memory_grows_less_than_the_store(tmp_path, monkeypatch):
+    """From 12 to 48 benign users, forge's peak grows by less than a third
+    of what the users added to the whole store: it holds each row's id,
+    line and activity type, and builds entries only for the exemplars and
+    the case users. A forge that loads the whole store grows by nearly as
+    much as the store."""
+    (small_peak, small_store), (large_peak, large_store) = (
+        _phase_peak(tmp_path / f"users-{n}", n, "forge", monkeypatch) for n in (12, 48))
+    assert large_peak - small_peak < (large_store - small_store) / 3, \
         (small_peak, large_peak, small_store, large_store)
