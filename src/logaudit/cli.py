@@ -28,14 +28,14 @@ from .config import (
     resolve_path,
 )
 from .debate import conclusion_doc, transcript_doc
-from .decomposer import decompose, refine, validate_coverage
+from .decomposer import SubTask, decompose, refine, validate_coverage
 from .errors import (
     AuditError,
     ConfigInvalid,
     CoverageIncomplete,
     LabelsMissing,
 )
-from .forge import REGISTRY_FORMAT, build_tool_for_subtask, case_users, save_registry
+from .forge import REGISTRY_FORMAT, ForgeOutcome, build_tool_for_subtask, case_users, save_registry
 from .gateway import CostLedger, CostRecord, cost_report
 from .logstore import (
     build_user_sequences,
@@ -45,7 +45,7 @@ from .logstore import (
     save_store,
     undersample_benign,
 )
-from .pipeline import VARIANTS, context_from_config, detect_all
+from .pipeline import VARIANTS, context_from_config, detect_all, in_order
 
 logger = logging.getLogger(__name__)
 
@@ -196,20 +196,25 @@ def cmd_forge(config: RunConfig) -> int:
             + " (pass --allow-partial-coverage to proceed)"
         )
 
-    specs = []
-    unservable = []
-    fallbacks = {}
-    for subtask in subtasks.subtasks:
+    def build(subtask: SubTask, own: CostLedger) -> tuple[SubTask, ForgeOutcome]:
         examples = [e for t in sorted(subtask.activity_types, key=lambda a: a.value)
                     for e in exemplars.get(t, [])]
         cases = config.tool_tests.get(subtask.id, [])
-        outcome = build_tool_for_subtask(
+        return subtask, build_tool_for_subtask(
             subtask, examples, cases, fixtures, backend,
-            lists=lists, ledger=ledger,
+            lists=lists, ledger=own,
             max_repair_attempts=config.max_repair_attempts, k_sigma=config.k_sigma,
             draft_template=templates["tool_builder"],
             repair_template=templates["tool_repair"],
         )
+
+    # Each check's draft -> test -> repair chain depends on that check alone,
+    # so on an order-free backend every check's chain runs at once.
+    jobs = [lambda own, subtask=subtask: build(subtask, own) for subtask in subtasks.subtasks]
+    specs = []
+    unservable = []
+    fallbacks = {}
+    for subtask, outcome in in_order(backend, ledger, jobs, len(jobs)):
         if outcome.used_builtin:
             fallbacks[subtask.id] = outcome.error
         if outcome.spec is None:

@@ -340,8 +340,13 @@ class HttpBackend:
             if not isinstance(text, str):
                 raise TypeError(f"content is {type(text).__name__}")
             usage = payload.get("usage") or {}
-            prompt_tokens = int(usage.get("prompt_tokens", whitespace_tokens(request.prompt)))
-            completion_tokens = int(usage.get("completion_tokens", whitespace_tokens(text)))
+            if not isinstance(usage, dict):
+                raise TypeError(f"usage is {type(usage).__name__}")
+            # Whitespace tokens are counted only where the server gives no count.
+            prompt_tokens = int(usage["prompt_tokens"] if "prompt_tokens" in usage
+                                else whitespace_tokens(request.prompt))
+            completion_tokens = int(usage["completion_tokens"] if "completion_tokens" in usage
+                                    else whitespace_tokens(text))
         except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
             raise GatewayError(f"{self.name}: malformed completion payload") from exc
         return Completion(

@@ -332,35 +332,37 @@ def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusi
 # Per-user detection
 # ---------------------------------------------------------------------------
 
-def _in_order(
-    ctx: DetectContext, jobs: Iterable[Callable[[CostLedger], T]], workers: int
+def in_order(
+    backend: Backend, ledger: CostLedger, jobs: Iterable[Callable[[CostLedger], T]],
+    workers: int,
 ) -> Iterator[T]:
-    """Run each ``job(ledger)`` and yield the results in job order, with the
-    context's ledger holding the records a serial run would, in its order.
+    """Run each ``job(ledger)`` and yield the results in job order, with
+    ``ledger`` holding the records a serial run would, in its order. This is
+    the one rule for which backend calls overlap, in forge and detect alike.
 
     On an order-free backend up to ``workers`` jobs run at once, each against
     a ledger of its own whose records are appended in job order; the next
     job is taken from ``jobs`` only when fewer than ``workers`` are pending.
     If a job raises, the first failing job's error is raised, as a serial run
-    would. Otherwise the jobs run one by one on this thread against the
-    context's ledger.
+    would, once every started job has finished. Otherwise the jobs run one
+    by one on this thread against ``ledger``.
     """
-    if not ctx.backend.order_free or workers < 2:
+    if not backend.order_free or workers < 2:
         for job in jobs:
-            yield job(ctx.ledger)
+            yield job(ledger)
         return
     jobs = iter(jobs)
     pending: deque[tuple[Future[T], CostLedger]] = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         while True:
             while len(pending) < workers and (job := next(jobs, None)) is not None:
-                ledger = ctx.ledger.fresh()
-                pending.append((pool.submit(job, ledger), ledger))
+                own = ledger.fresh()
+                pending.append((pool.submit(job, own), own))
             if not pending:
                 return
-            future, ledger = pending.popleft()
+            future, own = pending.popleft()
             result = future.result()
-            ctx.ledger.extend(ledger.records())
+            ledger.extend(own.records())
             yield result
 
 
@@ -384,7 +386,7 @@ def detect_user(
         findings = _one_shot_findings(ctx, checks)
         jobs = [lambda ledger, e=executor_id, s=seed: _one_shot_set(
             replace(ctx, ledger=ledger), e, user, s, findings) for executor_id, seed in seats]
-        a0, b0 = _in_order(ctx, jobs, len(jobs))
+        a0, b0 = in_order(ctx.backend, ctx.ledger, jobs, len(jobs))
     else:
         # Lines 2-3: each executor works through every check independently,
         # on the same prepared checks; its opening verdict is the fold of its
@@ -399,7 +401,7 @@ def detect_user(
         jobs = [lambda ledger, e=executor_id, s=seed, c=check: run_subtask(
             e, c, user, ctx.backend, ledger=ledger, template=template, seed_hint=s,
         ) for executor_id, seed in seats for check in checks]
-        results = list(_in_order(ctx, jobs, len(jobs)))
+        results = list(in_order(ctx.backend, ctx.ledger, jobs, len(jobs)))
         n = len(checks)
         a0, b0 = synthesize(EXECUTOR_A, results[:n]), synthesize(EXECUTOR_B, results[n:])
 
@@ -422,4 +424,4 @@ def detect_all(
         # ``detect_user`` is looked up as each audit starts, so a patched one is used.
         jobs = (lambda ledger, user=user: (user.user, detect_user(user, replace(ctx, ledger=ledger)))
                 for user in sequences)
-        return dict(_in_order(ctx, jobs, parallelism))
+        return dict(in_order(ctx.backend, ctx.ledger, jobs, parallelism))

@@ -1,10 +1,12 @@
-"""Opening audits fanned out on an order-free backend must give what a serial
-run of the same backend gives: the same conclusions, transcripts and ledger
-sequence, and, when a reply cannot be parsed, the same error."""
+"""Opening audits and forge's checks fanned out on an order-free backend must
+give what a serial run of the same backend gives: the same files and ledger
+sequence, and, when a reply cannot be parsed or a call fails, the same
+error."""
 
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import threading
 import time
@@ -176,3 +178,125 @@ def test_fanned_out_opening_raises_the_serial_error(demo, monkeypatch, capsys, v
     assert errors[0].startswith("ResponseUnparseable:")
     if variant in ("original", "no_tools", "no_emad"):
         assert f"check {slugify(later)}:" in errors[0]
+
+
+# --- forge: every check's draft -> test -> repair chain at once ---
+
+LOGON_PLAN = CHECKS[0][4]
+LOGOFF_PLAN = LOGON_PLAN.replace("activity=Logon", "activity=Logoff")
+EMAIL_DRAFT = ["[stage: tool-draft]", CHECKS[5][3]]
+
+
+class ScriptTransport(PromptTransport):
+    """An order-free ``post`` for forge: each reply is the response of the
+    first script entry whose ``when`` parts all occur in the prompt, however
+    often that entry has answered before. A prompt holding every part of
+    ``deny`` is answered HTTP 401 at once."""
+
+    def __init__(self, script: list[dict], delay: float = 0.0, deny=()) -> None:
+        super().__init__(seed_b=0, delay=delay)
+        self.script = [([item["when"]] if isinstance(item["when"], str) else item["when"],
+                        item["response"]) for item in script]
+        self.deny = deny
+
+    def reply(self, prompt: str, seed: int | None) -> str:
+        return next(response for parts, response in self.script
+                    if all(part in prompt for part in parts))
+
+    def post(self, url, json, headers, timeout) -> HttpReply:
+        if self.deny and all(part in json["messages"][-1]["content"] for part in self.deny):
+            return HttpReply(401, b"invalid api key")
+        return super().post(url, json, headers, timeout)
+
+
+def _forge_script(demo: Path) -> list[dict]:
+    """The demo's script with the logon check's draft counting Logoff, so
+    it parses but fails its cases and its first repair passes, and the
+    device check's draft and repairs never parsing, so it takes its
+    built-in."""
+    device = CHECKS[4][3]
+    return [
+        {"when": ["[stage: tool-draft]", CHECKS[0][3]], "response": LOGOFF_PLAN},
+        {"when": ["[stage: tool-repair]", CHECKS[0][3]], "response": LOGON_PLAN},
+        {"when": ["[stage: tool-draft]", device], "response": "count the devices per day"},
+        {"when": ["[stage: tool-repair]", device], "response": "still no plan"},
+    ] + json.loads((demo / "script.json").read_text())
+
+
+def _forge(demo: Path, monkeypatch, capsys, name: str, *, fan_out: bool,
+           transport: ScriptTransport) -> tuple[int, str, dict[str, bytes]]:
+    """One CLI forge over ``transport`` into a fresh ``out-<name>``: the exit
+    code, stderr, and every file it left there. Both runs of a test share a
+    config, so their manifests' config hashes agree."""
+    doc = json.loads((demo / "config.json").read_text())
+    doc["backend"] = {"type": "http", "endpoint": "http://llm.test/v1", "model": "m"}
+    doc["output_dir"] = f"out-{name}"
+    doc["store_path"] = "out/store.json"
+    doc["registry_path"] = f"out-{name}/registry.json"
+    config_path = demo / f"{name}.json"
+    config_path.write_text(json.dumps(doc))
+    outdir = demo / f"out-{name}"
+    shutil.rmtree(outdir, ignore_errors=True)
+    monkeypatch.setattr(gateway, "urllib_post", lambda _opener: transport.post)
+    monkeypatch.setattr(HttpBackend, "order_free", fan_out)
+    capsys.readouterr()
+    threads = threading.active_count()
+    code = main(["forge", "--config", str(config_path)])
+    assert threading.active_count() == threads
+    files = {p.name: p.read_bytes() for p in sorted(outdir.glob("*"))} if outdir.exists() else {}
+    return code, capsys.readouterr().err, files
+
+
+def _ledger(files: dict[str, bytes]) -> list[tuple]:
+    return [(r["stage"], r["note"], r["prompt_tokens"], r["completion_tokens"])
+            for r in map(json.loads, files["costs-forge.jsonl"].splitlines())]
+
+
+def test_fanned_out_forge_matches_a_serial_run(demo, monkeypatch, capsys):
+    """On an order-free backend each check's draft, tests and repairs run
+    in a job of its own, every check's at once, and forge writes what a
+    one-by-one run writes: the same registry and manifest bytes and the
+    same ledger sequence."""
+    script = _forge_script(demo)
+    serial = ScriptTransport(script)
+    code, err, serial_files = _forge(demo, monkeypatch, capsys, "forge", fan_out=False,
+                                     transport=serial)
+    assert code == 0, err
+    fanned = ScriptTransport(script, delay=0.01)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        code, err, fanned_files = _forge(demo, monkeypatch, capsys, "forge", fan_out=True,
+                                         transport=fanned)
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0, err
+
+    assert serial.peak == 1
+    assert 1 < fanned.peak <= len(CHECKS)
+    for name in ("registry.json", "manifest-forge.json"):
+        assert fanned_files[name] == serial_files[name]
+    ledger = _ledger(fanned_files)
+    assert ledger == _ledger(serial_files)
+    logon, device = slugify(CHECKS[0][0]), slugify(CHECKS[4][0])
+    repairs = [note for stage, note, *_ in ledger if stage == "tool-repair"]
+    assert repairs == [f"{logon}#1"] + [f"{device}#{n}" for n in (1, 2, 3)]
+    manifest = json.loads(fanned_files["manifest-forge.json"])
+    assert list(manifest["fallbacks"]) == [device] and manifest["tools"] == len(CHECKS)
+
+
+def test_fanned_out_forge_fails_as_a_serial_run(demo, monkeypatch, capsys):
+    """A non-retryable backend error in one check's draft fails a fanned-out
+    forge with the serial run's error line, leaving the same files (none),
+    once the other checks' jobs have finished."""
+    results = []
+    for fan_out in (False, True):
+        transport = ScriptTransport(_forge_script(demo), delay=0.01 * fan_out,
+                                    deny=EMAIL_DRAFT)
+        results.append(_forge(demo, monkeypatch, capsys, "forge-denied", fan_out=fan_out,
+                              transport=transport))
+    (code, err, files), fanned = results
+    assert code == 1
+    assert err.splitlines()[-1] == "GatewayError: http: HTTP 401: invalid api key"
+    assert fanned == (code, err, files)
+    assert files == {}

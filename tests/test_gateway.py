@@ -337,6 +337,30 @@ def test_http_backend_token_fallback_when_usage_missing():
     assert completion.completion_tokens == 3
 
 
+@pytest.mark.parametrize("usage, counted", [
+    ({"prompt_tokens": 42, "completion_tokens": 7}, []),
+    ({"prompt_tokens": 42}, ["one two three"]),
+    ({"completion_tokens": 7}, ["a b"]),
+], ids=["both-counts", "no-completion-count", "no-prompt-count"])
+def test_http_backend_counts_only_the_tokens_the_server_leaves_out(monkeypatch, usage,
+                                                                   counted):
+    """The prompt and reply are split into whitespace tokens only for a
+    count the reply's ``usage`` does not give."""
+    split = []
+
+    def counting(text):
+        split.append(text)
+        return len(text.split())
+
+    monkeypatch.setattr(logaudit.gateway, "whitespace_tokens", counting)
+    backend = HttpBackend("http://x", "m", post=lambda *a, **k: FakeResponse(payload={
+        "choices": [{"message": {"content": "one two three"}}], "usage": usage}))
+    completion = backend.complete(_request(prompt="a b"))
+    assert split == counted
+    assert (completion.prompt_tokens, completion.completion_tokens) == (
+        usage.get("prompt_tokens", 2), usage.get("completion_tokens", 3))
+
+
 class UndecodableResponse(FakeResponse):
     def json(self):
         return json.loads("<html>busy</html>")
