@@ -28,6 +28,7 @@ from .logstore import (
     ActivityType,
     LogEntry,
     LogStore,
+    Row,
     build_user_sequences,
     parse_cert_file,
     parse_zeek_file,
@@ -48,6 +49,7 @@ __all__ = [
     "LogStore",
     "PromptTemplate",
     "RateTable",
+    "Row",
     "ScriptedBackend",
     "SubTask",
     "SubTaskSet",

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .errors import MissingLabel
 from .gateway import CostReport
-from .logstore import LABEL_BENIGN, LABEL_MALICIOUS, LogStore
+from .logstore import LABEL_MALICIOUS
 
 logger = logging.getLogger(__name__)
 
@@ -86,13 +86,6 @@ def evaluate(
         else:
             tn += 1
     return compute_metrics(ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn), variant)
-
-
-def user_labels(store: LogStore) -> dict[str, str]:
-    """Each user's label: malicious iff the user owns a malicious entry."""
-    malicious = store.malicious_ids()
-    owners = {e.user for e in store.entries if e.entry_id in malicious} if malicious else set()
-    return {user: LABEL_MALICIOUS if user in owners else LABEL_BENIGN for user in store.users}
 
 
 # ---------------------------------------------------------------------------

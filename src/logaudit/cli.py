@@ -12,6 +12,7 @@ import json
 import logging
 import shutil
 import sys
+from collections import defaultdict
 from itertools import chain
 from pathlib import Path
 from typing import Iterator
@@ -38,10 +39,12 @@ from .errors import (
 from .forge import REGISTRY_FORMAT, ForgeOutcome, build_tool_for_subtask, case_users, save_registry
 from .gateway import CostLedger, CostRecord, cost_report
 from .logstore import (
-    build_user_sequences,
+    check_ids,
+    label_users,
     load_labels,
     parse_cert_file,
     parse_zeek_file,
+    place_rows,
     save_store,
     undersample_benign,
 )
@@ -50,6 +53,10 @@ from .pipeline import VARIANTS, context_from_config, detect_all, in_order
 logger = logging.getLogger(__name__)
 
 CONCLUSIONS_FORMAT = "audit-conclusions/1"
+
+# The malformed rows of one dataset file that manifest-ingest.json lists;
+# the snapshot's manifest counts them all.
+MALFORMED_ROWS_LISTED = 20
 
 
 def _write_json(path: Path, doc: object) -> None:
@@ -87,7 +94,7 @@ def _write_ledger(config: RunConfig, phase: str, ledger: CostLedger) -> Path:
 
 @contextlib.contextmanager
 def _long_lived() -> Iterator[None]:
-    """Build a phase's long-lived state (the store, the detect context) with
+    """Build a phase's long-lived state (ingest's lines, the detect context) with
     the cyclic collector paused, then freeze it. It lives until the phase
     ends, so no collection could free it, and frozen, none scans it again;
     :func:`main` unfreezes it."""
@@ -123,8 +130,12 @@ def _read_ledgers(outdir: Path) -> list[CostRecord]:
 
 def cmd_ingest(config: RunConfig) -> int:
     dataset = config.dataset
-    entries = []
+    # Each parsed row goes straight into its user's snapshot line; only the
+    # ids are kept besides, for the checks once every file has parsed.
+    lines: defaultdict[str, list[list]] = defaultdict(list)
+    ids: list[str] = []
     manifest = []
+    malformed = []
     with _long_lived():
         for source, raw_path in sorted(dataset.paths.items()):
             path = resolve_path(config, raw_path)
@@ -137,36 +148,42 @@ def cmd_ingest(config: RunConfig) -> int:
             # Record the path as the config writes it, so a snapshot does not
             # depend on where the dataset was checked out.
             parsed.source.path = raw_path
-            entries.extend(parsed.entries)
+            place_rows(lines, ids, parsed.entries)
             manifest.append(parsed.source)
+            if parsed.errors:
+                malformed.append({"path": raw_path, "count": len(parsed.errors), "rows": [
+                    {"line": error.line_no, "reason": error.reason}
+                    for error in parsed.errors[:MALFORMED_ROWS_LISTED]]})
             logger.info("ingested %s: %d entries, %d malformed", path, len(parsed.entries),
                         len(parsed.errors))
+            del parsed  # its rows are in the lines now
         labels = load_labels(resolve_path(config, dataset.labels)) if dataset.labels else None
-        store = build_user_sequences(entries, labels, manifest)
+        check_ids(ids, labels or {})
+        del ids
+    rows = sum(map(len, lines.values()))
     if labels is not None:
         # Class-imbalance control: keep every malicious entry and at most
         # `undersample_cap` benign ones in the snapshot.
-        view = undersample_benign(store, cap=config.undersample_cap,
-                                  seed=config.seed_sampler)
-        if view is not store:
-            logger.info("under-sampled benign entries: %d -> %d",
-                        len(store.entries), len(view.entries))
-            store = view
+        sampled, labels = undersample_benign(lines, labels, cap=config.undersample_cap,
+                                             seed=config.seed_sampler)
+        if sampled is not lines:
+            kept = sum(map(len, sampled.values()))
+            logger.info("under-sampled benign entries: %d -> %d", rows, kept)
+            lines, rows = sampled, kept
     store_path = resolve_path(config, config.store_path)
     store_path.parent.mkdir(parents=True, exist_ok=True)
-    save_store(store, store_path)
+    save_store(lines, store_path, labels, manifest)
     users_path = _users_path(store_path)
-    if store.labels:
-        _write_json(users_path, bench.user_labels(store))
+    if labels:
+        _write_json(users_path, label_users(lines, labels))
     else:
         users_path.unlink(missing_ok=True)
-    _write_manifest(config, "ingest", {
-        "entries": len(store.entries),
-        "users": len(store.users),
-        "files": len(store.source_manifest),
-    })
-    print(f"ingested {len(store.entries)} entries from {len(store.source_manifest)} files "
-          f"({len(store.users)} users) -> {store_path}")
+    users = len(lines) - ("" in lines)  # host-only rows belong to no user
+    extra = {"entries": rows, "users": users, "files": len(manifest)}
+    if malformed:
+        extra["malformed"] = malformed
+    _write_manifest(config, "ingest", extra)
+    print(f"ingested {rows} entries from {len(manifest)} files ({users} users) -> {store_path}")
     return 0
 
 

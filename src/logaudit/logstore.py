@@ -1,10 +1,11 @@
 """Unified, time-ordered activity log store.
 
-Ingests CERT-style CSV logs and Zeek-style TSV logs into one LogEntry shape,
-groups them into per-user sequences, and provides the seeded exemplar
-sampling and benign under-sampling the rest of the pipeline builds on. A
-store is built whole, in one pass, by :func:`build_user_sequences` and never
-mutated afterwards.
+Parses CERT-style CSV logs and Zeek-style TSV logs into rows of one shape,
+places them into per-user snapshot lines with benign under-sampling, and
+writes the snapshot; its readers decode per-user sequences of LogEntry and
+the seeded exemplars the rest of the pipeline builds on. A whole store, for
+the readers that want one, is built in one pass by
+:func:`build_user_sequences` and never mutated afterwards.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, pairwise
+from itertools import accumulate, chain, islice, pairwise
 from operator import attrgetter, eq, lt
 from pathlib import Path
 from types import MappingProxyType
@@ -110,6 +111,19 @@ class LogEntry(_EntryFields):
         return self[:5] if self.payload is _NO_PAYLOAD else self[:6]
 
 
+class Row(NamedTuple):
+    """One parsed record, in the shape of a snapshot row: ``timestamp`` is
+    the ISO text of a naive time, and ``activity``, being a ``str``, is
+    written as its value."""
+
+    entry_id: str
+    timestamp: str
+    user: str
+    host: str
+    activity: ActivityType
+    payload: Mapping[str, str]
+
+
 @dataclass
 class RowError:
     """One malformed row, collected rather than raised."""
@@ -132,7 +146,7 @@ class SourceFile:
 class ParsedFile:
     """Outcome of parsing a single input file."""
 
-    entries: list[LogEntry]
+    entries: list[Row]
     errors: list[RowError]
     source: SourceFile
 
@@ -176,18 +190,13 @@ class LogStore:
         names = self.users.keys() if users is None else self.users.keys() & set(users)
         return (self.users[user] for user in sorted(names))
 
-    def is_malicious(self, entry_id: str) -> bool:
-        return self.labels.get(entry_id) == LABEL_MALICIOUS
 
-    def malicious_ids(self) -> set[str]:
-        return {i for i, lab in self.labels.items() if lab == LABEL_MALICIOUS}
-
-
-def _readable(items: Iterable, path: Path) -> Iterator:
-    """Yield from a file reader; bytes that are not UTF-8, or CSV the csv
-    module refuses, fail the file with IngestFailed."""
+@contextlib.contextmanager
+def _readable(path: Path) -> Iterator[None]:
+    """Around the reading of a file: bytes that are not UTF-8, or CSV the
+    csv module refuses, fail the file with IngestFailed."""
     try:
-        yield from items
+        yield
     except (UnicodeDecodeError, csv.Error) as exc:
         raise IngestFailed(f"{path}: unreadable input: {exc}") from None
 
@@ -208,19 +217,10 @@ _CERT_REQUIRED = {
 }
 
 _CERT_TIME_FORMAT = "%m/%d/%Y %H:%M:%S"
-# The zero-padded ASCII shape of _CERT_TIME_FORMAT, read without strptime.
-_CERT_TIME = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
 
 
 def _parse_timestamp(raw: str) -> datetime:
     raw = raw.strip()
-    match = _CERT_TIME.fullmatch(raw)
-    if match:
-        month, day, year, hour, minute, second = map(int, match.groups())
-        try:
-            return datetime(year, month, day, hour, minute, second)
-        except ValueError:
-            pass  # a field out of range: the chain below raises its usual error
     try:
         return datetime.strptime(raw, _CERT_TIME_FORMAT)
     except ValueError:
@@ -231,66 +231,78 @@ def _parse_timestamp(raw: str) -> datetime:
         raise ValueError(f"unparseable timestamp {raw!r}")
 
 
-def _cert_activity(source: str, row: dict[str, str], line_no: int) -> ActivityType:
-    if source == "logon":
-        value = row.get("activity", "").strip().lower()
-        if value == "logon":
-            return ActivityType.LOGON
-        if value == "logoff":
-            return ActivityType.LOGOFF
-        raise ValueError(f"line {line_no}: logon activity column reads {row.get('activity')!r}")
-    if source == "device":
-        value = row.get("activity", "").strip().lower()
-        if value == "connect":
-            return ActivityType.DEVICE_CONNECT
-        if value == "disconnect":
-            return ActivityType.DEVICE_DISCONNECT
-        raise ValueError(f"line {line_no}: device activity column reads {row.get('activity')!r}")
-    if source == "http":
-        return ActivityType.HTTP_VISIT
-    if source == "email":
-        return ActivityType.EMAIL_SEND
-    return ActivityType.FILE_OP
+# The timestamp shape the fast path reads: zero-padded ASCII
+# _CERT_TIME_FORMAT with a time of day in range, split into date and time.
+_CERT_CLOCK = re.compile(r"(\d\d/\d\d/\d{4}) ((?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d)", re.ASCII)
 
 
-def _cert_payload(source: str, row: dict[str, str]) -> dict[str, str]:
-    if source == "http":
-        payload = {"url": row.get("url", "")}
-        if row.get("content"):
-            payload["content"] = row["content"]
-        return payload
-    if source == "email":
-        payload = {"to": row.get("to", ""), "from": row.get("from", "")}
-        for key in ("cc", "bcc", "size", "attachments"):
-            if row.get(key):
-                payload[key] = row[key]
-        # CERT ships the message text in a "content" column.
-        payload["body"] = row.get("content", "")
-        return payload
-    if source == "file":
-        payload = {"filename": row.get("filename", "")}
-        if row.get("content"):
-            payload["content"] = row["content"]
-        return payload
-    return {}
+def _cert_day(text: str) -> str:
+    """The ISO date of an ``MM/DD/YYYY`` text, with the ``T`` that follows
+    it in a timestamp; empty for a date that does not exist."""
+    try:
+        return date(int(text[6:]), int(text[:2]), int(text[3:5])).isoformat() + "T"
+    except ValueError:
+        return ""
+
+
+def _iso_timestamp(raw: str, days: dict[str, str]) -> str:
+    """The ISO text of the naive time :func:`_parse_timestamp` reads from
+    ``raw``, raising what it raises. ``days`` caches each date's ISO text,
+    so a date is checked once; a time carrying a UTC offset raises
+    ValueError, since naive and aware times do not compare."""
+    match = _CERT_CLOCK.fullmatch(raw.strip())
+    if match:
+        day_text, clock = match.groups()
+        day = days.get(day_text)
+        if day is None:
+            day = days[day_text] = _cert_day(day_text)
+        if day:
+            return day + clock
+    timestamp = _parse_timestamp(raw)
+    if timestamp.tzinfo is not None:
+        raise ValueError("timestamp carries a UTC offset")
+    return timestamp.isoformat()
+
+
+# The activity column's values, lower-cased, for the sources that have one.
+_CERT_ACTIVITIES = {
+    "logon": {"logon": ActivityType.LOGON, "logoff": ActivityType.LOGOFF},
+    "device": {"connect": ActivityType.DEVICE_CONNECT,
+               "disconnect": ActivityType.DEVICE_DISCONNECT},
+}
+_CERT_ACTIVITY = {"http": ActivityType.HTTP_VISIT, "email": ActivityType.EMAIL_SEND,
+                  "file": ActivityType.FILE_OP}
+# Per source: each payload key, the column it is read from, and whether it
+# is kept when empty or absent (as ""). CERT ships an email's text in a
+# "content" column.
+_CERT_PAYLOADS = {
+    "http": (("url", "url", True), ("content", "content", False)),
+    "email": (("to", "to", True), ("from", "from", True), ("cc", "cc", False),
+              ("bcc", "bcc", False), ("size", "size", False),
+              ("attachments", "attachments", False), ("body", "content", True)),
+    "file": (("filename", "filename", True), ("content", "content", False)),
+}
 
 
 def parse_cert_file(path: str | Path, source: str) -> ParsedFile:
     """Parse one CERT-style CSV file (header row, quoted fields permitted).
 
-    Malformed rows are collected; the parse only fails wholesale when the
-    header is unusable or more than 1% of data rows are bad.
+    A column named twice is read from its last place. Malformed rows are
+    collected; the parse only fails wholesale when the header is unusable or
+    more than 1% of data rows are bad.
     """
     if source not in CERT_SOURCES:
         raise IngestFailed(f"unknown CERT source {source!r}; expected one of {CERT_SOURCES}")
     path = Path(path)
     required = _CERT_REQUIRED[source]
-    entries: list[LogEntry] = []
+    entries: list[Row] = []
     errors: list[RowError] = []
     data_rows = 0
+    days: dict[str, str] = {}
+    hosts: dict[str, str] = {}  # one string per distinct host, shared by its rows
 
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = _readable(csv.reader(handle), path)
+    with path.open("r", encoding="utf-8", newline="") as handle, _readable(path):
+        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -299,35 +311,47 @@ def parse_cert_file(path: str | Path, source: str) -> ParsedFile:
         missing = [c for c in required if c not in columns]
         if missing:
             raise IngestFailed(f"{path}: header missing required columns {missing}")
+        index = {column: i for i, column in enumerate(columns)}
+        width = len(columns)
+        i_id, i_date, i_user, i_pc = index["id"], index["date"], index["user"], index["pc"]
+        kinds = _CERT_ACTIVITIES.get(source)
+        i_activity = index["activity"] if kinds else None
+        payload_columns = [(key, index.get(column), always)
+                           for key, column, always in _CERT_PAYLOADS.get(source, ())]
+        add = entries.append
 
         for line_no, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
+            if len(raw) != width:
+                if not raw or (len(raw) == 1 and not raw[0].strip()):
+                    continue
+                data_rows += 1
+                errors.append(RowError(line_no, f"expected {width} fields, got {len(raw)}"))
                 continue
             data_rows += 1
-            if len(raw) != len(columns):
-                errors.append(RowError(line_no, f"expected {len(columns)} fields, got {len(raw)}"))
-                continue
-            row = dict(zip(columns, raw))
             try:
-                timestamp = _parse_timestamp(row["date"])
-                activity = _cert_activity(source, row, line_no)
+                timestamp = _iso_timestamp(raw[i_date], days)
+                if kinds is None:
+                    activity = _CERT_ACTIVITY[source]
+                else:
+                    activity = kinds.get(raw[i_activity].strip().lower())
+                    if activity is None:
+                        raise ValueError(f"line {line_no}: {source} activity column reads "
+                                         f"{raw[i_activity]!r}")
             except ValueError as exc:
                 errors.append(RowError(line_no, str(exc)))
                 continue
-            user = row.get("user", "").strip()
+            user = raw[i_user].strip()
             if not user:
                 errors.append(RowError(line_no, "empty user field"))
                 continue
-            entries.append(
-                LogEntry(
-                    entry_id=row["id"].strip(),
-                    timestamp=timestamp,
-                    user=user,
-                    host=row.get("pc", "").strip(),
-                    activity=activity,
-                    payload=_cert_payload(source, row),
-                )
-            )
+            payload = {}
+            for key, i, always in payload_columns:
+                value = "" if i is None else raw[i]
+                if value or always:
+                    payload[key] = value
+            host = raw[i_pc].strip()
+            add(_tuple_new(Row, (raw[i_id].strip(), timestamp, user,
+                                 hosts.setdefault(host, host), activity, payload)))
 
     if data_rows and len(errors) > MALFORMED_ROW_TOLERANCE * data_rows:
         raise IngestFailed(
@@ -377,7 +401,7 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
     header line or the file stem. Unknown streams map to ZeekSystem.
     """
     path = Path(path)
-    entries: list[LogEntry] = []
+    entries: list[Row] = []
     errors: list[RowError] = []
     data_rows = 0
     fields: list[str] | None = None
@@ -385,8 +409,8 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
     header_kind: str | None = None
     json_mode: bool | None = None
 
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(_readable(handle, path), start=1):
+    with path.open("r", encoding="utf-8") as handle, _readable(path):
+        for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
@@ -426,7 +450,7 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
                 record = dict(zip(fields, values))
 
             try:
-                timestamp = _zeek_epoch(record["ts"])
+                timestamp = _zeek_epoch(record["ts"]).isoformat()
             except (KeyError, ValueError, OverflowError):
                 errors.append(RowError(line_no, "missing or unparseable ts field"))
                 continue
@@ -447,16 +471,7 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
                     host = value
                     break
 
-            entries.append(
-                LogEntry(
-                    entry_id=f"{path.stem}:{data_rows}",
-                    timestamp=timestamp,
-                    user=user,
-                    host=host,
-                    activity=activity,
-                    payload=record,
-                )
-            )
+            entries.append(Row(f"{path.stem}:{data_rows}", timestamp, user, host, activity, record))
 
     if data_rows and len(errors) > MALFORMED_ROW_TOLERANCE * data_rows:
         raise IngestFailed(
@@ -492,6 +507,12 @@ def _check_labels(labels: Mapping[str, str], ids: list[str]) -> None:
             raise LabelsInvalid(f"bad label {label!r} for {entry_id!r}")
 
 
+def check_ids(ids: Iterable[str], labels: Mapping[str, str]) -> None:
+    """An id that repeats raises DuplicateEntryId; then a label for an id
+    not among them, or of an unknown value, raises LabelsInvalid."""
+    _check_labels(labels, _sorted_ids(ids))
+
+
 def build_user_sequences(
     entries: Iterable[LogEntry],
     labels: Mapping[str, str] | None = None,
@@ -505,15 +526,14 @@ def build_user_sequences(
     of an unknown value raises LabelsInvalid.
     """
     entries = list(entries)
-    ids = _sorted_ids(map(_ENTRY_ID, entries))
+    labels = dict(labels or {})
+    check_ids(map(_ENTRY_ID, entries), labels)
     grouped: defaultdict[str, list[LogEntry]] = defaultdict(list)
     lines: defaultdict[str, list[int]] = defaultdict(list)
     for position, entry in enumerate(entries):
         lines[entry.user].append(position)
         if entry.user:
             grouped[entry.user].append(entry)
-    labels = dict(labels or {})
-    _check_labels(labels, ids)
     for seq in grouped.values():
         seq.sort(key=_TIMESTAMP)
     users = {user: UserSequence(user=user, entries=seq) for user, seq in grouped.items()}
@@ -552,35 +572,71 @@ def _pick_exemplars(pools: Mapping[ActivityType, Sequence[T]], k: int,
     return exemplars
 
 
-def undersample_benign(
-    store: LogStore, cap: int = DEFAULT_UNDERSAMPLE_CAP, seed: int = DEFAULT_SEED
-) -> LogStore:
-    """Return a view keeping all malicious entries and at most ``cap`` benign.
+# ---------------------------------------------------------------------------
+# Snapshot lines: rows placed as they are parsed, and under-sampled
+# ---------------------------------------------------------------------------
 
-    Entries without an explicit label count as benign. When the benign
-    count is already within the cap the store itself is returned.
+# The rows of a snapshot's user lines by user, host-only rows under the
+# empty user: each row is ``[position, id, timestamp, host, activity,
+# payload]``, and each line is in store order, the order rows were placed in.
+Lines = Mapping[str, Sequence[list]]
+
+
+def place_rows(lines: defaultdict[str, list[list]], ids: list[str], rows: Sequence[Row]) -> None:
+    """Append each row to its user's line and its id to ``ids``, whose
+    length before a row is the row's store position."""
+    start = len(ids)
+    ids += map(_ENTRY_ID, rows)
+    for position, (entry_id, timestamp, user, host, activity, payload) in enumerate(rows, start):
+        lines[user].append([position, entry_id, timestamp, host, activity, payload])
+
+
+def undersample_benign(lines: Lines, labels: Mapping[str, str],
+                       cap: int = DEFAULT_UNDERSAMPLE_CAP,
+                       seed: int = DEFAULT_SEED) -> tuple[Lines, Mapping[str, str]]:
+    """The lines keeping every malicious row and at most ``cap`` benign ones,
+    renumbered in store order, and the labels of the rows kept.
+
+    Rows without an explicit label count as benign; the benign rows kept
+    are ``cap`` drawn by ``seed`` from the benign positions in store order.
+    When the benign count is already within the cap, the lines and labels
+    themselves are returned. Neither argument is changed.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if not store.labels:
+    if not labels:
         raise LabelsMissing("under-sampling requires ground-truth labels")
 
-    # Labels name only the store's own, unique ids, so this is the benign count.
-    malicious = sum(1 for label in store.labels.values() if label == LABEL_MALICIOUS)
-    if len(store.entries) - malicious <= cap:
-        return store
+    # Labels name only the lines' own, unique ids, so this is the benign count.
+    malicious = {i for i, label in labels.items() if label == LABEL_MALICIOUS}
+    rows = sum(map(len, lines.values()))
+    if rows - len(malicious) <= cap:
+        return lines, labels
 
-    benign_idx = [i for i, e in enumerate(store.entries) if not store.is_malicious(e.entry_id)]
+    keep = bytearray(rows)  # by position
+    for line in lines.values():
+        for row in line:
+            if row[1] in malicious:
+                keep[row[0]] = 1
+    benign = [position for position, flag in enumerate(keep) if not flag]
+    for position in random.Random(seed).sample(benign, cap):
+        keep[position] = 1
+    rank = list(accumulate(keep))  # a kept row's new position, plus one
+    kept: dict[str, list[list]] = {}
+    for user, line in lines.items():
+        mine = [[rank[row[0]] - 1, *row[1:]] for row in line if keep[row[0]]]
+        if mine:
+            kept[user] = mine
+    ids = {row[1] for line in kept.values() for row in line}
+    return kept, {i: label for i, label in labels.items() if i in ids}
 
-    rng = random.Random(seed)
-    kept = set(rng.sample(benign_idx, cap))
-    selected = [
-        e for i, e in enumerate(store.entries)
-        if i in kept or store.is_malicious(e.entry_id)
-    ]
-    ids = {e.entry_id for e in selected}
-    labels = {i: lab for i, lab in store.labels.items() if i in ids}
-    return build_user_sequences(selected, labels, store.source_manifest)
+
+def label_users(lines: Lines, labels: Mapping[str, str]) -> dict[str, str]:
+    """Each user's label: malicious iff the user owns a row labelled
+    malicious. Host-only rows belong to no user."""
+    malicious = {i for i, label in labels.items() if label == LABEL_MALICIOUS}
+    return {user: LABEL_MALICIOUS if any(row[1] in malicious for row in line) else LABEL_BENIGN
+            for user, line in lines.items() if user}
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +681,15 @@ def _closing_line(digest: str) -> bytes:
     return b'],"sha256":"%s"}\n' % digest.encode("ascii")
 
 
-def save_store(store: LogStore, path: str | Path) -> None:
-    """Write a store snapshot: one compact JSON document of three parts.
+def save_store(lines: Lines, path: str | Path, labels: Mapping[str, str] | None = None,
+               manifest: Iterable[SourceFile] = ()) -> None:
+    """Write a store snapshot of these lines: one compact JSON document of
+    three parts.
 
     - The first line holds ``format``, ``labels``, ``manifest``, the row
       count ``rows``, the fleet's ``activities`` and the ``users`` in line
       order, and opens ``entries``.
-    - Then one line per user, in sorted-user order, host-only entries under
+    - Then one line per user, in sorted-user order, host-only rows under
       the empty user: that user's rows ``[position, id, ts, host, activity,
       payload]`` in store order, where the position is the row's index in
       the store.
@@ -639,19 +697,18 @@ def save_store(store: LogStore, path: str | Path) -> None:
       user lines' bytes.
 
     Each user's line is encoded and written on its own."""
-    users = sorted(store.lines)
+    users = sorted(lines)
     head = _encode({
-        "activities": sorted(a.value for a in store.activities),
+        "activities": sorted(a.value for a in {row[4] for line in lines.values() for row in line}),
         "format": STORE_FORMAT,
-        "labels": store.labels,
+        "labels": labels or {},
         "manifest": [
             {"path": s.path, "kind": s.kind, "rows": s.rows, "malformed": s.malformed}
-            for s in store.source_manifest
+            for s in manifest
         ],
-        "rows": len(store.entries),
+        "rows": sum(map(len, lines.values())),
         "users": users,
     })
-    entries = store.entries
     digest = hashlib.sha256()
     # Renamed over the snapshot, so an interrupted write leaves the old one whole.
     partial = Path(f"{path}.partial")
@@ -659,10 +716,7 @@ def save_store(store: LogStore, path: str | Path) -> None:
         with partial.open("wb") as handle:
             handle.write(head[:-1].encode("utf-8") + _OPEN_ENTRIES)
             for n, user in enumerate(users, start=1):
-                positions = store.lines[user]
-                rows = [[i, e.entry_id, e.timestamp.isoformat(), e.host, e.activity.value,
-                         e.payload] for i, e in zip(positions, map(entries.__getitem__, positions))]
-                line = (_encode(rows)[1:-1] + (",\n" if n < len(users) else "\n")).encode("utf-8")
+                line = (_encode(lines[user])[1:-1] + (",\n" if n < len(users) else "\n")).encode("utf-8")
                 digest.update(line)
                 handle.write(line)
             handle.write(_closing_line(digest.hexdigest()))

@@ -7,11 +7,29 @@ plan stage dataclasses as plain data.
 
 from __future__ import annotations
 
+import csv
 import fnmatch
 import math
-from datetime import timedelta
+import random
+import tempfile
+from datetime import datetime, timedelta
+from pathlib import Path
 
-from logaudit.logstore import LogEntry, LogStore
+import logaudit.logstore
+from logaudit.cli import MALFORMED_ROWS_LISTED
+from logaudit.errors import IngestFailed, LabelsMissing
+from logaudit.logstore import (
+    LABEL_BENIGN,
+    LABEL_MALICIOUS,
+    ActivityType,
+    LogEntry,
+    LogStore,
+    SourceFile,
+    build_user_sequences,
+    load_labels,
+    parse_zeek_file,
+    save_store,
+)
 from logaudit.plans import (
     AggregateStage,
     BaselineCompareStage,
@@ -272,3 +290,167 @@ def naive_metrics(tp: int, fp: int, fn: int, tn: int):
     fpr = fp / (fp + tn) if fp + tn else None
     acc = (tp + tn) / total if total else None
     return prec, dr, fpr, acc
+
+
+# --- whole-store ingest: the reference the streamed ingest is held to ---
+
+def malicious_ids(store: LogStore) -> set[str]:
+    return {i for i, label in store.labels.items() if label == LABEL_MALICIOUS}
+
+
+def user_labels(store: LogStore) -> dict[str, str]:
+    """Each user's label: malicious iff the user owns a malicious entry."""
+    malicious = malicious_ids(store)
+    owners = {e.user for e in store.entries if e.entry_id in malicious}
+    return {user: LABEL_MALICIOUS if user in owners else LABEL_BENIGN for user in store.users}
+
+
+def undersample_benign(store: LogStore, cap: int, seed: int) -> LogStore:
+    """The store keeping every malicious entry and ``cap`` benign ones drawn
+    by ``seed`` from the benign store positions; the store itself when the
+    benign entries are within the cap."""
+    if not store.labels:
+        raise LabelsMissing("under-sampling requires ground-truth labels")
+    malicious = malicious_ids(store)
+    if len(store.entries) - len(malicious) <= cap:
+        return store
+    benign = [i for i, e in enumerate(store.entries) if e.entry_id not in malicious]
+    kept = set(random.Random(seed).sample(benign, cap))
+    selected = [e for i, e in enumerate(store.entries) if i in kept or e.entry_id in malicious]
+    ids = {e.entry_id for e in selected}
+    return build_user_sequences(selected, {i: label for i, label in store.labels.items()
+                                           if i in ids}, store.source_manifest)
+
+
+def store_lines(store: LogStore) -> dict[str, list[list]]:
+    """The rows of a store's snapshot lines: each entry, at its position and
+    with its time as ISO text, under its user."""
+    lines: dict[str, list[list]] = {}
+    for i, e in enumerate(store.entries):
+        lines.setdefault(e.user, []).append(
+            [i, e.entry_id, e.timestamp.isoformat(), e.host, e.activity, e.payload])
+    return lines
+
+
+def save_logstore(store: LogStore, path) -> None:
+    """The snapshot of a whole store."""
+    save_store(store_lines(store), path, store.labels, store.source_manifest)
+
+
+# Each CERT source's required columns.
+CERT_COLUMNS = {
+    "logon": ("id", "date", "user", "pc", "activity"),
+    "device": ("id", "date", "user", "pc", "activity"),
+    "http": ("id", "date", "user", "pc", "url"),
+    "email": ("id", "date", "user", "pc", "to", "from"),
+    "file": ("id", "date", "user", "pc", "filename"),
+}
+_CERT_KINDS = {
+    "logon": {"logon": ActivityType.LOGON, "logoff": ActivityType.LOGOFF},
+    "device": {"connect": ActivityType.DEVICE_CONNECT,
+               "disconnect": ActivityType.DEVICE_DISCONNECT},
+    "http": ActivityType.HTTP_VISIT, "email": ActivityType.EMAIL_SEND, "file": ActivityType.FILE_OP,
+}
+
+
+def naive_cert_time(raw: str) -> datetime:
+    raw = raw.strip()
+    try:
+        timestamp = datetime.strptime(raw, "%m/%d/%Y %H:%M:%S")
+    except ValueError:
+        try:
+            timestamp = datetime.fromisoformat(raw)
+        except ValueError:
+            raise ValueError(f"unparseable timestamp {raw!r}")
+    if timestamp.tzinfo is not None:
+        raise ValueError("timestamp carries a UTC offset")
+    return timestamp
+
+
+def naive_cert_file(path: Path, source: str) -> tuple[list[LogEntry], list[tuple[int, str]], int]:
+    """The entries, the (line, reason) of each malformed row, and the data
+    row count of one CERT CSV file, each row read as a column -> field dict."""
+    entries, errors, data_rows = [], [], 0
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        columns = [c.strip().lower() for c in next(reader)]
+        missing = [c for c in CERT_COLUMNS[source] if c not in columns]
+        if missing:
+            raise IngestFailed(f"{path}: header missing required columns {missing}")
+        for line_no, raw in enumerate(reader, start=2):
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
+                continue
+            data_rows += 1
+            if len(raw) != len(columns):
+                errors.append((line_no, f"expected {len(columns)} fields, got {len(raw)}"))
+                continue
+            row = dict(zip(columns, raw))
+            activity = _CERT_KINDS[source]
+            try:
+                timestamp = naive_cert_time(row["date"])
+                if isinstance(activity, dict):
+                    value = row["activity"].strip().lower()
+                    if value not in activity:
+                        raise ValueError(f"line {line_no}: {source} activity column reads "
+                                         f"{row['activity']!r}")
+                    activity = activity[value]
+            except ValueError as exc:
+                errors.append((line_no, str(exc)))
+                continue
+            if not row["user"].strip():
+                errors.append((line_no, "empty user field"))
+                continue
+            if source == "http":
+                payload = {"url": row["url"], **({"content": row["content"]}
+                                                 if row.get("content") else {})}
+            elif source == "email":
+                payload = {"to": row["to"], "from": row["from"],
+                           **{k: row[k] for k in ("cc", "bcc", "size", "attachments") if row.get(k)},
+                           "body": row.get("content", "")}
+            elif source == "file":
+                payload = {"filename": row["filename"], **({"content": row["content"]}
+                                                           if row.get("content") else {})}
+            else:
+                payload = {}
+            entries.append(LogEntry(row["id"].strip(), timestamp, row["user"].strip(),
+                                    row["pc"].strip(), activity, payload))
+    tolerance = logaudit.logstore.MALFORMED_ROW_TOLERANCE
+    if data_rows and len(errors) > tolerance * data_rows:
+        raise IngestFailed(f"{path}: {len(errors)}/{data_rows} rows malformed "
+                           f"(tolerance {tolerance:.0%})")
+    return entries, errors, data_rows
+
+
+def naive_ingest(kind: str, directory: Path, paths: dict[str, str], labels: str | None,
+                 cap: int, seed: int) -> tuple[bytes, dict | None, list]:
+    """What ingest writes for these dataset files (source -> path relative
+    to ``directory``): the snapshot's bytes, the user labels (None without
+    labels) and the listed malformed rows, made by parsing every file into
+    entries and building, under-sampling and saving the whole store. The
+    Zeek parse is the package's."""
+    entries, manifest, malformed = [], [], []
+    for source, raw_path in sorted(paths.items()):
+        path = directory / raw_path
+        if kind == "cert":
+            rows, errors, data_rows = naive_cert_file(path, source)
+            stream = f"cert:{source}"
+        else:
+            parsed = parse_zeek_file(path, kind=source)
+            rows = [LogEntry(r.entry_id, datetime.fromisoformat(r.timestamp), r.user, r.host,
+                             r.activity, r.payload) for r in parsed.entries]
+            errors = [(e.line_no, e.reason) for e in parsed.errors]
+            data_rows, stream = parsed.source.rows, parsed.source.kind
+        entries += rows
+        manifest.append(SourceFile(raw_path, stream, data_rows, len(errors)))
+        if errors:
+            malformed.append({"path": raw_path, "count": len(errors), "rows": [
+                {"line": line, "reason": reason} for line, reason in errors[:MALFORMED_ROWS_LISTED]]})
+    store = build_user_sequences(
+        entries, None if labels is None else load_labels(directory / labels), manifest)
+    if labels is not None:
+        store = undersample_benign(store, cap, seed)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "store.json"
+        save_logstore(store, path)
+        written = path.read_bytes()
+    return written, user_labels(store) if store.labels else None, malformed

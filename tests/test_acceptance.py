@@ -35,7 +35,7 @@ from logaudit.plans import free_params, parse_plan
 from logaudit.runtime import ListDef, invoke
 from logaudit.synthetic import generate_demo
 from conftest import random_store
-from oracles import naive_metrics, naive_plan_eval
+from oracles import naive_metrics, naive_plan_eval, store_lines
 
 
 def _report(n: int, text: str) -> None:
@@ -326,12 +326,14 @@ def test_criterion_07_undersampling():
                 for i in range(100)]
     store = seal(entries, {e.entry_id: ("malicious" if e.entry_id.startswith("M") else "benign")
                            for e in entries})
-    view = undersample_benign(store, cap=20_000, seed=42)
-    malicious = [e for e in view.entries if view.is_malicious(e.entry_id)]
-    benign = [e for e in view.entries if not view.is_malicious(e.entry_id)]
+    lines = store_lines(store)
+    sampled, labels = undersample_benign(lines, store.labels, cap=20_000, seed=42)
+    rows = [row for line in sampled.values() for row in line]
+    malicious = [row for row in rows if labels[row[1]] == "malicious"]
+    benign = [row for row in rows if labels[row[1]] != "malicious"]
     assert len(malicious) == 100
     assert len(benign) == 20_000
-    assert len(store.entries) == 30_100
+    assert sum(map(len, lines.values())) == 30_100
     _report(7, "cap-20,000 view keeps 100/100 malicious and exactly 20,000 benign")
 
 

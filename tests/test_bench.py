@@ -11,13 +11,12 @@ from logaudit.bench import (
     emit_report,
     evaluate,
     render_metrics_table,
-    user_labels,
 )
 from logaudit.debate import FinalConclusion
 from logaudit.errors import MissingLabel
 from logaudit.gateway import CostRecord, cost_report
-from logaudit.logstore import ActivityType
-from oracles import naive_metrics
+from logaudit.logstore import ActivityType, label_users
+from oracles import naive_metrics, store_lines
 
 TOL = 1e-12
 
@@ -104,11 +103,13 @@ def test_evaluate_missing_label():
 
 
 def test_user_labels_from_store():
+    # A user owning a malicious row is malicious; host-only rows make no user.
     store = seal([
         entry("A1", "alice", ActivityType.LOGON),
         entry("B1", "bob", ActivityType.LOGON),
-    ], {"B1": "malicious"})
-    assert user_labels(store) == {"alice": "benign", "bob": "malicious"}
+        entry("H1", "", ActivityType.ZEEK_ANOMALY),
+    ], {"B1": "malicious", "H1": "malicious"})
+    assert label_users(store_lines(store), store.labels) == {"alice": "benign", "bob": "malicious"}
 
 
 # --- reports ---

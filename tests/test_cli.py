@@ -342,9 +342,10 @@ def test_ingest_applies_undersample_cap(demo: Path, tmp_path):
     assert main(["ingest", "--config", str(config_path)]) == 0
 
     from logaudit.logstore import load_store
+    from oracles import malicious_ids
 
     store = load_store(tmp_path / "store.json")
-    malicious = store.malicious_ids()
+    malicious = malicious_ids(store)
     assert len(malicious) == 8  # every labeled entry survives
     assert len(store.entries) == 1000 + len(malicious)
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import logaudit.logstore
 from conftest import entry, seal
-from logaudit.bench import user_labels
 from logaudit.errors import DuplicateEntryId, IngestFailed, LabelsInvalid, LabelsMissing
 from logaudit.logstore import (
     CERT_SOURCES,
@@ -27,8 +26,9 @@ from logaudit.logstore import (
     LogEntry,
     LogStore,
     SourceFile,
-    _parse_timestamp,
+    _iso_timestamp,
     build_user_sequences,
+    label_users,
     load_labels,
     load_store,
     open_snapshot,
@@ -38,7 +38,7 @@ from logaudit.logstore import (
     save_store,
     undersample_benign,
 )
-from oracles import naive_has_duplicate_ids, naive_sequences
+from oracles import malicious_ids, naive_has_duplicate_ids, naive_sequences, save_logstore, store_lines
 
 
 # --- CERT parsing ---
@@ -58,7 +58,7 @@ def test_cert_pinned_row_field_order(data_dir):
     assert first.entry_id == "{X1D9-S0ES98JV-5357PWMI}"
     assert first.user == "DTAA/TNM0961"
     assert first.host == "PC-0588"
-    assert first.timestamp == datetime(2010, 1, 2, 6, 49, 0)
+    assert first.timestamp == "2010-01-02T06:49:00"
 
 
 def test_cert_header_only_file(tmp_path):
@@ -149,22 +149,40 @@ _FOREIGN_DIGITS = st.tuples(_PADDED, _DIGITS).map(
 _SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u3000"), max_size=2)
 
 
+_DAYS: dict[str, str] = {}
+
+
+def _iso_chain(raw: str) -> str:
+    """The ISO text of the chain's naive time; an aware one is refused."""
+    timestamp = _strptime_chain(raw)
+    if timestamp.tzinfo is not None:
+        raise ValueError("timestamp carries a UTC offset")
+    return timestamp.isoformat()
+
+
 @given(st.tuples(_SPACE, st.one_of(_PADDED, _UNPADDED, _FOREIGN_DIGITS, st.text(),
                                    st.text(st.sampled_from("0123456789/: -T.")),
-                                   st.datetimes().map(datetime.isoformat)), _SPACE)
+                                   st.datetimes().map(datetime.isoformat),
+                                   st.datetimes(timezones=st.just(timezone.utc))
+                                   .map(datetime.isoformat)), _SPACE)
        .map("".join))
 @example("12/31/2024 23:59:59")
 @example("12/31/2024 23:59:60")
 @example("02/30/2024 00:00:00")
+@example("02/29/2024 24:00:00")
 @example("13/01/2024 00:00:00")
 @example("01/02/0000 00:00:00")
+@example("01/02/0999 00:00:00")
 @example("\u0660\u0661/\u0660\u0662/\u0662\u0660\u0662\u0664 \u0660\u0663:\u0660\u0664:\u0660\u0665")
 @example("1/2/2024 3:04:05")
 @example("01/02/2024  03:04:05")
 @example("2024-01-02T03:04:05.123456")
+@example("2024-03-17T19:05:00+01:00")
+@example("2024-03-17T19:05:00Z")
 @settings(max_examples=400, deadline=None)
 def test_cert_timestamp_matches_the_strptime_chain(raw):
-    assert _outcome(_parse_timestamp, raw) == _outcome(_strptime_chain, raw)
+    # The date cache is shared across draws, as across the rows of a file.
+    assert _outcome(lambda text: _iso_timestamp(text, _DAYS), raw) == _outcome(_iso_chain, raw)
 
 
 def test_cert_undecodable_byte_fails_the_file(tmp_path):
@@ -206,7 +224,7 @@ def test_zeek_pinned_row_payload_keys(data_dir):
         "from", "till", "cipher", "forwardable", "renewable",
     }
     assert set(parsed.entries[0].payload) == expected
-    assert parsed.entries[0].timestamp == datetime.utcfromtimestamp(1563552513.214619)
+    assert parsed.entries[0].timestamp == datetime.utcfromtimestamp(1563552513.214619).isoformat()
 
 
 def test_zeek_stream_groups(data_dir):
@@ -459,17 +477,33 @@ def _labeled_store(n_benign: int, n_malicious: int) -> LogStore:
                           for e in entries})
 
 
+def _undersampled(store: LogStore, cap: int, seed: int = 42) -> tuple[dict, dict, dict]:
+    """The store's lines, and the lines and labels under-sampling them keeps."""
+    lines = store_lines(store)
+    return (lines, *undersample_benign(lines, store.labels, cap=cap, seed=seed))
+
+
+def _ids(lines) -> set[str]:
+    return {row[1] for line in lines.values() for row in line}
+
+
+def _positions(lines) -> list[int]:
+    return sorted(row[0] for line in lines.values() for row in line)
+
+
 def test_undersample_keeps_all_malicious():
     store = _labeled_store(200, 10)
-    view = undersample_benign(store, cap=50, seed=1)
-    assert len(view.entries) == 60
-    assert view.malicious_ids() == store.malicious_ids()
-    assert len(store.entries) == 210  # untouched
+    lines, sampled, labels = _undersampled(store, cap=50, seed=1)
+    assert _positions(sampled) == list(range(60))  # renumbered in store order
+    assert {i for i, label in labels.items() if label == "malicious"} == malicious_ids(store)
+    assert malicious_ids(store) <= _ids(sampled) and labels.keys() <= _ids(sampled)
+    assert lines == store_lines(store)  # untouched
 
 
 def test_undersample_noop_when_under_cap():
     store = _labeled_store(30, 5)
-    assert undersample_benign(store, cap=50) is store
+    lines, sampled, labels = _undersampled(store, cap=50)
+    assert sampled is lines and labels is store.labels
 
 
 @pytest.mark.parametrize("cap, kept", [(30, 35), (29, 34)], ids=["at-cap", "one-over"])
@@ -478,30 +512,27 @@ def test_undersample_cap_boundary(cap, kept, label_benign):
     # Unlabelled entries count as benign on both sides of the boundary.
     store = _labeled_store(30, 5)
     if not label_benign:
-        store = seal(store.entries, {i: "malicious" for i in store.malicious_ids()})
-    view = undersample_benign(store, cap=cap)
-    assert len(view.entries) == kept
-    assert (view is store) == (kept == len(store.entries))
-    assert view.malicious_ids() == store.malicious_ids()
+        store = seal(store.entries, {i: "malicious" for i in malicious_ids(store)})
+    lines, sampled, labels = _undersampled(store, cap=cap)
+    assert _positions(sampled) == list(range(kept))
+    assert (sampled is lines) == (kept == len(store.entries))
+    assert malicious_ids(store) <= _ids(sampled)
 
 
 def test_undersample_cap_zero():
     store = _labeled_store(30, 5)
-    view = undersample_benign(store, cap=0)
-    assert {e.entry_id for e in view.entries} == store.malicious_ids()
+    assert _ids(_undersampled(store, cap=0)[1]) == malicious_ids(store)
 
 
 def test_undersample_requires_labels():
     store = seal([entry("E1", "u", ActivityType.LOGON)])
     with pytest.raises(LabelsMissing):
-        undersample_benign(store, cap=10)
+        _undersampled(store, cap=10)
 
 
 def test_undersample_deterministic():
     store = _labeled_store(100, 5)
-    first = undersample_benign(store, cap=20, seed=9)
-    second = undersample_benign(store, cap=20, seed=9)
-    assert [e.entry_id for e in first.entries] == [e.entry_id for e in second.entries]
+    assert _undersampled(store, cap=20, seed=9) == _undersampled(store, cap=20, seed=9)
 
 
 # --- labels and snapshots ---
@@ -510,8 +541,8 @@ def test_load_labels_and_attach(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("entry_id,label\nE1,malicious\n", encoding="utf-8")
     store = seal([entry("E1", "u", ActivityType.LOGON)], load_labels(path))
-    assert store.is_malicious("E1")
-    assert user_labels(store) == {"u": "malicious"}
+    assert malicious_ids(store) == {"E1"}
+    assert label_users(store_lines(store), store.labels) == {"u": "malicious"}
 
 
 @pytest.mark.parametrize("labels", [{"NOPE": "malicious"}, {"E1": "suspicious"}],
@@ -592,14 +623,14 @@ def _forge_read(path: Path, users=(), **sampling) -> tuple[dict, dict]:
 def test_store_snapshot_round_trip(store):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.json"
-        save_store(store, path)
+        save_logstore(store, path)
         written = path.read_bytes()
         snapshot = open_snapshot(path)
         loaded = load_store(path)
         sequences = list(snapshot.sequences())
         subset = sorted(loaded.users)[::2] + ["", "nobody"]
         subset_sequences = list(snapshot.sequences(subset))
-        save_store(loaded, path)
+        save_logstore(loaded, path)
         assert path.read_bytes() == written
     # A first line, one line per user (host-only rows under the empty one), a last line.
     lines = sorted(store.lines)
@@ -655,7 +686,7 @@ def test_forge_read_matches_the_whole_store(sampled):
     store, k, seed, users = sampled
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.json"
-        save_store(store, path)
+        save_logstore(store, path)
         loaded = load_store(path)
         _Counted.made = 0
         with mock.patch.object(logaudit.logstore, "LogEntry", _Counted):
@@ -701,7 +732,7 @@ def test_entry_carries_its_timestamps_day(row, by_keyword, with_payload):
         assert type(twin) is LogEntry and twin == made and twin.day == made.day
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.json"
-        save_store(build_user_sequences([made]), path)
+        save_logstore(build_user_sequences([made]), path)
         [loaded] = load_store(path).entries
         [[sampled]] = _forge_read(path)[0].values()
     assert loaded == made and loaded.day == made.day
@@ -710,7 +741,7 @@ def test_entry_carries_its_timestamps_day(row, by_keyword, with_payload):
 
 def test_interrupted_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch):
     path = tmp_path / "store.json"
-    save_store(seal([entry("E1", "u", ActivityType.LOGON)]), path)
+    save_logstore(seal([entry("E1", "u", ActivityType.LOGON)]), path)
     before = path.read_bytes()
     encode = logaudit.logstore._encode
     lines = []
@@ -724,7 +755,7 @@ def test_interrupted_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkey
 
     monkeypatch.setattr(logaudit.logstore, "_encode", interrupted)
     with pytest.raises(OSError):
-        save_store(seal([entry(f"E{i}", f"u{i}", ActivityType.LOGOFF) for i in (2, 3, 4)]), path)
+        save_logstore(seal([entry(f"E{i}", f"u{i}", ActivityType.LOGOFF) for i in (2, 3, 4)]), path)
     monkeypatch.undo()
     assert lines == [True, True]  # interrupted after the first user's line
     assert path.read_bytes() == before
@@ -744,7 +775,7 @@ def test_cut_snapshot_is_damaged(data):
     store = seal(_CUT_STORE, {"E3": "malicious"})
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.json"
-        save_store(store, path)
+        save_logstore(store, path)
         whole = path.read_bytes()
         ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]
         # Cut anywhere, or right after a line or before the last newline.
@@ -786,7 +817,7 @@ def _set_position(line: int, row: int, position: int):
 ], ids=["repeated", "past-the-count", "negative", "out-of-order", "gap"])
 def test_misplaced_row_positions_are_damaged(tmp_path, edit, detect_finds):
     path = tmp_path / "store.json"
-    save_store(seal(_CUT_STORE[:2] + [entry("E6", "u", ActivityType.LOGOFF)] + _CUT_STORE[2:]),
+    save_logstore(seal(_CUT_STORE[:2] + [entry("E6", "u", ActivityType.LOGOFF)] + _CUT_STORE[2:]),
                path)
     _rewrite_rows(path, edit)
     for read in (load_store, _forge_read):
@@ -803,7 +834,7 @@ def test_misplaced_row_positions_are_damaged(tmp_path, edit, detect_finds):
 
 def test_repeated_id_within_a_user_line_fails_its_sequence(tmp_path):
     path = tmp_path / "store.json"
-    save_store(seal(_CUT_STORE), path)
+    save_logstore(seal(_CUT_STORE), path)
 
     def repeat_first_id(rows):
         rows[1][1][1] = rows[1][0][1]  # the line of "u": E2 takes the id E1
@@ -816,7 +847,7 @@ def test_repeated_id_within_a_user_line_fails_its_sequence(tmp_path):
 
 def test_edited_snapshot_fails_its_digest(tmp_path):
     path = tmp_path / "store.json"
-    save_store(seal(_CUT_STORE), path)
+    save_logstore(seal(_CUT_STORE), path)
     path.write_bytes(path.read_bytes().replace(b'"E3"', b'"E1"'))
     for read in (load_store, _forge_read, lambda p: list(open_snapshot(p).sequences())):
         with pytest.raises(IngestFailed, match="digest"):
@@ -863,7 +894,7 @@ def test_forge_read_rejects_what_the_whole_store_rejects(tmp_path, edit, categor
     """Forge builds no store, yet fails a snapshot edited after ingest, with
     a fresh digest, as the whole-store load does: same category, same message."""
     path = tmp_path / "store.json"
-    save_store(seal(_CUT_STORE, {"E3": "malicious"}), path)
+    save_logstore(seal(_CUT_STORE, {"E3": "malicious"}), path)
     edit(path)
     with pytest.raises(category, match=re.escape(message)) as read:
         _forge_read(path, ["u"])
@@ -887,11 +918,12 @@ def test_snapshot_memory_does_not_grow_with_the_store(tmp_path):
     figures = []
     for rows in (5_000, 40_000):
         store = _synthetic_store(rows)
+        lines = store_lines(store)
         path = tmp_path / f"store-{rows}.json"
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            save_store(store, path)
+            save_store(lines, path, store.labels, store.source_manifest)
             save_peak = tracemalloc.get_traced_memory()[1] - before
             tracemalloc.reset_peak()
             loaded = load_store(path)
@@ -913,7 +945,7 @@ def test_forge_read_memory_grows_less_than_the_store(tmp_path):
     figures = []
     for rows in (5_000, 40_000):
         path = tmp_path / f"store-{rows}.json"
-        save_store(_synthetic_store(rows), path)
+        save_logstore(_synthetic_store(rows), path)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -22,8 +22,9 @@ from logaudit import gateway, pipeline
 from logaudit.cli import main
 from logaudit.config import load_config
 from logaudit.gateway import HttpBackend
-from logaudit.logstore import LogEntry, Snapshot, build_user_sequences, load_store, save_store
+from logaudit.logstore import LogEntry, Snapshot, build_user_sequences, load_store
 from logaudit.synthetic import generate_demo
+from oracles import save_logstore
 from test_fanout import PromptTransport
 
 VARIANTS = ["original", "vanilla", "no_cot", "no_decomp", "no_tools", "no_emad"]
@@ -136,7 +137,7 @@ def test_other_users_leave_an_audit_unchanged(demo, tmp_path_factory, monkeypatc
     changed = build_user_sequences(entries, {i: label for i, label in store.labels.items()
                                              if i in {e.entry_id for e in entries}})
     assert changed.activities == store.activities
-    save_store(changed, directory / "store.json")
+    save_logstore(changed, directory / "store.json")
 
     config = _config(demo, directory, directory / "store.json")
     code, records = _detect(monkeypatch, config, PromptTransport(seed_b), variant, parallelism)

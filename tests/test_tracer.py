@@ -2,7 +2,7 @@
 program functions by name and reads a few result attributes, so a refactor
 that renames or drops one of them silently turns a per-layer metric into
 null. One traced pass of the demo must find every function and report every
-metric."""
+metric, and count every row the demo's files hold as parsed."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ def _load_tracer():
 
 def test_traced_demo_run_reports_every_layer_metric(tmp_path):
     tracing = _load_tracer()
-    generate_demo(tmp_path)
+    demo = generate_demo(tmp_path)
     config = str(tmp_path / "config.json")
     tracer = tracing.Tracer()
     tracer.install()
@@ -37,3 +37,5 @@ def test_traced_demo_run_reports_every_layer_metric(tmp_path):
     assert tracer.missing == set()
     metrics = tracing.layer_metrics(tracer.spans, 0, tracer.missing)
     assert metrics and [name for name, value in metrics.items() if value is None] == []
+    # A parse that bypasses parse_cert_file would read 0 here.
+    assert metrics["logstore.rows_parsed"] == sum(demo.entry_counts.values()) == 4359
