@@ -449,8 +449,8 @@ def naive_ingest(kind: str, directory: Path, paths: dict[str, str], labels: str 
         entries, None if labels is None else load_labels(directory / labels), manifest)
     if labels is not None:
         store = undersample_benign(store, cap, seed)
-    with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "store.json"
+    with tempfile.TemporaryDirectory() as directory_name:
+        path = Path(directory_name) / "store.json"
         save_logstore(store, path)
         written = path.read_bytes()
     return written, user_labels(store) if store.labels else None, malformed
