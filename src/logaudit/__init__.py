@@ -28,7 +28,6 @@ from .logstore import (
     ActivityType,
     LogEntry,
     LogStore,
-    Row,
     build_user_sequences,
     parse_cert_file,
     parse_zeek_file,
@@ -49,7 +48,6 @@ __all__ = [
     "LogStore",
     "PromptTemplate",
     "RateTable",
-    "Row",
     "ScriptedBackend",
     "SubTask",
     "SubTaskSet",

@@ -137,7 +137,7 @@ def render_exemplars(exemplars: dict[ActivityType, list[LogEntry]]) -> str:
         for entry in exemplars[activity]:
             payload = ", ".join(f"{k}={v}" for k, v in sorted(entry.payload.items()))
             lines.append(
-                f"  {entry.entry_id} | {entry.timestamp.isoformat()} | user={entry.user} "
+                f"  {entry.entry_id} | {entry.timestamp} | user={entry.user} "
                 f"| host={entry.host}" + (f" | {payload}" if payload else "")
             )
         blocks.append("\n".join(lines))

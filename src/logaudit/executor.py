@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from datetime import date
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .decomposer import SubTask
@@ -211,13 +211,11 @@ def ask(
 # Per-check execution
 # ---------------------------------------------------------------------------
 
-def select_focus_day(user: UserSequence, subtask: SubTask) -> date | None:
-    """The day under audit: the user's busiest day for the check's activity
-    types (earliest on ties), or None when no such activity exists."""
-    counts: dict[date, int] = {}
-    for entry in user.entries:
-        if entry.activity in subtask.activity_types:
-            counts[entry.day] = counts.get(entry.day, 0) + 1
+def select_focus_day(user: UserSequence, subtask: SubTask) -> str | None:
+    """The ISO date under audit: the user's busiest day for the check's
+    activity types (earliest on ties), or None when no such activity exists."""
+    types = subtask.activity_types
+    counts = Counter(entry.day for entry in user.entries if entry.activity in types)
     if not counts:
         return None
     return max(sorted(counts), key=lambda d: counts[d])
@@ -228,13 +226,13 @@ def render_excerpt(entries: Sequence[LogEntry], budget: int) -> str:
     for entry in entries[:budget]:
         payload = ", ".join(f"{k}={v}" for k, v in sorted(entry.payload.items()))
         lines.append(
-            f"  {entry.entry_id} | {entry.timestamp.isoformat()} | {entry.activity.value} "
+            f"  {entry.entry_id} | {entry.timestamp} | {entry.activity.value} "
             f"| host={entry.host}" + (f" | {payload}" if payload else "")
         )
     return "\n".join(lines) if lines else "  (none)"
 
 
-def _excerpt_entries(user: UserSequence, subtask: SubTask, focus: date, budget: int) -> list[LogEntry]:
+def _excerpt_entries(user: UserSequence, subtask: SubTask, focus: str, budget: int) -> list[LogEntry]:
     relevant = [e for e in user.entries if e.activity in subtask.activity_types]
     if len(relevant) <= budget:
         return relevant
@@ -253,14 +251,14 @@ class PreparedCheck:
     (rendered output and result) and the rendered activity excerpt."""
 
     subtask: SubTask
-    focus: date | None
+    focus: str | None
     tool: tuple[str, ToolResult | None]
     excerpt_count: int = 0
     excerpt: str = ""
 
 
 def prepare_check(
-    subtask: SubTask, user: UserSequence, focus: date | None,
+    subtask: SubTask, user: UserSequence, focus: str | None,
     tool: tuple[str, ToolResult | None], budget: int,
 ) -> PreparedCheck:
     """Render the check's excerpt once, for both executors."""
@@ -292,7 +290,7 @@ def _parse_subtask_reply(text: str) -> tuple[str, bool, list[str]] | None:
 
 
 def bind_and_invoke(
-    spec: ToolSpec, user: UserSequence, focus: date | None, lists: ListCatalog | None,
+    spec: ToolSpec, user: UserSequence, focus: str | None, lists: ListCatalog | None,
 ) -> tuple[str, ToolResult | None]:
     """Invoke a tool on one user's sequence: ``user`` binds to the user and
     ``day`` to the caller's focus day. A tool with any other parameter, or with a
@@ -304,7 +302,7 @@ def bind_and_invoke(
         if name == "user":
             params[name] = user.user
         elif name == "day" and focus is not None:
-            params[name] = focus.isoformat()
+            params[name] = focus
         else:
             return "(tool not invocable: no relevant activity to bind)", None
     try:

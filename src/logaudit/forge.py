@@ -17,7 +17,7 @@ import string
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .decomposer import SubTask, SubTaskSet
 from .errors import (
@@ -32,14 +32,7 @@ from .errors import (
     TransportError,
 )
 from .gateway import Backend, CostLedger, PromptTemplate, chat
-from .logstore import (
-    ActivityType,
-    LogEntry,
-    LogStore,
-    Snapshot,
-    UserSequence,
-    build_user_sequences,
-)
+from .logstore import ActivityType, LogEntry, Snapshot, UserSequence
 from .plans import (
     AGG_FUNCS,
     DEFAULT_K_SIGMA,
@@ -55,6 +48,9 @@ from .plans import (
 )
 from .prompts import TOOL_BUILDER, TOOL_REPAIR
 from .runtime import ListCatalog, invoke
+
+if TYPE_CHECKING:
+    from .logstore import LogStore
 
 logger = logging.getLogger(__name__)
 
@@ -109,7 +105,7 @@ def _render_log_examples(entries: Sequence[LogEntry]) -> str:
     for entry in entries:
         payload = ", ".join(f"{k}={v}" for k, v in sorted(entry.payload.items()))
         lines.append(
-            f"  {entry.entry_id} | {entry.timestamp.isoformat()} | {entry.activity.value} "
+            f"  {entry.entry_id} | {entry.timestamp} | {entry.activity.value} "
             f"| user={entry.user} | host={entry.host}" + (f" | {payload}" if payload else "")
         )
     return "\n".join(lines)
@@ -468,10 +464,10 @@ def load_registry(
 
     Every invariant is re-checked; a tool whose select is not bound to
     ``user={user}`` is corrupt. When a store is supplied, recorded test cases
-    are replayed on a store of their users' sequences, which is all a bound
-    tool reads, and value drift raises RegistryCorrupt. Specs whose activity
-    types are absent from the store produce warnings instead (their cases
-    cannot run meaningfully).
+    are replayed on their users' sequences, which is all a bound tool reads,
+    and value drift raises RegistryCorrupt. Specs whose activity types are
+    absent from the store produce warnings instead (their cases cannot run
+    meaningfully).
     """
     path = Path(path)
     try:
@@ -549,10 +545,10 @@ def load_registry(
                 )
             else:
                 replayed.append(spec)
-        sequences = store.sequences(case_users(chain.from_iterable(s.test_cases for s in replayed)))
-        cases_store = build_user_sequences(chain.from_iterable(u.entries for u in sequences))
+        fixtures = {seq.user: seq for seq in store.sequences(
+            case_users(chain.from_iterable(s.test_cases for s in replayed)))}
         for spec in replayed:
-            failures = unit_test_tool(spec, cases_store.users, spec.test_cases, lists)
+            failures = unit_test_tool(spec, fixtures, spec.test_cases, lists)
             if failures:
                 # The case users' lines were read unchecked: a snapshot edited
                 # after ingest fails its digest rather than the registry.

@@ -1,10 +1,10 @@
 """Unified, time-ordered activity log store.
 
-Parses CERT-style CSV logs and Zeek-style TSV logs into rows of one shape,
+Parses CERT-style CSV logs and Zeek-style TSV logs into LogEntry rows,
 places them into per-user snapshot lines with benign under-sampling, and
-writes the snapshot; its readers decode per-user sequences of LogEntry and
-the seeded exemplars the rest of the pipeline builds on. A whole store, for
-the readers that want one, is built in one pass by
+writes the snapshot; its readers decode the same rows back into per-user
+sequences and the seeded exemplars the rest of the pipeline builds on. A
+whole store, for the readers that want one, is built in one pass by
 :func:`build_user_sequences` and never mutated afterwards.
 """
 
@@ -71,16 +71,6 @@ class ActivityType(str, Enum):
         raise ValueError(f"unknown activity type: {name!r}")
 
 
-class _EntryFields(NamedTuple):
-    entry_id: str
-    timestamp: datetime
-    user: str
-    host: str
-    activity: ActivityType
-    payload: Mapping[str, str]
-    day: date
-
-
 _NO_PAYLOAD: Mapping[str, str] = MappingProxyType({})
 _tuple_new = tuple.__new__
 _ENTRY_ID = attrgetter("entry_id")
@@ -88,40 +78,29 @@ _TIMESTAMP = attrgetter("timestamp")
 _ACTIVITY = attrgetter("activity")
 
 
-class LogEntry(_EntryFields):
-    """One normalized activity record: an immutable tuple of the six fields
-    it is built from, positionally or by keyword, plus ``day``, the date of
-    its timestamp, which only this constructor sets."""
-
-    __slots__ = ()
-
-    def __new__(cls, entry_id: str, timestamp: datetime, user: str, host: str,
-                activity: ActivityType, payload: Mapping[str, str] = _NO_PAYLOAD) -> "LogEntry":
-        return _tuple_new(cls, (entry_id, timestamp, user, host, activity, payload,
-                                timestamp.date()))
-
-    # A replacement goes through this constructor too, so that ``day``
-    # follows a new ``timestamp``.
-    def _replace(self, **changes: object) -> "LogEntry":
-        return LogEntry(**dict(zip(self._fields[:6], self), **changes))
-
-    # Copies and pickles rebuild an entry through this constructor as well.
-    # The shared empty payload cannot be pickled, so it is left to the default.
-    def __getnewargs__(self) -> tuple:
-        return self[:5] if self.payload is _NO_PAYLOAD else self[:6]
-
-
-class Row(NamedTuple):
-    """One parsed record, in the shape of a snapshot row: ``timestamp`` is
-    the ISO text of a naive time, and ``activity``, being a ``str``, is
-    written as its value."""
+class LogEntry(NamedTuple):
+    """One normalized activity record, in the shape of a snapshot row:
+    ``timestamp`` is the ISO text of a naive time, as ingest writes it, so
+    text order is time order; ``activity``, being a ``str``, is written as
+    its value."""
 
     entry_id: str
     timestamp: str
     user: str
     host: str
     activity: ActivityType
-    payload: Mapping[str, str]
+    payload: Mapping[str, str] = _NO_PAYLOAD
+
+    @property
+    def day(self) -> str:
+        """The ISO date of ``timestamp``."""
+        return self.timestamp[:10]
+
+
+# Copies and pickles rebuild an entry from these; the shared empty payload
+# cannot be pickled, so it is left to the default. (NamedTuple refuses this
+# method in its class body.)
+LogEntry.__getnewargs__ = lambda self: self[:5] if self.payload is _NO_PAYLOAD else tuple(self)
 
 
 @dataclass
@@ -146,7 +125,7 @@ class SourceFile:
 class ParsedFile:
     """Outcome of parsing a single input file."""
 
-    entries: list[Row]
+    entries: list[LogEntry]
     errors: list[RowError]
     source: SourceFile
 
@@ -163,7 +142,7 @@ class UserSequence:
         """The ids of this user's entries, collected on first use."""
         return frozenset(e.entry_id for e in self.entries)
 
-    def day_range(self) -> tuple[date, date]:
+    def day_range(self) -> tuple[str, str]:
         return self.entries[0].day, self.entries[-1].day
 
 
@@ -249,7 +228,7 @@ def _iso_timestamp(raw: str, days: dict[str, str]) -> str:
     """The ISO text of the naive time :func:`_parse_timestamp` reads from
     ``raw``, raising what it raises. ``days`` caches each date's ISO text,
     so a date is checked once; a time carrying a UTC offset raises
-    ValueError, since naive and aware times do not compare."""
+    ValueError, since only a naive time's text sorts in time order."""
     match = _CERT_CLOCK.fullmatch(raw.strip())
     if match:
         day_text, clock = match.groups()
@@ -295,7 +274,7 @@ def parse_cert_file(path: str | Path, source: str) -> ParsedFile:
         raise IngestFailed(f"unknown CERT source {source!r}; expected one of {CERT_SOURCES}")
     path = Path(path)
     required = _CERT_REQUIRED[source]
-    entries: list[Row] = []
+    entries: list[LogEntry] = []
     errors: list[RowError] = []
     data_rows = 0
     days: dict[str, str] = {}
@@ -350,8 +329,8 @@ def parse_cert_file(path: str | Path, source: str) -> ParsedFile:
                 if value or always:
                     payload[key] = value
             host = raw[i_pc].strip()
-            add(_tuple_new(Row, (raw[i_id].strip(), timestamp, user,
-                                 hosts.setdefault(host, host), activity, payload)))
+            add(_tuple_new(LogEntry, (raw[i_id].strip(), timestamp, user,
+                                      hosts.setdefault(host, host), activity, payload)))
 
     if data_rows and len(errors) > MALFORMED_ROW_TOLERANCE * data_rows:
         raise IngestFailed(
@@ -390,10 +369,6 @@ _ZEEK_USER_FIELDS = ("client", "username", "user")
 _ZEEK_HOST_FIELDS = ("id.orig_h", "host", "assigned_ip")
 
 
-def _zeek_epoch(raw: str) -> datetime:
-    return datetime.fromtimestamp(float(raw), tz=timezone.utc).replace(tzinfo=None)
-
-
 def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
     """Parse one Zeek TSV log (``#fields`` header) or JSON-lines log.
 
@@ -401,7 +376,7 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
     header line or the file stem. Unknown streams map to ZeekSystem.
     """
     path = Path(path)
-    entries: list[Row] = []
+    entries: list[LogEntry] = []
     errors: list[RowError] = []
     data_rows = 0
     fields: list[str] | None = None
@@ -450,7 +425,8 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
                 record = dict(zip(fields, values))
 
             try:
-                timestamp = _zeek_epoch(record["ts"]).isoformat()
+                moment = datetime.fromtimestamp(float(record["ts"]), tz=timezone.utc)
+                timestamp = moment.replace(tzinfo=None).isoformat()
             except (KeyError, ValueError, OverflowError):
                 errors.append(RowError(line_no, "missing or unparseable ts field"))
                 continue
@@ -471,7 +447,7 @@ def parse_zeek_file(path: str | Path, kind: str | None = None) -> ParsedFile:
                     host = value
                     break
 
-            entries.append(Row(f"{path.stem}:{data_rows}", timestamp, user, host, activity, record))
+            entries.append(LogEntry(f"{path.stem}:{data_rows}", timestamp, user, host, activity, record))
 
     if data_rows and len(errors) > MALFORMED_ROW_TOLERANCE * data_rows:
         raise IngestFailed(
@@ -582,7 +558,7 @@ def _pick_exemplars(pools: Mapping[ActivityType, Sequence[T]], k: int,
 Lines = Mapping[str, Sequence[list]]
 
 
-def place_rows(lines: defaultdict[str, list[list]], ids: list[str], rows: Sequence[Row]) -> None:
+def place_rows(lines: defaultdict[str, list[list]], ids: list[str], rows: Sequence[LogEntry]) -> None:
     """Append each row to its user's line and its id to ``ids``, whose
     length before a row is the row's store position."""
     start = len(ids)
@@ -730,6 +706,40 @@ def _decoded(body: bytes) -> list:
     return json.loads(b"[" + body + b"]")
 
 
+# The ISO text of a naive time as ``datetime.isoformat`` writes it: a date
+# that exists (a February 29th only in a leap year, no year 0), and the
+# microseconds only when they are not zero. Matched against a line's
+# timestamps joined by newlines.
+_MONTH_DAY = r"(?:(?:0[1-9]|1[0-2])-(?:0[1-9]|1\d|2[0-8])|(?:0[13-9]|1[0-2])-(?:29|30)|(?:0[13578]|1[02])-31)"
+_LEAP_YEAR = r"(?:\d\d(?:0[48]|[2468][048]|[13579][26])|(?:[02468][048]|[13579][26])00)"
+_ISO_TIME = (rf"(?!0000)(?:\d{{4}}-{_MONTH_DAY}|{_LEAP_YEAR}-02-29)"
+             r"T(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.(?!0{6})\d{6})?")
+_ISO_TIMES = re.compile(rf"{_ISO_TIME}(?:\n{_ISO_TIME})*", re.ASCII).fullmatch
+
+
+def _is_iso_time(stamp: str) -> bool:
+    """Whether ``stamp`` is the ISO text of a naive time, as ingest writes it."""
+    try:
+        moment = datetime.fromisoformat(stamp)
+    except ValueError:
+        return False
+    return moment.tzinfo is None and moment.isoformat() == stamp
+
+
+def _check_times(rows: list) -> None:
+    """Every timestamp of one line's rows must pass :func:`_is_iso_time`,
+    which makes their text order their time order. One match checks them
+    all at once (a newline within one would show in the count); only a
+    line that fails is checked row by row, to name its first bad one."""
+    stamps = [row[2] for row in rows]
+    text = "\n".join(stamps)
+    if _ISO_TIMES(text) and text.count("\n") < len(stamps):
+        return
+    for stamp in stamps:
+        if not _is_iso_time(stamp):
+            raise ValueError(f"timestamp {stamp!r} is not the ISO text ingest writes")
+
+
 @contextlib.contextmanager
 def _damaged(path: str | Path) -> Iterator[None]:
     """Raise what a snapshot that does not decode into its layout raises
@@ -784,11 +794,11 @@ class Snapshot:
     def _rows(self, user: str, rows: list,
               shared: dict[str, str]) -> tuple[list[int], list[LogEntry]]:
         """The positions and entries of rows decoded from one user line."""
+        _check_times(rows)
         # One string object per distinct host, shared by its entries, and the
         # immutable empty payload for every empty one.
-        entries = [LogEntry(entry_id, datetime.fromisoformat(ts), user,
-                            shared.setdefault(host, host), _ACTIVITIES[activity],
-                            payload or _NO_PAYLOAD)
+        entries = [LogEntry(entry_id, ts, user, shared.setdefault(host, host),
+                            _ACTIVITIES[activity], payload or _NO_PAYLOAD)
                    for _, entry_id, ts, host, activity, payload in rows]
         positions = [row[0] for row in rows]
         self._check_order(user, positions)
@@ -855,22 +865,22 @@ class Snapshot:
     def _scan(self) -> tuple[list[int], dict[ActivityType, list[int]]]:
         """Read every user line once, decoding its rows but building no
         entry, and check the digest after the last. The snapshot must hold
-        the store that ingest saved: rows of six fields with a parseable
-        timestamp and a known activity, the positions of each line
-        ascending, no position repeated or left out, ids unique across
-        users, labels naming known ids, and the header's activity types.
+        the store that ingest saved: rows of six fields with a timestamp as
+        ingest writes it (see :func:`_check_times`) and a known activity,
+        the positions of each line ascending, no position repeated or left
+        out, ids unique across users, labels naming known ids, and the
+        header's activity types.
         Returns the line of each position, and each activity type's
         positions in store order."""
         line_of = [-1] * self.rows
         kind_of = bytearray(self.rows)  # the index of each row's type in _TYPES
         ids: list[str] = []
-        parse = datetime.fromisoformat
         placed = 0
         for n, (user, body) in enumerate(self._lines()):
             rows = _decoded(body)
+            _check_times(rows)
             kinds = []
-            for _, entry_id, ts, _, activity, _ in rows:
-                parse(ts)
+            for _, entry_id, _, _, activity, _ in rows:
                 ids.append(entry_id)
                 kinds.append(_KINDS[activity])
             positions = [row[0] for row in rows]

@@ -50,7 +50,7 @@ from .executor import (
 )
 from .forge import ToolSpec, load_registry
 from .gateway import Backend, CostLedger, PromptTemplate
-from .logstore import ActivityType, LogStore, Snapshot, UserSequence
+from .logstore import ActivityType, LogEntry, LogStore, Snapshot, UserSequence
 from .prompts import DEFAULT_TEMPLATES
 from .runtime import ListCatalog, ToolResult
 
@@ -255,19 +255,24 @@ def _one_shot_findings(
     return "\n".join(blocks), per_tool_evidence
 
 
+def _tail_excerpt(ctx: DetectContext, user: UserSequence) -> tuple[list[LogEntry], dict[str, object]]:
+    """The user's last ``excerpt_budget`` entries, and the prompt variables
+    that show them."""
+    excerpt = user.entries[-ctx.excerpt_budget:]
+    return excerpt, {
+        "user": user.user,
+        "excerpt_count": len(excerpt),
+        "activity_excerpt": render_excerpt(excerpt, ctx.excerpt_budget),
+    }
+
+
 def _one_shot_set(
     ctx: DetectContext, executor_id: str, user: UserSequence, seed: int,
     findings: tuple[str, dict[str, tuple[str, ...]]],
 ) -> ExecutorResultSet:
     """One backend call deciding all checks at once (the no-CoT path)."""
     findings_block, per_tool_evidence = findings
-    excerpt = user.entries[-ctx.excerpt_budget:]
-    variables = {
-        "user": user.user,
-        "findings_block": findings_block,
-        "excerpt_count": len(excerpt),
-        "activity_excerpt": render_excerpt(excerpt, ctx.excerpt_budget),
-    }
+    variables = {**_tail_excerpt(ctx, user)[1], "findings_block": findings_block}
     parsed = ask(
         ctx.backend, ctx.templates["one_shot"], variables, parse_decision_reply,
         stage="one-shot", note=executor_id, ledger=ctx.ledger, seed_hint=seed,
@@ -302,12 +307,7 @@ def _one_shot_set(
 
 
 def _vanilla_conclusion(ctx: DetectContext, user: UserSequence) -> FinalConclusion:
-    excerpt = user.entries[-ctx.excerpt_budget:]
-    variables = {
-        "user": user.user,
-        "excerpt_count": len(excerpt),
-        "activity_excerpt": render_excerpt(excerpt, ctx.excerpt_budget),
-    }
+    excerpt, variables = _tail_excerpt(ctx, user)
     parsed = ask(
         ctx.backend, ctx.templates["vanilla"], variables, parse_decision_reply,
         stage="vanilla", note=user.user, ledger=ctx.ledger,

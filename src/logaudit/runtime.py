@@ -127,9 +127,9 @@ def field_value(entry: LogEntry, name: str) -> object | None:
     if name == "host":
         return entry.host
     if name == "day":
-        return entry.day.isoformat()
+        return entry.day
     if name == "hour":
-        return entry.timestamp.hour
+        return int(entry.timestamp[11:13])
     if name == "activity":
         return entry.activity.value
     return entry.payload.get(name)
@@ -205,17 +205,8 @@ def select_entries(sequence: UserSequence, select: SelectStage,
     if day is None and day_from is None and day_to is None:
         return candidates
 
-    picked = []
-    for entry in candidates:
-        iso = entry.day.isoformat()
-        if day is not None and iso != day:
-            continue
-        if day_from is not None and iso < day_from:
-            continue
-        if day_to is not None and iso > day_to:
-            continue
-        picked.append(entry)
-    return picked
+    return [e for e in candidates if (day is None or e.day == day)
+            and (day_from is None or e.day >= day_from) and (day_to is None or e.day <= day_to)]
 
 
 def group_entries(entries: list[LogEntry], key: str) -> dict[str, list[LogEntry]]:
@@ -224,9 +215,9 @@ def group_entries(entries: list[LogEntry], key: str) -> dict[str, list[LogEntry]
         if key == "user":
             name = entry.user
         elif key == "day":
-            name = entry.day.isoformat()
+            name = entry.day
         elif key == "user_day":
-            name = f"{entry.user}|{entry.day.isoformat()}"
+            name = f"{entry.user}|{entry.day}"
         else:
             name = entry.host
         groups.setdefault(name, []).append(entry)
@@ -255,15 +246,16 @@ def aggregate_value(entries: list[LogEntry], agg: AggregateStage) -> float | int
 # Baselines
 # ---------------------------------------------------------------------------
 
-def _window_days(window: tuple[date, date]) -> list[date]:
-    start, end = window
+def _window_days(window: tuple[str, str]) -> list[str]:
+    """The ISO dates from the window's first to its last."""
+    start, end = map(date.fromisoformat, window)
     if end < start:
         raise ValueError("window end precedes start")
-    return [start + timedelta(days=i) for i in range((end - start).days + 1)]
+    return [(start + timedelta(days=i)).isoformat() for i in range((end - start).days + 1)]
 
 
-def daily_counts(entries: Iterable[LogEntry], window: tuple[date, date]) -> dict[date, int]:
-    """Entries per day across the window, zero-filled for empty days."""
+def daily_counts(entries: Iterable[LogEntry], window: tuple[str, str]) -> dict[str, int]:
+    """Entries per ISO date across the window, zero-filled for empty days."""
     counts = {d: 0 for d in _window_days(window)}
     for entry in entries:
         if entry.day in counts:
@@ -306,7 +298,7 @@ def _baseline_over_selection(
     selection: list[LogEntry],
     sequence: UserSequence | None,
     user: str,
-    audit_day: date,
+    audit_day: str,
 ) -> tuple[list[int], list[LogEntry]]:
     """Per-day history series for the filtered selection, excluding the
     audited day, zero-filled over the user's active span."""
@@ -317,7 +309,7 @@ def _baseline_over_selection(
     history = [counts[d] for d in sorted(counts) if d != audit_day]
     if not history:
         raise InsufficientHistory(
-            f"no days outside {audit_day.isoformat()} for user {user!r}"
+            f"no days outside {audit_day} for user {user!r}"
         )
     return history, current_entries
 
@@ -357,7 +349,7 @@ def invoke(
     group = plan.group_by()
 
     if isinstance(comparator, BaselineCompareStage):
-        audit_day = date.fromisoformat(bound["day"])
+        audit_day = date.fromisoformat(bound["day"]).isoformat()
         history, current_entries = _baseline_over_selection(selection, sequence, user, audit_day)
         current = len(current_entries)
         mu = fmean(history)

@@ -32,7 +32,7 @@ def entry(
     day = BASE_DAY + timedelta(days=day_offset)
     return LogEntry(
         entry_id=entry_id,
-        timestamp=datetime(day.year, day.month, day.day, hour, minute),
+        timestamp=datetime(day.year, day.month, day.day, hour, minute).isoformat(),
         user=user,
         host=host,
         activity=activity,

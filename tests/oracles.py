@@ -41,13 +41,21 @@ from logaudit.plans import (
 )
 
 
+def _moment(entry: LogEntry) -> datetime:
+    return datetime.fromisoformat(entry.timestamp)
+
+
+def _day(entry: LogEntry) -> str:
+    return _moment(entry).date().isoformat()
+
+
 def naive_field(entry: LogEntry, name: str):
     core = {
         "entry_id": entry.entry_id,
         "user": entry.user,
         "host": entry.host,
-        "day": entry.day.isoformat(),
-        "hour": entry.timestamp.hour,
+        "day": _day(entry),
+        "hour": _moment(entry).hour,
         "activity": entry.activity.value,
     }
     if name in core:
@@ -70,7 +78,7 @@ def naive_sequences(entries: list[LogEntry]) -> dict[str, list[str]]:
     entries belong to no user."""
     out: dict[str, list[str]] = {}
     for user in {e.user for e in entries if e.user}:
-        mine = [(e.timestamp, i, e.entry_id) for i, e in enumerate(entries) if e.user == user]
+        mine = [(_moment(e), i, e.entry_id) for i, e in enumerate(entries) if e.user == user]
         out[user] = [entry_id for _, _, entry_id in sorted(mine)]
     return out
 
@@ -86,14 +94,14 @@ def naive_select(store: LogStore, select: SelectStage, params) -> list[LogEntry]
     for i, e in enumerate(store.entries):
         if e.user != user or e.activity not in select.activity_types:
             continue
-        iso = e.day.isoformat()
+        iso = _day(e)
         if day is not None and iso != day:
             continue
         if day_from is not None and iso < day_from:
             continue
         if day_to is not None and iso > day_to:
             continue
-        out.append((e.timestamp, i, e))
+        out.append((_moment(e), i, e))
     return [e for _, _, e in sorted(out, key=lambda item: item[:2])]
 
 
@@ -161,8 +169,8 @@ def naive_group(entries: list[LogEntry], key: str) -> dict[str, list[LogEntry]]:
     for e in entries:
         name = {
             "user": e.user,
-            "day": e.day.isoformat(),
-            "user_day": f"{e.user}|{e.day.isoformat()}",
+            "day": _day(e),
+            "user_day": f"{e.user}|{_day(e)}",
             "host": e.host,
         }[key]
         groups.setdefault(name, []).append(e)
@@ -187,18 +195,18 @@ def naive_plan_eval(store: LogStore, plan: QueryPlan, params: dict, lists=None) 
         user = params["user"]
         audit_day = params["day"]
         seq = store.users[user]
-        first, last = seq.entries[0].day, seq.entries[-1].day
+        first, last = _moment(seq.entries[0]).date(), _moment(seq.entries[-1]).date()
         per_day = {}
         d = first
         while d <= last:
             per_day[d.isoformat()] = 0
             d += timedelta(days=1)
         for e in entries:
-            iso = e.day.isoformat()
+            iso = _day(e)
             if iso in per_day:
                 per_day[iso] += 1
         history = [c for iso, c in sorted(per_day.items()) if iso != audit_day]
-        current = sum(1 for e in entries if e.day.isoformat() == audit_day)
+        current = sum(1 for e in entries if _day(e) == audit_day)
         mu = naive_mean(history)
         sigma = naive_pstd(history)
         values.update(
@@ -323,12 +331,12 @@ def undersample_benign(store: LogStore, cap: int, seed: int) -> LogStore:
 
 
 def store_lines(store: LogStore) -> dict[str, list[list]]:
-    """The rows of a store's snapshot lines: each entry, at its position and
-    with its time as ISO text, under its user."""
+    """The rows of a store's snapshot lines: each entry, at its position,
+    under its user."""
     lines: dict[str, list[list]] = {}
     for i, e in enumerate(store.entries):
         lines.setdefault(e.user, []).append(
-            [i, e.entry_id, e.timestamp.isoformat(), e.host, e.activity, e.payload])
+            [i, e.entry_id, e.timestamp, e.host, e.activity, e.payload])
     return lines
 
 
@@ -412,7 +420,7 @@ def naive_cert_file(path: Path, source: str) -> tuple[list[LogEntry], list[tuple
                                                            if row.get("content") else {})}
             else:
                 payload = {}
-            entries.append(LogEntry(row["id"].strip(), timestamp, row["user"].strip(),
+            entries.append(LogEntry(row["id"].strip(), timestamp.isoformat(), row["user"].strip(),
                                     row["pc"].strip(), activity, payload))
     tolerance = logaudit.logstore.MALFORMED_ROW_TOLERANCE
     if data_rows and len(errors) > tolerance * data_rows:
@@ -436,8 +444,7 @@ def naive_ingest(kind: str, directory: Path, paths: dict[str, str], labels: str 
             stream = f"cert:{source}"
         else:
             parsed = parse_zeek_file(path, kind=source)
-            rows = [LogEntry(r.entry_id, datetime.fromisoformat(r.timestamp), r.user, r.host,
-                             r.activity, r.payload) for r in parsed.entries]
+            rows = parsed.entries
             errors = [(e.line_no, e.reason) for e in parsed.errors]
             data_rows, stream = parsed.source.rows, parsed.source.kind
         entries += rows

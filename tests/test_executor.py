@@ -109,9 +109,9 @@ def test_evidence_check_consistent_passes_through():
 
 def test_select_focus_day_peak_and_tie(burst_store):
     subtask = simple_subtasks().subtasks[0]
-    assert select_focus_day(burst_store.users["UX"], subtask).isoformat() == "2024-01-05"
+    assert select_focus_day(burst_store.users["UX"], subtask) == "2024-01-05"
     # UY is flat: earliest day wins the tie.
-    assert select_focus_day(burst_store.users["UY"], subtask).isoformat() == "2024-01-01"
+    assert select_focus_day(burst_store.users["UY"], subtask) == "2024-01-01"
 
 
 def test_select_focus_day_none_without_activity(burst_store):

@@ -26,6 +26,7 @@ from logaudit.logstore import (
     LogEntry,
     LogStore,
     SourceFile,
+    _check_times,
     _iso_timestamp,
     build_user_sequences,
     label_users,
@@ -38,6 +39,7 @@ from logaudit.logstore import (
     save_store,
     undersample_benign,
 )
+from logaudit.runtime import field_value
 from oracles import malicious_ids, naive_has_duplicate_ids, naive_sequences, save_logstore, store_lines
 
 
@@ -565,8 +567,8 @@ _TEXT = st.text(max_size=8)
 @st.composite
 def _stores(draw) -> LogStore:
     rows = draw(st.lists(
-        st.tuples(st.text(min_size=1, max_size=8), st.datetimes(), _TEXT, _TEXT,
-                  st.sampled_from(ActivityType), st.dictionaries(_TEXT, _TEXT, max_size=3)),
+        st.tuples(st.text(min_size=1, max_size=8), st.datetimes().map(datetime.isoformat), _TEXT,
+                  _TEXT, st.sampled_from(ActivityType), st.dictionaries(_TEXT, _TEXT, max_size=3)),
         max_size=12, unique_by=lambda row: row[0]))
     manifest = draw(st.lists(st.builds(
         SourceFile, _TEXT, _TEXT, st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3))
@@ -586,7 +588,7 @@ def _fleets(draw) -> LogStore:
     """Stores of a few users, host-only rows (the empty user) among them,
     whose rows interleave as rows read from several source files do."""
     rows = draw(st.lists(
-        st.tuples(st.text(min_size=1, max_size=8), st.datetimes(),
+        st.tuples(st.text(min_size=1, max_size=8), st.datetimes().map(datetime.isoformat),
                   st.sampled_from(["", "u", "v", "\u00fc"]), _TEXT, st.sampled_from(ActivityType),
                   st.dictionaries(_TEXT, _TEXT, max_size=2)),
         max_size=16, unique_by=lambda row: row[0]))
@@ -617,7 +619,7 @@ def _forge_read(path: Path, users=(), **sampling) -> tuple[dict, dict]:
 
 @given(_stores() | _fleets())
 @example(build_user_sequences([]))
-@example(seal([LogEntry("E1", datetime(2024, 1, 2, 3, 4, 5, 678901), "\u00fc", "",
+@example(seal([LogEntry("E1", "2024-01-02T03:04:05.678901", "\u00fc", "",
                         ActivityType.HTTP_VISIT, {"url": "", "note": "\u2603"})]))
 @settings(max_examples=100, deadline=None)
 def test_store_snapshot_round_trip(store):
@@ -705,20 +707,21 @@ def test_forge_read_matches_the_whole_store(sampled):
 
 
 _FIELDS = ("entry_id", "timestamp", "user", "host", "activity", "payload")
-# Naive, or aware at a whole-minute offset (what isoformat round-trips).
-_TIMESTAMPS = st.datetimes(timezones=st.none() | st.integers(-23 * 60, 23 * 60).map(
-    lambda minutes: timezone(timedelta(minutes=minutes))))
+# Naive times with and without microseconds, from year 1 to 9999.
+_MOMENTS = st.datetimes() | st.datetimes().map(lambda moment: moment.replace(microsecond=0))
 
 
-@given(st.tuples(_TEXT, _TIMESTAMPS, _TEXT, _TEXT, st.sampled_from(ActivityType),
-                 st.dictionaries(_TEXT, _TEXT, max_size=3)),
+# Only naive times are drawn: no producer writes an aware one since ingest
+# made offsets a malformed row, and the snapshot readers reject it.
+@given(st.tuples(_TEXT, _MOMENTS.map(datetime.isoformat), _TEXT, _TEXT,
+                 st.sampled_from(ActivityType), st.dictionaries(_TEXT, _TEXT, max_size=3)),
        st.booleans(), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_entry_carries_its_timestamps_day(row, by_keyword, with_payload):
     fields = dict(zip(_FIELDS, row if with_payload else row[:5]))
     made = LogEntry(**fields) if by_keyword else LogEntry(*fields.values())
-    assert made.day == row[1].date()
-    assert made[:6] == (*row[:5], made.payload)
+    assert made.day == datetime.fromisoformat(row[1]).date().isoformat()
+    assert made == (*row[:5], made.payload)
     assert made.payload == (row[5] if with_payload else {})
     for name in (*_FIELDS, "day"):
         with pytest.raises(AttributeError):
@@ -726,10 +729,11 @@ def test_entry_carries_its_timestamps_day(row, by_keyword, with_payload):
     if not with_payload:
         with pytest.raises(TypeError):
             made.payload["key"] = "value"  # the default payload is immutable
-    moved = made._replace(timestamp=datetime(2024, 2, 3, 4, 5))
-    assert moved.day == moved.timestamp.date() and moved.entry_id == made.entry_id
+    moved = made._replace(timestamp="2024-02-03T04:05:00")
+    assert moved.day == "2024-02-03" and moved.entry_id == made.entry_id
     for twin in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
         assert type(twin) is LogEntry and twin == made and twin.day == made.day
+        assert (twin.payload is logaudit.logstore._NO_PAYLOAD) == (not with_payload)
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.json"
         save_logstore(build_user_sequences([made]), path)
@@ -737,6 +741,60 @@ def test_entry_carries_its_timestamps_day(row, by_keyword, with_payload):
         [[sampled]] = _forge_read(path)[0].values()
     assert loaded == made and loaded.day == made.day
     assert sampled == made and sampled.day == made.day
+
+
+@given(st.lists(_MOMENTS, min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_timestamp_text_sorts_in_time_order(moments):
+    texts = [moment.isoformat() for moment in moments]
+    assert sorted(texts) == [moment.isoformat() for moment in sorted(moments)]
+    _check_times([[0, "E", text] for text in texts])
+    for moment, text in zip(moments, texts):
+        made = LogEntry("E", text, "u", "PC-1", ActivityType.LOGON)
+        assert made.day == moment.date().isoformat()
+        assert field_value(made, "hour") == moment.hour
+
+
+def _round_trips(stamp: str) -> bool:
+    try:
+        moment = datetime.fromisoformat(stamp)
+    except ValueError:
+        return False
+    return moment.tzinfo is None and moment.isoformat() == stamp
+
+
+_STAMPS = st.one_of(
+    _MOMENTS.map(datetime.isoformat),
+    st.datetimes(timezones=st.just(timezone.utc)).map(datetime.isoformat),
+    st.text(st.sampled_from("0123456789-T:. +Z\n"), max_size=32),
+    st.builds(lambda moment, at, text: moment.isoformat()[:at] + text, _MOMENTS,
+              st.integers(0, 26), st.text(st.sampled_from("0123456789-T:.\n"), max_size=8)),
+    st.tuples(_MOMENTS, _MOMENTS).map(lambda pair: "\n".join(map(datetime.isoformat, pair))),
+    # Dates that may not exist.
+    st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32))
+    .map(lambda date: "%04d-%02d-%02dT00:00:00" % date))
+
+
+@given(st.lists(_STAMPS, max_size=4))
+@example(["2024-02-30T00:00:00"])
+@example(["2023-02-29T00:00:00", "2024-02-29T00:00:00"])
+@example(["1900-02-29T00:00:00", "2000-02-29T00:00:00", "2100-02-29T00:00:00"])
+@example(["0004-02-29T00:00:00", "0400-02-29T00:00:00", "2024-04-31T00:00:00"])
+@example(["0000-01-01T00:00:00"])
+@example(["0000-02-29T00:00:00"])
+@example(["2024-01-02T24:00:00"])
+@example(["2024-01-02T03:04:60"])
+@settings(max_examples=400, deadline=None)
+def test_timestamp_check_is_the_round_trip(stamps):
+    """A line's timestamps pass the readers' check iff each is the ISO text
+    its own time writes, naive; a line that fails names its first bad one."""
+    bad = [stamp for stamp in stamps if not _round_trips(stamp)]
+    if not bad:
+        _check_times([[0, "E", stamp] for stamp in stamps])
+        return
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"timestamp {bad[0]!r} is not the ISO text ingest writes") + "$"):
+        _check_times([[0, "E", stamp] for stamp in stamps])
 
 
 def test_interrupted_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch):
@@ -873,24 +931,32 @@ def _set_field(line: int, row: int, field: int, value):
     return edit
 
 
-# The lines hold "": [E4], "u": [E1, E2] and "v": [E3, E5].
-@pytest.mark.parametrize("edit, category, message", [
-    (_set_field(2, 0, 1, "E1"), DuplicateEntryId, "duplicate entry id 'E1'"),
+# The lines hold "": [E4], "u": [E1, E2] and "v": [E3, E5]. Detect holds one
+# line at a time and checks neither the labels nor the header's activity
+# types, so it finds only a bad row of a line.
+@pytest.mark.parametrize("edit, category, message, detect_finds", [
+    (_set_field(2, 0, 1, "E1"), DuplicateEntryId, "duplicate entry id 'E1'", False),
     (lambda path: _rewrite_head(path, lambda doc: doc["labels"].update(NOPE="malicious")),
-     LabelsInvalid, "label references unknown entry id 'NOPE'"),
+     LabelsInvalid, "label references unknown entry id 'NOPE'", False),
     (lambda path: _rewrite_head(path, lambda doc: doc["labels"].update(E1="suspicious")),
-     LabelsInvalid, "bad label 'suspicious' for 'E1'"),
+     LabelsInvalid, "bad label 'suspicious' for 'E1'", False),
     (lambda path: _rewrite_head(path, lambda doc: doc["activities"].remove("Logoff")),
-     IngestFailed, "the rows' activity types are not the header's"),
+     IngestFailed, "the rows' activity types are not the header's", False),
     (lambda path: _rewrite_head(path, lambda doc: doc["activities"].append("FileOp")),
-     IngestFailed, "the rows' activity types are not the header's"),
+     IngestFailed, "the rows' activity types are not the header's", False),
     (lambda path: _rewrite_rows(path, lambda rows: rows[1][0].pop()),
-     IngestFailed, "ValueError: not enough values to unpack"),
-    (_set_field(1, 0, 4, "Nope"), IngestFailed, "KeyError: 'Nope'"),
-    (_set_field(1, 0, 2, "yesterday"), IngestFailed, "Invalid isoformat string: 'yesterday'"),
+     IngestFailed, "ValueError: not enough values to unpack", True),
+    (_set_field(1, 0, 4, "Nope"), IngestFailed, "KeyError: 'Nope'", True),
+    *[(_set_field(1, 0, 2, stamp), IngestFailed,
+       f"timestamp {stamp!r} is not the ISO text ingest writes", True)
+      for stamp in ("yesterday", "2024-01-02 03:04:05", "2024-01-02T03:04:05.000000",
+                    "2024-01-02T03:04:05+01:00", "20240102T030405")],
 ], ids=["id-shared-by-two-users", "label-of-unknown-id", "bad-label", "activity-not-in-header",
-        "header-activity-without-rows", "short-row", "unknown-activity", "unparseable-timestamp"])
-def test_forge_read_rejects_what_the_whole_store_rejects(tmp_path, edit, category, message):
+        "header-activity-without-rows", "short-row", "unknown-activity", "unparseable-timestamp",
+        "space-separated-timestamp", "zero-microseconds-timestamp", "offset-timestamp",
+        "basic-format-timestamp"])
+def test_forge_read_rejects_what_the_whole_store_rejects(tmp_path, edit, category, message,
+                                                         detect_finds):
     """Forge builds no store, yet fails a snapshot edited after ingest, with
     a fresh digest, as the whole-store load does: same category, same message."""
     path = tmp_path / "store.json"
@@ -901,12 +967,17 @@ def test_forge_read_rejects_what_the_whole_store_rejects(tmp_path, edit, categor
     with pytest.raises(category) as whole:
         load_store(path)
     assert str(read.value) == str(whole.value)
+    if detect_finds:
+        with pytest.raises(category) as detect:
+            list(open_snapshot(path).sequences())
+        assert str(detect.value) == str(whole.value)
 
 
 def _synthetic_store(rows: int) -> LogStore:
     start = datetime(2024, 1, 1)
     activities = list(ActivityType)
-    return seal([LogEntry(f"{{S{i:07d}}}", start + timedelta(minutes=7 * i), f"user{i % 200:03d}",
+    return seal([LogEntry(f"{{S{i:07d}}}", (start + timedelta(minutes=7 * i)).isoformat(),
+                          f"user{i % 200:03d}",
                           f"PC-{i % 500:04d}", activities[i % len(activities)],
                           {"url": f"http://site{i % 97}.example/"} if i % 3 == 0 else {})
                  for i in range(rows)], {"{S0000000}": "malicious"})

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from datetime import date
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -168,8 +166,11 @@ def test_baseline_zero_fills_inactive_days():
 
 def test_daily_counts_zero_fill():
     counts = daily_counts([entry("D1", "u", ActivityType.LOGON, day_offset=1)],
-                          (date(2024, 1, 1), date(2024, 1, 3)))
-    assert counts == {date(2024, 1, 1): 0, date(2024, 1, 2): 1, date(2024, 1, 3): 0}
+                          ("2024-01-01", "2024-01-03"))
+    assert counts == {"2024-01-01": 0, "2024-01-02": 1, "2024-01-03": 0}
+    # A window across a month's end steps through the calendar.
+    assert list(daily_counts([], ("2024-02-28", "2024-03-01"))) == \
+        ["2024-02-28", "2024-02-29", "2024-03-01"]
 
 
 # --- URL domains in lookups ---
